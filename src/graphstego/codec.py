@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import CosetTable
-from .gf2 import as_bits, mat_vec_mul, syndrome_index, vec_add, weight
+from .gf2 import as_bits, block_syndromes, column_syndromes, syndrome_bits
 from .graphs import GraphicalCode
 
 HEADER_BITS = 32
+#: Blocks per pass of the stream codec; bounds its working memory.
+CHUNK_BLOCKS = 1 << 16
 
 
 class CapacityError(ValueError):
@@ -63,9 +65,9 @@ def embed_block(t, m, table: CosetTable) -> tuple[np.ndarray, int]:
         raise ValueError(f"block must have {code.n_len} bits, got {t.size}")
     if m.size != p:
         raise ValueError(f"message must have {p} bits, got {m.size}")
-    s = vec_add(m, mat_vec_mul(code.parity_check, t))
-    leader = table.leaders[syndrome_index(s)]
-    return t ^ leader, weight(leader)
+    s = block_syndromes(np.concatenate([t, m])[None, :], _embed_columns(code), p)
+    leader = table.leaders[int(s[0])]
+    return t ^ leader, int(leader.sum())
 
 
 def extract_block(v, code: GraphicalCode) -> np.ndarray:
@@ -73,7 +75,23 @@ def extract_block(v, code: GraphicalCode) -> np.ndarray:
     v = as_bits(v)
     if v.size != code.n_len:
         raise ValueError(f"block must have {code.n_len} bits, got {v.size}")
-    return mat_vec_mul(code.parity_check, v)
+    return _extract_blocks(v[None, :], code)[0]
+
+
+def _embed_columns(code: GraphicalCode) -> list[int]:
+    """Parity-check columns followed by identity columns for the message.
+
+    The syndrome of a block with its p message bits appended is then
+    H(t) XOR m: the index of the leader that embeds m into t.
+    """
+    p = code.n_len - code.k
+    return column_syndromes(code.parity_check) + [1 << (p - 1 - i) for i in range(p)]
+
+
+def _extract_blocks(blocks: np.ndarray, code: GraphicalCode) -> np.ndarray:
+    """Message bits H(v) of each row of an (N, n) block matrix, as (N, p)."""
+    p = code.n_len - code.k
+    return syndrome_bits(block_syndromes(blocks, column_syndromes(code.parity_check), p), p)
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
@@ -113,7 +131,7 @@ def unframe_payload(framed) -> np.ndarray:
     framed = as_bits(framed)
     if framed.size < HEADER_BITS:
         raise FrameError(f"frame has {framed.size} bits, header needs {HEADER_BITS}")
-    declared = int.from_bytes(np.packbits(framed[:HEADER_BITS]).tobytes(), "big")
+    declared = _declared_bits(framed)
     if declared > framed.size - HEADER_BITS:
         raise FrameError(
             f"header declares {declared} payload bits, only "
@@ -122,46 +140,52 @@ def unframe_payload(framed) -> np.ndarray:
     return framed[HEADER_BITS : HEADER_BITS + declared].copy()
 
 
-def _block_syndromes(blocks: np.ndarray, code: GraphicalCode) -> np.ndarray:
-    """Check bits of each row of an (N, n) block matrix, as an (N, p) matrix."""
-    return (blocks.astype(np.int64) @ code.parity_check.T.astype(np.int64) & 1).astype(np.uint8)
+def _declared_bits(framed: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(framed[:HEADER_BITS]).tobytes(), "big")
 
 
 def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, EmbedReport]:
     """Frame ``data_bits`` and embed them across leading cover blocks.
 
-    Trailing cover bits that no block reaches pass through unchanged.
+    Blocks are processed :data:`CHUNK_BLOCKS` at a time, so working
+    memory beyond the output stays bounded.  Trailing cover bits that
+    no block reaches pass through unchanged; the inputs are never
+    modified.
 
     Raises:
         CapacityError: if the framed payload needs more blocks than the
             cover holds.
     """
     code = table.code
-    cover_bits = as_bits(cover_bits)
     n = code.n_len
     p = n - code.k
-    framed = frame_payload(data_bits, p)
-    chunks = framed.reshape(-1, p)
-    needed = chunks.shape[0] * n
-    if needed > cover_bits.size:
+    stego = as_bits(cover_bits)  # a fresh copy: the output array
+    messages = frame_payload(data_bits, p).reshape(-1, p)
+    blocks_used = len(messages)
+    needed = blocks_used * n
+    if needed > stego.size:
         raise CapacityError(
-            f"framed payload needs {needed} cover bits, only {cover_bits.size} available"
+            f"framed payload needs {needed} cover bits, only {stego.size} available"
         )
-    blocks = cover_bits[:needed].reshape(-1, n)
-    syndromes = chunks ^ _block_syndromes(blocks, code)
-    place = 1 << np.arange(p - 1, -1, -1, dtype=np.int64)
-    indices = syndromes.astype(np.int64) @ place
-    flips = table.leaders[indices]
-    stego = np.concatenate([(blocks ^ flips).reshape(-1), cover_bits[needed:]])
-    per_block = flips.sum(axis=1, dtype=np.int64)
-    total = int(per_block.sum())
+    blocks = stego[:needed].reshape(-1, n)
+    columns = _embed_columns(code)
+    counts = np.zeros(len(table.leaders), dtype=np.int64)
+    for start in range(0, blocks_used, CHUNK_BLOCKS):
+        part = blocks[start : start + CHUNK_BLOCKS]
+        idx = block_syndromes(
+            np.hstack([part, messages[start : start + CHUNK_BLOCKS]]), columns, p
+        )
+        part ^= np.take(table.leaders, idx, axis=0)
+        counts += np.bincount(idx, minlength=len(counts))
+    weights = table.leaders.sum(axis=1, dtype=np.int64)
+    total = int(counts @ weights)
     report = EmbedReport(
-        blocks_used=chunks.shape[0],
+        blocks_used=blocks_used,
         total_flips=total,
-        max_flips_per_block=int(per_block.max()),
+        max_flips_per_block=int(weights[counts > 0].max()),
         embedding_rate=p / n,
         theoretical_efficiency=p / table.rho,
-        empirical_efficiency=(p * chunks.shape[0] / total) if total else float("inf"),
+        empirical_efficiency=(p * blocks_used / total) if total else float("inf"),
     )
     return stego, report
 
@@ -170,7 +194,7 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
     """Recover the framed payload from the leading stego blocks.
 
     Reads just enough blocks for the header, then exactly as many as
-    the declared length requires.
+    the declared length requires, :data:`CHUNK_BLOCKS` at a time.
 
     Raises:
         FrameError: if the stream is too short for the header or for
@@ -184,20 +208,19 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
         raise FrameError(
             f"stego stream has {stego_bits.size} bits, header needs {header_blocks * n}"
         )
-    head = _block_syndromes(
-        stego_bits[: header_blocks * n].reshape(-1, n), code
-    ).reshape(-1)[:HEADER_BITS]
-    declared = int.from_bytes(np.packbits(head).tobytes(), "big")
+    blocks = stego_bits[: stego_bits.size // n * n].reshape(-1, n)
+    declared = _declared_bits(_extract_blocks(blocks[:header_blocks], code).reshape(-1))
     total_blocks = -(-(HEADER_BITS + declared) // p)
-    if stego_bits.size < total_blocks * n:
+    if total_blocks > len(blocks):
         raise FrameError(
             f"header declares {declared} payload bits needing {total_blocks * n} "
             f"stego bits, only {stego_bits.size} present"
         )
-    framed = _block_syndromes(
-        stego_bits[: total_blocks * n].reshape(-1, n), code
-    ).reshape(-1)
-    return unframe_payload(framed)
+    framed = np.empty((total_blocks, p), dtype=np.uint8)
+    for start in range(0, total_blocks, CHUNK_BLOCKS):
+        stop = min(start + CHUNK_BLOCKS, total_blocks)
+        framed[start:stop] = _extract_blocks(blocks[start:stop], code)
+    return framed.reshape(-1)[HEADER_BITS : HEADER_BITS + declared]
 
 
 def compute_metrics(n_len: int, p: int, rho: int) -> tuple[float, float]:

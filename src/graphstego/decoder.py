@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf2 import as_bits, index_to_bits, syndrome_index
+from .gf2 import as_bits, block_syndromes, column_syndromes, index_to_bits, syndrome_index
 from .graphs import Graph, GraphicalCode, _adjacency
 
 #: Largest code length build_coset_table_bruteforce will attempt.
@@ -91,7 +91,7 @@ def build_coset_table_bruteforce(code: GraphicalCode, max_len: int = EXHAUSTIVE_
         )
     p = n - code.k
     count = 1 << p
-    col_syndrome = [syndrome_index(code.parity_check[:, j]) for j in range(n)]
+    col_syndrome = column_syndromes(code.parity_check)
     leaders = np.zeros((count, n), dtype=np.uint8)
     found = np.zeros(count, dtype=bool)
     found[0] = True
@@ -339,10 +339,8 @@ def covering_radius_tjoin(g: Graph, max_vertices: int = TJOIN_ENUM_LIMIT) -> int
 def _check_leader_syndromes(code: GraphicalCode, leaders: np.ndarray) -> None:
     """Every leader must land in its own coset (internal invariant)."""
     p = code.n_len - code.k
-    syn = (leaders.astype(np.int64) @ code.parity_check.T.astype(np.int64)) & 1
-    weights = 1 << np.arange(p - 1, -1, -1, dtype=np.int64)
-    got = syn @ weights
-    if not np.array_equal(got, np.arange(len(leaders), dtype=np.int64)):
+    got = block_syndromes(leaders, column_syndromes(code.parity_check), p)
+    if not np.array_equal(got, np.arange(len(leaders))):
         raise AssertionError("leader table inconsistent with parity check")
 
 

@@ -11,9 +11,22 @@ All operations are pure and never mutate their arguments.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
+from collections.abc import Iterable, Sequence
 
 import numpy as np
+
+
+def _require_binary(arr: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of ``arr`` is 0 or 1."""
+    if not arr.size:
+        return
+    if arr.dtype == np.uint8:
+        ok = arr.max() <= 1
+    else:
+        ok = np.isin(arr, (0, 1)).all()
+    if not ok:
+        raise ValueError(f"{what} entries must be 0 or 1")
 
 
 def as_bits(values: Iterable[int] | str) -> np.ndarray:
@@ -37,8 +50,7 @@ def as_bits(values: Iterable[int] | str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D bit vector, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise ValueError("bit vector entries must be 0 or 1")
+    _require_binary(arr, "bit vector")
     return arr.astype(np.uint8)
 
 
@@ -50,8 +62,7 @@ def as_bit_matrix(rows) -> np.ndarray:
         arr = np.asarray([as_bits(r) for r in rows])
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D bit matrix, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise ValueError("bit matrix entries must be 0 or 1")
+    _require_binary(arr, "bit matrix")
     return arr.astype(np.uint8)
 
 
@@ -113,10 +124,68 @@ def syndrome_index(bits) -> int:
     ``"1100"`` -> 12, so printed syndromes index tables in the order a
     human would write them down.
     """
-    idx = 0
-    for b in as_bits(bits):
-        idx = (idx << 1) | int(b)
-    return idx
+    return column_syndromes(as_bits(bits)[:, None])[0]
+
+
+def column_syndromes(matrix) -> list[int]:
+    """Each column of a bit matrix read as an integer, row 0 most significant.
+
+    Column j of a parity check is the syndrome of the word with only
+    bit j set, so any word's syndrome is the XOR of the column
+    syndromes of its set bits (see :func:`block_syndromes`).
+    """
+    m = as_bit_matrix(matrix)
+    pad = -m.shape[0] % 8
+    return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(m, axis=0).T]
+
+
+def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> np.ndarray:
+    """Syndrome of each row of a block matrix: the XOR of its set columns.
+
+    Each row is packed into bytes, and each byte is looked up in a
+    256-entry table of XORs of the eight columns it covers.  ``blocks``
+    is trusted: callers validate at their public entry points.
+
+    Args:
+        blocks: (N, len(columns)) uint8 array with entries in {0, 1}.
+        columns: one integer per block position, as from
+            :func:`column_syndromes`.
+        width: syndrome length in bits.
+
+    Returns:
+        For ``width <= 64``, an (N,) array of the narrowest unsigned
+        dtype holding ``width`` bits; above that, (N, ceil(width/64))
+        uint64 words, most significant word first.  Either way a
+        syndrome reads as :func:`syndrome_index` reads its bits.
+    """
+    words = max(1, -(-width // 64))
+    tail = () if width <= 64 else (words,)
+    dtype = np.min_scalar_type((1 << min(width, 64)) - 1)
+    shifts = range(64 * (words - 1), -1, -64)
+    col_words = np.zeros((-(-len(columns) // 8) * 8, words), dtype=dtype)
+    for j, c in enumerate(columns):
+        col_words[j] = [(c >> s) & 0xFFFF_FFFF_FFFF_FFFF for s in shifts]
+    col_words = col_words.reshape((-1,) + tail)
+    # pad rows to whole bytes so one flat packbits does every row
+    padded = np.zeros((blocks.shape[0], len(col_words)), dtype=np.uint8)
+    padded[:, : len(columns)] = blocks
+    packed = np.packbits(padded.reshape(-1)).reshape(len(padded), len(col_words) // 8)
+    out = np.zeros((len(padded),) + tail, dtype=dtype)
+    for b in range(packed.shape[1]):
+        # table[v] = XOR of the columns selected by byte value v (MSB first)
+        table = np.zeros((1,) + tail, dtype=dtype)
+        for col in col_words[8 * b : 8 * b + 8][::-1]:
+            table = np.concatenate([table, table ^ col])
+        out ^= np.take(table, packed[:, b], axis=0)
+    return out
+
+
+def syndrome_bits(syndromes: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of :func:`block_syndromes`' packing: one row of ``width`` bits per syndrome."""
+    big = syndromes.astype(syndromes.dtype.newbyteorder(">"))
+    row_bits = 8 * big.itemsize * math.prod(big.shape[1:])
+    bits = np.unpackbits(big.view(np.uint8).reshape(-1)).reshape(len(big), row_bits)
+    return bits[:, row_bits - width :]
 
 
 def index_to_bits(index: int, width: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import gf2_rank, mat_vec_mul
+from .gf2 import as_bits, block_syndromes, column_syndromes, gf2_rank, syndrome_bits
 
 
 class GraphError(ValueError):
@@ -326,7 +326,7 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
         t = spanning_tree_from_ids(g, tree)
     gen = fundamental_circuit_matrix(g, t)
     chk = fundamental_cutset_matrix(g, t)
-    if ((gen.astype(np.int64) @ chk.T.astype(np.int64)) & 1).any():
+    if block_syndromes(gen, column_syndromes(chk), len(chk)).any():
         raise GraphError("orthogonality failure: circuits do not satisfy the cut-set checks")
     if gf2_rank(gen) != k or gf2_rank(chk) != v - 1:
         raise GraphError("rank failure in fundamental matrices")
@@ -341,7 +341,12 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
 
 def syndrome_of(code: GraphicalCode, word) -> np.ndarray:
     """Parity-check syndrome of a length-n word."""
-    return mat_vec_mul(code.parity_check, word)
+    word = as_bits(word)
+    if word.size != code.n_len:
+        raise ValueError(f"word must have {code.n_len} bits, got {word.size}")
+    p = code.n_len - code.k
+    syn = block_syndromes(word[None, :], column_syndromes(code.parity_check), p)
+    return syndrome_bits(syn, p)[0]
 
 
 def code_report(code: GraphicalCode, rho: int) -> CodeReport:

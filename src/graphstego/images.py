@@ -2,7 +2,9 @@
 
 Pixels are kept exactly as stored in the file — one flat uint8 array
 in file order (BMP rows therefore bottom-up, padding stripped) — so a
-load/save roundtrip is byte-faithful and LSB positions are stable.
+load/save roundtrip keeps every pixel and LSB positions are stable.
+Saving writes a canonical header: PGM comments, trailing bytes and
+non-default BMP header fields are not kept.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gf2 import as_bits
+
+
+#: Pixels per partial sum in PSNR: 2**15 squared 8-bit differences fit int32.
+_PSNR_CHUNK = 1 << 15
 
 
 class ImageFormatError(ValueError):
@@ -131,7 +137,7 @@ def load_image(path) -> CoverImage:
 
 
 def save_image(img: CoverImage, path) -> None:
-    """Write the image back in its own format, byte-faithfully."""
+    """Write the image in its own format, with a canonical header."""
     if img.format_tag == "pgm":
         if img.channels != 1 or img.pixels.size != img.width * img.height:
             raise ImageFormatError("inconsistent PGM image record")
@@ -173,7 +179,9 @@ def lsb_inject(img: CoverImage, bits) -> CoverImage:
             f"{bits.size} bits exceed image capacity {img.pixels.size}"
         )
     pixels = img.pixels.copy()
-    pixels[: bits.size] = (pixels[: bits.size] & 0xFE) | bits
+    head = pixels[: bits.size]
+    head &= 0xFE
+    head |= bits
     pixels.setflags(write=False)
     return replace(img, pixels=pixels)
 
@@ -186,8 +194,11 @@ def peak_signal_noise(original: CoverImage, modified: CoverImage) -> float | Non
         modified.channels,
     ):
         raise ValueError("image dimensions differ")
-    diff = original.pixels.astype(np.int64) - modified.pixels.astype(np.int64)
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
+    a, b = original.pixels, modified.pixels
+    total = 0
+    for lo in range(0, a.size, _PSNR_CHUNK):
+        diff = np.subtract(a[lo : lo + _PSNR_CHUNK], b[lo : lo + _PSNR_CHUNK], dtype=np.int32)
+        total += int(np.dot(diff, diff))
+    if total == 0:
         return None
-    return 10.0 * math.log10(255.0 * 255.0 / mse)
+    return 10.0 * math.log10(255.0 * 255.0 / (total / a.size))

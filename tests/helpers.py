@@ -170,3 +170,25 @@ def wheel_graph() -> Graph:
     rim = [(2, 3), (3, 4), (4, 5), (5, 6), (6, 2)]
     spokes = [(1, r) for r in range(2, 7)]
     return build_graph(6, spokes + rim)
+
+
+def random_graph(rng: np.random.Generator, vertices: int, edges: int) -> Graph:
+    """Random connected simple graph with exactly ``edges`` edges.
+
+    A random spanning tree on ``vertices`` vertices, then distinct
+    extra edges drawn uniformly; its cycle code has p = vertices - 1.
+    """
+    order = rng.permutation(vertices) + 1
+    chosen = [
+        (int(order[int(rng.integers(0, i))]), int(order[i])) for i in range(1, vertices)
+    ]
+    present = {frozenset(e) for e in chosen}
+    missing = [
+        (a, b)
+        for a in range(1, vertices + 1)
+        for b in range(a + 1, vertices + 1)
+        if frozenset((a, b)) not in present
+    ]
+    picks = rng.choice(len(missing), size=edges - len(chosen), replace=False)
+    chosen.extend(missing[int(i)] for i in sorted(picks))
+    return build_graph(vertices, chosen)

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,13 @@ from graphstego.decoder import build_coset_table_bruteforce
 from graphstego.gf2 import as_bits, bits_to_str
 from graphstego.graphs import build_code
 
-from helpers import K5_CARRIER, K5_EXAMPLE_FLIP, K5_EXAMPLE_KEEP, random_connected_graph
+from helpers import (
+    K5_CARRIER,
+    K5_EXAMPLE_FLIP,
+    K5_EXAMPLE_KEEP,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def test_embed_block_worked_examples(k5_table):
@@ -196,3 +206,88 @@ def test_compute_metrics():
         compute_metrics(10, 4, 0)
     with pytest.raises(ValueError):
         compute_metrics(0, 4, 1)
+
+
+# SHA-256 of the stego bits and the EmbedReport fields, recorded with
+# the int64-matmul stream codec that the column-syndrome engine
+# replaced.  Both covers span several CHUNK_BLOCKS chunks.
+GOLDEN = {
+    "k5": (
+        2_000_003, 700_001, 7001,
+        "b7ea5f1aaa3ce92111c76934ee7766dcc5c5ef134edabf41bdb1b6c962ec7076",
+        (175009, 218403, 2, 0.4, 2.0, 3.205249012147269),
+    ),
+    "random_v11_e19": (
+        1_500_007, 700_003, 7003,
+        "8a249e1f6f6b7d3d82c20e40ecf78d02787512adf370cc896dfde9655f0e2efe",
+        (70004, 249563, 6, 0.5263157894736842, 1.6666666666666667, 2.8050632505619824),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_embed_stream_golden_digest(name, k5_code):
+    cover_bits, data_bits, seed, digest, report_fields = GOLDEN[name]
+    if name == "k5":
+        code = k5_code
+    else:
+        code = build_code(random_graph(np.random.default_rng(7002), 11, 19))
+        assert code.n_len - code.k == 10
+    rng = np.random.default_rng(seed)
+    cover = rng.integers(0, 2, cover_bits, dtype=np.uint8)
+    data = rng.integers(0, 2, data_bits, dtype=np.uint8)
+    stego, report = embed_stream(cover, data, build_coset_table_bruteforce(code))
+    assert stego.dtype == np.uint8 and stego.size == cover_bits
+    assert hashlib.sha256(stego.tobytes()).hexdigest() == digest
+    assert dataclasses.astuple(report) == report_fields
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_peak_memory_is_a_small_multiple_of_the_cover(k5_table, k5_code):
+    rng = np.random.default_rng(47)
+    cover = rng.integers(0, 2, 1 << 22, dtype=np.uint8)
+    payload = rng.integers(0, 2, int(0.95 * 0.4 * cover.size), dtype=np.uint8)
+    peak, (stego, _) = _traced_peak(embed_stream, cover, payload, k5_table)
+    assert peak < 3 * cover.nbytes
+    peak, recovered = _traced_peak(extract_stream, stego, k5_code)
+    assert peak < 3 * cover.nbytes
+    assert np.array_equal(recovered, payload)
+
+
+@pytest.mark.parametrize("bad", [2, 255])
+def test_public_entry_points_reject_non_bits(bad, k5_table, k5_code):
+    bits = np.zeros(800, dtype=np.uint8)
+    bits[123] = bad
+    ok = np.zeros(800, dtype=np.uint8)
+    with pytest.raises(ValueError, match="0 or 1"):
+        embed_stream(bits, ok[:40], k5_table)
+    with pytest.raises(ValueError, match="0 or 1"):
+        embed_stream(ok, bits[:200], k5_table)
+    with pytest.raises(ValueError, match="0 or 1"):
+        extract_stream(bits, k5_code)
+    with pytest.raises(ValueError, match="0 or 1"):
+        bits_to_bytes(bits)
+    with pytest.raises(ValueError, match="0 or 1"):
+        frame_payload(bits, 4)
+
+
+def test_embed_stream_leaves_inputs_unchanged(k5_table):
+    rng = np.random.default_rng(53)
+    cover = rng.integers(0, 2, 5000, dtype=np.uint8)
+    payload = rng.integers(0, 2, 1000, dtype=np.uint8)
+    cover_before, payload_before = cover.copy(), payload.copy()
+    cover.setflags(write=False)
+    payload.setflags(write=False)
+    stego, report = embed_stream(cover, payload, k5_table)
+    assert np.array_equal(cover, cover_before)
+    assert np.array_equal(payload, payload_before)
+    assert stego.flags.writeable and not np.shares_memory(stego, cover)
+    assert report.total_flips == int((stego != cover).sum())

@@ -36,6 +36,23 @@ def test_as_bits_rejects_non_binary():
         as_bits([[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("bad", [2, 255])
+def test_as_bits_rejects_non_binary_uint8(bad):
+    arr = np.array([0, 1, bad, 0], dtype=np.uint8)
+    with pytest.raises(ValueError, match="bit vector entries must be 0 or 1"):
+        as_bits(arr)
+    with pytest.raises(ValueError, match="bit matrix entries must be 0 or 1"):
+        as_bit_matrix(arr.reshape(2, 2))
+    # other dtypes keep their behaviour: 0/1 values pass, others fail
+    assert as_bits(np.array([True, False])).tolist() == [1, 0]
+    assert as_bits(np.array([1.0, 0.0])).tolist() == [1, 0]
+    with pytest.raises(ValueError):
+        as_bits(np.array([0, bad], dtype=np.int64))
+    # the result is always a fresh array
+    ok = np.array([0, 1], dtype=np.uint8)
+    assert not np.shares_memory(as_bits(ok), ok)
+
+
 def test_bits_to_str_roundtrip():
     assert bits_to_str(as_bits("100101")) == "100101"
 

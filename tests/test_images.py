@@ -176,3 +176,50 @@ def test_psnr_dimension_mismatch():
     )
     with pytest.raises(ValueError):
         peak_signal_noise(a, b)
+
+
+@pytest.mark.parametrize("bad", [2, 255])
+def test_lsb_inject_rejects_non_bits(bad):
+    img = CoverImage(
+        width=4, height=1, channels=1, depth=8,
+        pixels=np.array([7, 8, 9, 10], dtype=np.uint8), format_tag="pgm",
+    )
+    with pytest.raises(ValueError, match="0 or 1"):
+        lsb_inject(img, np.array([0, bad], dtype=np.uint8))
+    assert img.pixels.tolist() == [7, 8, 9, 10]
+
+
+@pytest.mark.parametrize("size", [1, 5, 1 << 15, (1 << 15) + 1, 3 * (1 << 15) + 7])
+def test_psnr_matches_the_float_mean_formula(size):
+    rng = np.random.default_rng(size)
+    a = rng.integers(0, 256, size, dtype=np.uint8)
+    b = a.copy()
+    # LSB flips plus a few arbitrary changes, extremes included
+    b ^= rng.integers(0, 2, size, dtype=np.uint8)
+    b[0] = 255 - a[0]
+    b[rng.integers(0, size, max(1, size // 50))] = rng.integers(0, 256, max(1, size // 50))
+    diff = a.astype(np.int64) - b.astype(np.int64)
+    expect = 10.0 * math.log10(255.0 * 255.0 / float(np.mean(diff * diff)))
+    img_a = CoverImage(width=size, height=1, channels=1, depth=8, pixels=a, format_tag="pgm")
+    img_b = CoverImage(width=size, height=1, channels=1, depth=8, pixels=b, format_tag="pgm")
+    got = peak_signal_noise(img_a, img_b)
+    assert abs(got - expect) <= 1e-9
+    # every pixel off by the full range: the largest partial sums
+    img_c = CoverImage(width=size, height=1, channels=1, depth=8,
+                       pixels=np.full(size, 255, dtype=np.uint8), format_tag="pgm")
+    img_z = CoverImage(width=size, height=1, channels=1, depth=8,
+                       pixels=np.zeros(size, dtype=np.uint8), format_tag="pgm")
+    assert peak_signal_noise(img_c, img_z) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_pgm_resave_canonicalises_the_header(tmp_path):
+    # the README's example: comment line plus trailing bytes, 51 -> 27
+    src = tmp_path / "commented.pgm"
+    src.write_bytes(small_pgm_bytes() + b"trailing tag")
+    assert src.stat().st_size == 51
+    img = load_image(src)
+    out = tmp_path / "resaved.pgm"
+    save_image(img, out)
+    assert out.read_bytes() == b"P5\n4 4\n255\n" + bytes(range(16))
+    assert out.stat().st_size == 27
+    assert np.array_equal(load_image(out).pixels, img.pixels)

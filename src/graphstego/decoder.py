@@ -1,10 +1,14 @@
 """Syndrome -> minimum-flip lookup tables for cycle codes.
 
-Two independent builders produce tables with identical leader weights:
+Two independent builders produce tables with identical leader weights,
+each as whole-array numpy passes:
 
-* exhaustive coset search, enumerating error patterns by increasing
-  weight until every syndrome has a leader, and
-* combinatorial optimisation, solving one minimum T-join per syndrome.
+* exhaustive coset search, a breadth-first search over the 2^p
+  syndromes that uses only the parity check: layer w XORs every column
+  syndrome onto layer w-1, and
+* combinatorial optimisation, one minimum T-join per syndrome, read
+  off a subset dynamic program over the vertex sets that is
+  vectorised by popcount layer.
 
 The bridge between them: under the cut-set parity check, the syndrome
 of a word marks a subset of tree edges, and the vertices touched an
@@ -15,10 +19,12 @@ minimum-weight perfect matching of the terminals under shortest-path
 distance.  The covering radius is the largest leader weight, i.e. the
 largest minimum T-join over all even vertex sets T.
 
-Exhaustive search guarantees the lexicographically smallest leader
-among minimum-weight candidates (patterns are generated in
-lexicographic edge-id order); the T-join builder is deterministic but
-may pick a different leader of the same weight when ties exist.
+Tie rules.  The exhaustive builder picks the lexicographically
+smallest minimum-weight pattern (by edge-id set).  The T-join builder
+matches the lowest terminal with the smallest partner that attains the
+optimum and joins each pair along the BFS path from the lower one
+(neighbours in edge-id order); it is deterministic but may pick a
+different leader of the same weight when ties exist.
 """
 
 from __future__ import annotations
@@ -26,11 +32,10 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .gf2 import as_bits, block_syndromes, column_syndromes, index_to_bits, syndrome_index
+from .gf2 import as_bits, block_syndromes, column_syndromes, syndrome_index
 from .graphs import Graph, GraphicalCode, _adjacency
 
 #: Largest code length build_coset_table_bruteforce will attempt.
@@ -72,12 +77,36 @@ class CosetTable:
         return self.leaders[idx].copy()
 
 
-def build_coset_table_bruteforce(code: GraphicalCode, max_len: int = EXHAUSTIVE_LIMIT) -> CosetTable:
-    """Exhaustive coset search over error patterns of increasing weight.
+def _coset_weights(code: GraphicalCode) -> tuple[np.ndarray, np.ndarray]:
+    """Column syndromes and the minimum coset weight of every syndrome.
 
-    First pattern found per syndrome wins, so each leader is the
-    lexicographically smallest (by edge-id set) among minimum-weight
-    candidates.
+    A breadth-first search in syndrome space that uses only the parity
+    check: layer w holds the syndromes first reached by XOR-ing one more
+    column syndrome onto layer w-1, so ``dist[s]`` is the fewest columns
+    summing to s.  Unreachable syndromes stay at -1.
+    """
+    columns = np.array(column_syndromes(code.parity_check), dtype=np.uint32)
+    dist = np.full(1 << (code.n_len - code.k), -1, dtype=np.int8)
+    dist[0] = 0
+    frontier = np.zeros(1, dtype=np.uint32)
+    w = 0
+    while frontier.size:
+        w += 1
+        for col in columns:
+            step = frontier ^ col
+            dist[step[dist[step] < 0]] = w
+        frontier = np.flatnonzero(dist == w).astype(np.uint32)
+    return columns, dist
+
+
+def build_coset_table_bruteforce(code: GraphicalCode, max_len: int = EXHAUSTIVE_LIMIT) -> CosetTable:
+    """Exhaustive coset search: a breadth-first search over the 2^p syndromes.
+
+    Uses only the parity check.  Each leader is the lexicographically
+    smallest (by edge-id set) minimum-weight pattern of its coset: its
+    least edge j is the smallest with ``dist[s ^ col[j]] == dist[s] - 1``,
+    and the rest is the leader of ``s ^ col[j]``, filled one BFS layer
+    earlier.
 
     Raises:
         ValueError: if ``code.n_len > max_len`` — use
@@ -89,32 +118,19 @@ def build_coset_table_bruteforce(code: GraphicalCode, max_len: int = EXHAUSTIVE_
             f"code length {n} exceeds exhaustive limit {max_len}; "
             "use build_coset_table_tjoin"
         )
-    p = n - code.k
-    count = 1 << p
-    col_syndrome = column_syndromes(code.parity_check)
-    leaders = np.zeros((count, n), dtype=np.uint8)
-    found = np.zeros(count, dtype=bool)
-    found[0] = True
-    remaining = count - 1
-    rho = 0
-    for w in range(1, n + 1):
-        if remaining == 0:
-            break
-        for combo in combinations(range(n), w):
-            s = 0
-            for j in combo:
-                s ^= col_syndrome[j]
-            if not found[s]:
-                found[s] = True
-                leaders[s, list(combo)] = 1
-                rho = w
-                remaining -= 1
-                if remaining == 0:
-                    break
-    if remaining:
+    columns, dist = _coset_weights(code)
+    if (dist < 0).any():
         raise ValueError("parity check does not reach every syndrome")
+    leaders = np.zeros((len(dist), n), dtype=np.uint8)
+    for w in range(1, int(dist.max()) + 1):
+        layer = np.flatnonzero(dist == w).astype(np.uint32)
+        first = np.zeros(layer.size, dtype=np.intp)
+        for j in range(n - 1, -1, -1):
+            first[dist[layer ^ columns[j]] == w - 1] = j
+        leaders[layer] = leaders[layer ^ columns[first]]
+        leaders[layer, first] = 1
     leaders.setflags(write=False)
-    return CosetTable(code=code, leaders=leaders, rho=rho)
+    return CosetTable(code=code, leaders=leaders, rho=int(dist.max()))
 
 
 def covering_radius_bruteforce(table: CosetTable) -> int:
@@ -142,90 +158,74 @@ def syndrome_to_terminals(code: GraphicalCode, syndrome) -> frozenset[int]:
     return frozenset(v for v, deg in degree.items() if deg % 2 == 1)
 
 
-def _bfs_tree(adj, source: int, vertex_count: int):
-    """Shortest-path tree: (dist, parent_vertex, parent_edge) arrays."""
-    dist = np.full(vertex_count + 1, -1, dtype=np.int64)
-    parent_vertex = np.zeros(vertex_count + 1, dtype=np.int64)
-    parent_edge = np.zeros(vertex_count + 1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for eid, w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                parent_vertex[w] = u
-                parent_edge[w] = eid
-                queue.append(w)
-    return dist, parent_vertex, parent_edge
+def _shortest_paths(g: Graph, sources) -> tuple[np.ndarray, np.ndarray]:
+    """BFS distances and paths from each source (vertex ids are 1-based).
 
-
-def _path_vector(bfs, target: int, edge_count: int) -> np.ndarray:
-    """Edge-indicator vector of the tree path from a BFS source to target."""
-    dist, parent_vertex, parent_edge = bfs
-    vec = np.zeros(edge_count, dtype=np.uint8)
-    x = target
-    while dist[x] > 0:
-        vec[parent_edge[x] - 1] ^= 1
-        x = parent_vertex[x]
-    return vec
-
-
-def _min_join_sizes(dist: np.ndarray, vertex_count: int) -> np.ndarray:
-    """Minimum T-join size for every even vertex subset, as a DP table.
-
-    Subsets are bitmasks (vertex i <-> bit i-1).  dp[T] = min perfect
-    matching of T under shortest-path distance: match T's lowest vertex
-    against each other member and recurse.  Odd masks stay at -1.
+    Row r describes ``sources[r]``: ``dist[r, u-1]`` is its hop count to
+    vertex u and ``paths[r, u-1]`` the edge indicator of the path to u
+    in its BFS tree, neighbours taken in ascending edge-id order.
     """
-    full = 1 << vertex_count
-    dp = np.full(full, -1, dtype=np.int64)
+    adj = _adjacency(g)
+    dist = np.full((len(sources), g.vertex_count), -1, dtype=np.int32)
+    paths = np.zeros((len(sources), g.vertex_count, g.edge_count), dtype=np.uint8)
+    for r, source in enumerate(sources):
+        d, path = dist[r], paths[r]
+        d[source - 1] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for eid, w in adj[u]:
+                if d[w - 1] < 0:
+                    d[w - 1] = d[u - 1] + 1
+                    path[w - 1] = path[u - 1]
+                    path[w - 1, eid - 1] = 1
+                    queue.append(w)
+    return dist, paths
+
+
+def _tjoin_dp(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum perfect matching cost of every even subset of t terminals.
+
+    ``dist`` is the t x t shortest-path matrix of the terminals; subset
+    bit i stands for terminal i.  ``dp[T]`` pairs T's lowest terminal a
+    with the partner b minimising ``dist[a, b] + dp[T - {a, b}]``, one
+    popcount layer at a time; ``pairs[T]`` is that (a, b), the smallest
+    b on ties.  Odd subsets keep ``dp == -1``.
+    """
+    t = len(dist)
+    pop = np.zeros(1, dtype=np.int8)
+    low = np.zeros(1, dtype=np.int8)
+    for k in range(t):
+        pop = np.concatenate([pop, pop + 1])
+        low = np.concatenate([low, low])
+        low[1 << k] = k
+    bits = 1 << np.arange(t)
+    dp = np.full(1 << t, -1, dtype=np.int32)
     dp[0] = 0
-    for mask in range(1, full):
-        if bin(mask).count("1") % 2:
-            continue
-        a = (mask & -mask).bit_length()  # lowest vertex in T
-        rest = mask & ~(1 << (a - 1))
-        best = -1
-        b_bits = rest
-        while b_bits:
-            low = b_bits & -b_bits
-            b = low.bit_length()
-            cand = dist[a, b] + dp[rest & ~low]
-            if best < 0 or cand < best:
-                best = cand
-            b_bits &= b_bits - 1
-        dp[mask] = best
-    return dp
-
-
-def _match_terminals(dist: np.ndarray, dp: np.ndarray, mask: int) -> list[tuple[int, int]]:
-    """Recover one optimal pairing from the DP table (first tie wins)."""
-    pairs = []
-    while mask:
-        low = mask & -mask
-        a = low.bit_length()
-        rest = mask & ~low
-        b_bits = rest
-        while b_bits:
-            blow = b_bits & -b_bits
-            b = blow.bit_length()
-            if dist[a, b] + dp[rest & ~blow] == dp[mask]:
-                pairs.append((a, b))
-                mask = rest & ~blow
-                break
-            b_bits &= b_bits - 1
-        else:
-            raise AssertionError("inconsistent matching table")
-    return pairs
+    pairs = np.zeros((1 << t, 2), dtype=np.int8)
+    for size in range(2, t + 1, 2):
+        layer = np.flatnonzero(pop == size)
+        a = low[layer]
+        rest = layer ^ bits[a]
+        best = np.full(layer.size, np.iinfo(np.int32).max, dtype=np.int32)
+        partner = np.zeros(layer.size, dtype=np.int8)
+        for b in range(1, t):  # ascending, and only a strict gain moves: first tie wins
+            cost = dist[a, b] + dp[rest ^ bits[b]]
+            better = ((rest & bits[b]) != 0) & (cost < best)
+            best[better] = cost[better]
+            partner[better] = b
+        dp[layer] = best
+        pairs[layer, 0] = a
+        pairs[layer, 1] = partner
+    return dp, pairs
 
 
 def minimum_t_join(g: Graph, terminals) -> np.ndarray:
     """Minimum-cardinality edge set with odd degree exactly at ``terminals``.
 
     Pairs the terminals by minimum-weight perfect matching under
-    shortest-path distance and XORs the matched shortest paths; the
-    result's weight equals the matching cost.
+    shortest-path distance (:func:`_tjoin_dp`) and XORs the matched
+    shortest paths; the result's weight equals the matching cost.
 
     Raises:
         ValueError: if ``terminals`` is odd-sized or out of range.
@@ -236,84 +236,50 @@ def minimum_t_join(g: Graph, terminals) -> np.ndarray:
     for t in t_set:
         if not 1 <= t <= g.vertex_count:
             raise ValueError(f"terminal {t} out of range")
-    m = g.edge_count
-    if not t_set:
-        return np.zeros(m, dtype=np.uint8)
-    adj = _adjacency(g)
-    bfs = {t: _bfs_tree(adj, t, g.vertex_count) for t in t_set}
-    dist = np.zeros((g.vertex_count + 1, g.vertex_count + 1), dtype=np.int64)
-    for t in t_set:
-        dist[t] = bfs[t][0]
-    mask = 0
-    for t in t_set:
-        mask |= 1 << (t - 1)
-    dp = _min_join_sizes_sparse(dist, mask)
-    join = np.zeros(m, dtype=np.uint8)
-    for a, b in _match_terminals(dist, dp, mask):
-        join ^= _path_vector(bfs[a], b, m)
+    dist, paths = _shortest_paths(g, t_set)
+    cols = [t - 1 for t in t_set]
+    _, pairs = _tjoin_dp(dist[:, cols])
+    join = np.zeros(g.edge_count, dtype=np.uint8)
+    mask = (1 << len(t_set)) - 1
+    while mask:
+        a, b = (int(x) for x in pairs[mask])
+        join ^= paths[a, cols[b]]
+        mask ^= (1 << a) | (1 << b)
     return join
 
 
-def _min_join_sizes_sparse(dist: np.ndarray, full_mask: int) -> dict[int, int]:
-    """Memoised DP over just the subsets of one terminal mask.
-
-    Covers every mask :func:`_match_terminals` can query (both walk
-    lowest-vertex-first), without touching the full 2^v table.
-    """
-    dp: dict[int, int] = {0: 0}
-
-    def solve(mask: int) -> int:
-        cached = dp.get(mask)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        a = low.bit_length()
-        rest = mask & ~low
-        best = -1
-        b_bits = rest
-        while b_bits:
-            blow = b_bits & -b_bits
-            cand = int(dist[a, blow.bit_length()]) + solve(rest & ~blow)
-            if best < 0 or cand < best:
-                best = cand
-            b_bits &= b_bits - 1
-        dp[mask] = best
-        return best
-
-    solve(full_mask)
-    return dp
-
-
 def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
-    """Build the full table by solving a minimum T-join per syndrome.
+    """Build the full table from minimum T-joins of every even vertex set.
 
-    Scales with 2^(v-1) syndromes plus a 2^v matching DP, instead of
-    enumerating 2^n error patterns.
+    Syndrome s maps to its terminal mask (the XOR of its tree edges'
+    endpoint masks), one to one onto the even vertex subsets.  One
+    :func:`_tjoin_dp` over all vertices pairs each mask's lowest vertex
+    a with its first-tie partner b, and the leader of s is the leader
+    of the mask without {a, b}, XOR the BFS path from a to b — filled
+    layer by layer in increasing leader weight.  Costs a 2^v subset DP
+    instead of enumerating 2^n error patterns.
     """
     g = code.graph
     v, m = g.vertex_count, g.edge_count
-    p = m - code.k
-    count = 1 << p
-    adj = _adjacency(g)
-    bfs = [None] + [_bfs_tree(adj, u, v) for u in range(1, v + 1)]
-    dist = np.zeros((v + 1, v + 1), dtype=np.int64)
-    for u in range(1, v + 1):
-        dist[u] = bfs[u][0]
-    dp = _min_join_sizes(dist, v)
+    count = 1 << (m - code.k)
+    dist, paths = _shortest_paths(g, range(1, v + 1))
+    dp, pairs = _tjoin_dp(dist)
+    ends = {eid: (1 << (a - 1)) | (1 << (b - 1)) for eid, a, b in g.edges}
+    terminal_mask = np.zeros(1, dtype=np.intp)
+    for eid in reversed(code.tree.tree_edges):  # last tree edge = index bit 0
+        terminal_mask = np.concatenate([terminal_mask, terminal_mask ^ ends[eid]])
+    syndrome_of_mask = np.zeros(1 << v, dtype=np.intp)
+    syndrome_of_mask[terminal_mask] = np.arange(count)
+    a, b = pairs[terminal_mask].T.astype(np.intp)
+    rest = syndrome_of_mask[terminal_mask ^ (1 << a) ^ (1 << b)]
+    weight = dp[terminal_mask]
     leaders = np.zeros((count, m), dtype=np.uint8)
-    for idx in range(1, count):
-        terminals = syndrome_to_terminals(code, index_to_bits(idx, p))
-        mask = 0
-        for t in terminals:
-            mask |= 1 << (t - 1)
-        join = np.zeros(m, dtype=np.uint8)
-        for a, b in _match_terminals(dist, dp, mask):
-            join ^= _path_vector(bfs[a], b, m)
-        leaders[idx] = join
+    for w in range(1, int(weight.max()) + 1):
+        layer = np.flatnonzero(weight == w)
+        leaders[layer] = leaders[rest[layer]] ^ paths[a[layer], b[layer]]
     _check_leader_syndromes(code, leaders)
-    rho = int(leaders.sum(axis=1).max())
     leaders.setflags(write=False)
-    return CosetTable(code=code, leaders=leaders, rho=rho)
+    return CosetTable(code=code, leaders=leaders, rho=int(weight.max()))
 
 
 def covering_radius_tjoin(g: Graph, max_vertices: int = TJOIN_ENUM_LIMIT) -> int:
@@ -328,12 +294,8 @@ def covering_radius_tjoin(g: Graph, max_vertices: int = TJOIN_ENUM_LIMIT) -> int
         raise ValueError(
             f"{v} vertices exceeds enumeration limit {max_vertices}"
         )
-    adj = _adjacency(g)
-    dist = np.zeros((v + 1, v + 1), dtype=np.int64)
-    for u in range(1, v + 1):
-        dist[u] = _bfs_tree(adj, u, v)[0]
-    dp = _min_join_sizes(dist, v)
-    return int(dp.max())
+    dist, _ = _shortest_paths(g, range(1, v + 1))
+    return int(_tjoin_dp(dist)[0].max())
 
 
 def _check_leader_syndromes(code: GraphicalCode, leaders: np.ndarray) -> None:
@@ -361,11 +323,13 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
     """Read a table cache and verify it belongs to ``code``.
 
     Every leader's syndrome is recomputed against the live parity
-    check, so a cache written for a different codebook is rejected.
+    check, so a cache written for a different codebook is rejected, and
+    every leader's weight must equal its coset's minimum weight (from
+    the same syndrome-space BFS the exhaustive builder runs).
 
     Raises:
         TableCacheError: on bad magic, wrong syndrome count, truncation,
-            or a syndrome mismatch.
+            a syndrome mismatch, or a leader that is not minimal.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -392,6 +356,8 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
         _check_leader_syndromes(code, leaders)
     except AssertionError:
         raise TableCacheError("cached table does not match this code") from None
-    rho = int(leaders.sum(axis=1).max())
+    dist = _coset_weights(code)[1]
+    if not np.array_equal(leaders.sum(axis=1), dist):
+        raise TableCacheError("cached table holds a leader of more than minimum weight")
     leaders.setflags(write=False)
-    return CosetTable(code=code, leaders=leaders, rho=rho)
+    return CosetTable(code=code, leaders=leaders, rho=int(dist.max()))

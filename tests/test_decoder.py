@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from graphstego.decoder import (
     CosetTable,
     TableCacheError,
+    _shortest_paths,
+    _tjoin_dp,
     build_coset_table_bruteforce,
     build_coset_table_tjoin,
     covering_radius_bruteforce,
@@ -21,12 +26,14 @@ from graphstego.graphs import build_code, build_graph, complete_graph
 from helpers import (
     K5_DOUBLE_EDGE_COSETS,
     K5_DOUBLE_EDGE_EXAMPLES,
+    K5_GENERATOR_ROWS,
     K5_SINGLE_EDGE_LEADERS,
     boundary_of,
     brute_min_tjoin_size,
     coset_members,
     min_weights_by_syndrome,
     random_connected_graph,
+    random_graph,
     wheel_graph,
 )
 
@@ -150,8 +157,14 @@ def test_minimum_t_join_against_enumeration():
             int(v) for v in rng.choice(verts, size=size, replace=False)
         )
         join = minimum_t_join(g, terminals)
+        size = brute_min_tjoin_size(g, terminals)
         assert boundary_of(g, join) == terminals
-        assert int(join.sum()) == brute_min_tjoin_size(g, terminals)
+        assert int(join.sum()) == size
+        # the subset DP, over the terminals alone and over all vertices
+        dist, _ = _shortest_paths(g, verts)
+        cols = [t - 1 for t in sorted(terminals)]
+        assert _tjoin_dp(dist[np.ix_(cols, cols)])[0][-1] == size
+        assert _tjoin_dp(dist)[0][sum(1 << c for c in cols)] == size
         cases += 1
 
 
@@ -245,3 +258,98 @@ def test_table_cache_rejects_wrong_code(tmp_path, k5_code):
     save_table(tiny, tiny_path)
     with pytest.raises(TableCacheError):
         load_table(tiny_path, k5_code)  # wrong syndrome count
+
+
+def test_bruteforce_picks_the_lexicographically_least_leader():
+    rng = np.random.default_rng(307)
+    for vertices, edges in ((5, 9), (6, 11), (7, 12), (8, 13), (9, 14)):
+        code = build_code(random_graph(rng, vertices, edges))
+        p = code.n_len - code.k
+        table = build_coset_table_bruteforce(code)
+        for idx in range(1 << p):
+            leader = table.leaders[idx]
+            members = coset_members(code, index_to_bits(idx, p), int(leader.sum()))
+            chosen = tuple(int(j) + 1 for j in np.nonzero(leader)[0])
+            assert chosen == min(sorted(members)), (vertices, idx)
+
+
+def _generalized_petersen_8_3():
+    edges = []
+    for i in range(8):
+        edges += [(i + 1, (i + 1) % 8 + 1), (i + 1, i + 9), (i + 9, (i + 3) % 8 + 9)]
+    return build_graph(16, edges)
+
+
+def _circulant_16_1_3():
+    edges = []
+    for i in range(16):
+        edges += [(i + 1, (i + 1) % 16 + 1), (i + 1, (i + 3) % 16 + 1)]
+    return build_graph(16, edges)
+
+
+TABLE_GRAPHS = {
+    "gp83": _generalized_petersen_8_3,
+    "c16": _circulant_16_1_3,
+    "random_v9_e14": lambda: random_graph(np.random.default_rng(8101), 9, 14),
+    "random_v11_e19": lambda: random_graph(np.random.default_rng(8102), 11, 19),
+    "random_v13_e22": lambda: random_graph(np.random.default_rng(8103), 13, 22),
+}
+
+# (rho, SHA-256 of leaders.tobytes()), recorded with the per-pattern and
+# per-syndrome builders that the syndrome-space BFS and the vectorised
+# subset DP replaced.
+TABLE_DIGESTS = {
+    ("bruteforce", "k5"): (2, "89b747838bc12b254769cb9cc85e451911ec05aa5ecede9e3db6c7be682c28d7"),
+    ("bruteforce", "gp83"): (8, "125922925933c738e4a7228c2da8e06b2c49933d3936046a5370e9800921fe1e"),
+    ("bruteforce", "random_v9_e14"): (4, "de3e1806d616c5526dd943a43e7bd9ddf7c56150d294706fc9d46487e699b880"),
+    ("bruteforce", "random_v11_e19"): (5, "f3abbf11488d2b1c0c85a6de9e50dc0440080c6f13b17c20f1f91fc8ab4dae60"),
+    ("bruteforce", "random_v13_e22"): (8, "1a9a8ab5a7862674857efd6f397c221ad8d30b4f47b331b57449968235de0582"),
+    ("tjoin", "k5"): (2, "6a9ac9b9c615b9348ae2c60acf892ab7f2cbc9c7a9bfcb3636a897e3ba7cc1f5"),
+    ("tjoin", "gp83"): (8, "b6f9740e20b4da50771a8a06f0bf7c7227bfd1756587707f87812067aa959ee7"),
+    ("tjoin", "c16"): (8, "8dc15dc418ac2afeaef127f018446f034f925344d831fb350491a8123f1264cc"),
+    ("tjoin", "random_v9_e14"): (4, "b26b2b0df2a52d370ae8a52757b55916c87afff40173d97daf0d27549d00724b"),
+    ("tjoin", "random_v11_e19"): (5, "488d8f767a922b8cb05622a9b1805f97845ff65d3db05077501190d860dd2e48"),
+    ("tjoin", "random_v13_e22"): (8, "90131570282fbb9c994ae273192fe108e66771ac843d77f1ffacef0c90a26369"),
+}
+
+
+@pytest.mark.parametrize("builder, name", sorted(TABLE_DIGESTS))
+def test_table_golden_digests(builder, name, k5_code):
+    code = k5_code if name == "k5" else build_code(TABLE_GRAPHS[name]())
+    build = {"bruteforce": build_coset_table_bruteforce, "tjoin": build_coset_table_tjoin}[builder]
+    table = build(code)
+    assert (table.rho, hashlib.sha256(table.leaders.tobytes()).hexdigest()) == TABLE_DIGESTS[
+        builder, name
+    ]
+
+
+def test_table_cache_rejects_non_minimal_leaders(tmp_path, k5_table, k5_code):
+    # a codeword added to a leader keeps its syndrome but not its weight
+    leaders = k5_table.leaders.copy()
+    leaders[3] ^= as_bits(K5_GENERATOR_ROWS[0])
+    path = tmp_path / "heavy.table"
+    save_table(CosetTable(code=k5_code, leaders=leaders, rho=k5_table.rho), path)
+    with pytest.raises(TableCacheError, match="minimum"):
+        load_table(path, k5_code)
+
+
+def test_tjoin_table_against_networkx_matching():
+    # above both enumeration limits: 18 vertices, p = 17, n = 30
+    import networkx as nx
+
+    code = build_code(random_graph(np.random.default_rng(1801), 18, 30))
+    p = code.n_len - code.k
+    table = build_coset_table_tjoin(code)
+    graph = nx.Graph((u, v) for _, u, v in code.graph.edges)
+    hops = dict(nx.all_pairs_shortest_path_length(graph))
+    rng = np.random.default_rng(1802)
+    for idx in rng.choice(1 << p, size=200, replace=False):
+        terminals = syndrome_to_terminals(code, index_to_bits(int(idx), p))
+        closure = nx.Graph()
+        closure.add_weighted_edges_from(
+            (a, b, hops[a][b]) for a, b in combinations(sorted(terminals), 2)
+        )
+        cost = sum(hops[a][b] for a, b in nx.min_weight_matching(closure))
+        leader = table.leaders[idx]
+        assert boundary_of(code.graph, leader) == terminals
+        assert int(leader.sum()) == cost, int(idx)

@@ -4,7 +4,8 @@ Subcommands: codebook (write a graph description), analyze (code
 parameters and metrics), embed / extract (LSB steganography on
 PGM/BMP covers), table (recompute the published protocol-comparison
 figures).  Exit codes: 0 success, 2 usage, 3 format/parse error,
-4 capacity exceeded, 5 invariant violation.
+4 capacity exceeded, 5 invariant violation, 6 code too large for a
+coset table (more than MAX_SYNDROME_BITS syndrome bits).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .codec import (
 )
 from .decoder import (
     TableCacheError,
+    TableSizeError,
     build_coset_table_bruteforce,
     covering_radius_bruteforce,
     covering_radius_tjoin,
@@ -47,10 +49,22 @@ EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_CAPACITY = 4
 EXIT_INVARIANT = 5
+EXIT_TABLE_SIZE = 6
 
 
 class _UsageError(ValueError):
     pass
+
+
+# First match wins; every other ValueError is a usage error.
+_EXIT_CODES = (
+    (_UsageError, EXIT_USAGE),
+    (CapacityError, EXIT_CAPACITY),
+    (TableSizeError, EXIT_TABLE_SIZE),
+    ((CodebookError, GraphError, ImageFormatError, FrameError, TableCacheError), EXIT_FORMAT),
+    (OSError, EXIT_FORMAT),
+    (ValueError, EXIT_USAGE),
+)
 
 
 def _parse_graph_spec(spec: str):
@@ -293,21 +307,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (CodebookError, GraphError, ImageFormatError, FrameError, TableCacheError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

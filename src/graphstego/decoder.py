@@ -30,24 +30,33 @@ different leader of the same weight when ties exist.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2 import as_bits, block_syndromes, column_syndromes, syndrome_index
-from .graphs import Graph, GraphicalCode, _adjacency
+from .graphs import Graph, GraphicalCode, _bfs
 
-#: Largest code length build_coset_table_bruteforce will attempt.
-EXHAUSTIVE_LIMIT = 24
-#: Largest vertex count covering_radius_tjoin will enumerate.
-TJOIN_ENUM_LIMIT = 16
+#: Most syndrome bits p = n - k that the builders and
+#: covering_radius_tjoin accept; each costs about n * 2^p.
+MAX_SYNDROME_BITS = 20
 
 _CACHE_MAGIC = b"GCTABLE1"
 
 
 class TableCacheError(ValueError):
     """Raised when a cached table file is malformed or does not match."""
+
+
+class TableSizeError(ValueError):
+    """Raised for codes with more than MAX_SYNDROME_BITS syndrome bits."""
+
+
+def _check_size(p: int) -> None:
+    if p > MAX_SYNDROME_BITS:
+        raise TableSizeError(
+            f"{p} syndrome bits exceed the table limit of {MAX_SYNDROME_BITS}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +108,7 @@ def _coset_weights(code: GraphicalCode) -> tuple[np.ndarray, np.ndarray]:
     return columns, dist
 
 
-def build_coset_table_bruteforce(code: GraphicalCode, max_len: int = EXHAUSTIVE_LIMIT) -> CosetTable:
+def build_coset_table_bruteforce(code: GraphicalCode) -> CosetTable:
     """Exhaustive coset search: a breadth-first search over the 2^p syndromes.
 
     Uses only the parity check.  Each leader is the lexicographically
@@ -109,15 +118,10 @@ def build_coset_table_bruteforce(code: GraphicalCode, max_len: int = EXHAUSTIVE_
     earlier.
 
     Raises:
-        ValueError: if ``code.n_len > max_len`` — use
-            :func:`build_coset_table_tjoin` instead.
+        TableSizeError: if p exceeds :data:`MAX_SYNDROME_BITS`.
     """
     n = code.n_len
-    if n > max_len:
-        raise ValueError(
-            f"code length {n} exceeds exhaustive limit {max_len}; "
-            "use build_coset_table_tjoin"
-        )
+    _check_size(n - code.k)
     columns, dist = _coset_weights(code)
     if (dist < 0).any():
         raise ValueError("parity check does not reach every syndrome")
@@ -148,11 +152,10 @@ def syndrome_to_terminals(code: GraphicalCode, syndrome) -> frozenset[int]:
     p = code.n_len - code.k
     if s.size != p:
         raise ValueError(f"syndrome must have {p} bits, got {s.size}")
-    by_id = {eid: (u, v) for eid, u, v in code.graph.edges}
     degree: dict[int, int] = {}
     for bit, eid in zip(s, code.tree.tree_edges):
         if bit:
-            u, v = by_id[eid]
+            _, u, v = code.graph.edges[eid - 1]
             degree[u] = degree.get(u, 0) + 1
             degree[v] = degree.get(v, 0) + 1
     return frozenset(v for v, deg in degree.items() if deg % 2 == 1)
@@ -165,21 +168,10 @@ def _shortest_paths(g: Graph, sources) -> tuple[np.ndarray, np.ndarray]:
     vertex u and ``paths[r, u-1]`` the edge indicator of the path to u
     in its BFS tree, neighbours taken in ascending edge-id order.
     """
-    adj = _adjacency(g)
     dist = np.full((len(sources), g.vertex_count), -1, dtype=np.int32)
     paths = np.zeros((len(sources), g.vertex_count, g.edge_count), dtype=np.uint8)
     for r, source in enumerate(sources):
-        d, path = dist[r], paths[r]
-        d[source - 1] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for eid, w in adj[u]:
-                if d[w - 1] < 0:
-                    d[w - 1] = d[u - 1] + 1
-                    path[w - 1] = path[u - 1]
-                    path[w - 1, eid - 1] = 1
-                    queue.append(w)
+        dist[r], paths[r] = _bfs(g, source)
     return dist, paths
 
 
@@ -256,11 +248,15 @@ def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
     :func:`_tjoin_dp` over all vertices pairs each mask's lowest vertex
     a with its first-tie partner b, and the leader of s is the leader
     of the mask without {a, b}, XOR the BFS path from a to b — filled
-    layer by layer in increasing leader weight.  Costs a 2^v subset DP
-    instead of enumerating 2^n error patterns.
+    layer by layer in increasing leader weight.  Costs a 2^v = 2^(p+1)
+    subset DP instead of enumerating 2^n error patterns.
+
+    Raises:
+        TableSizeError: if p exceeds :data:`MAX_SYNDROME_BITS`.
     """
     g = code.graph
     v, m = g.vertex_count, g.edge_count
+    _check_size(m - code.k)
     count = 1 << (m - code.k)
     dist, paths = _shortest_paths(g, range(1, v + 1))
     dp, pairs = _tjoin_dp(dist)
@@ -282,18 +278,15 @@ def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
     return CosetTable(code=code, leaders=leaders, rho=int(weight.max()))
 
 
-def covering_radius_tjoin(g: Graph, max_vertices: int = TJOIN_ENUM_LIMIT) -> int:
+def covering_radius_tjoin(g: Graph) -> int:
     """Covering radius as the largest minimum T-join over even vertex sets.
 
     Raises:
-        ValueError: if the graph has more than ``max_vertices`` vertices
+        TableSizeError: if p = v - 1 exceeds :data:`MAX_SYNDROME_BITS`
             (the enumeration is exponential in the vertex count).
     """
     v = g.vertex_count
-    if v > max_vertices:
-        raise ValueError(
-            f"{v} vertices exceeds enumeration limit {max_vertices}"
-        )
+    _check_size(v - 1)
     dist, _ = _shortest_paths(g, range(1, v + 1))
     return int(_tjoin_dp(dist)[0].max())
 

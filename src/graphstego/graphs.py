@@ -13,6 +13,12 @@ follow the tree edges in the order the tree lists them (an explicitly
 supplied tree keeps its given order; the default tree is sorted).
 Restricted to the tree columns, the cut-set matrix is the identity in
 row order, which makes syndrome bit i answer for tree edge i.
+
+Both matrices are read off one array: row e is the tree path between
+edge e's endpoints, on the tree columns.  Its transpose is the cut-set
+matrix (tree edge t is on e's path exactly when e crosses t's cut), and
+a chord's row plus the chord bit is its circuit.  Every traversal here
+and in the decoder is one breadth-first search, :func:`_bfs`.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
         seen.add(key)
         edges.append((pos, u, v))
     g = Graph(vertex_count=vertex_count, edges=tuple(edges))
-    if not _connected(g):
+    if (_bfs(g, 1)[0] < 0).any():
         raise GraphError("graph is not connected")
     return g
 
@@ -120,50 +126,40 @@ def complete_graph(q: int) -> Graph:
     return build_graph(q, [(i, j) for i in range(1, q + 1) for j in range(i + 1, q + 1)])
 
 
-def _adjacency(g: Graph) -> list[list[tuple[int, int]]]:
-    """Per-vertex [(edge_id, neighbor)] lists, sorted by edge id."""
+def _bfs(g: Graph, source: int, edge_ids=None) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search from ``source`` over ``edge_ids`` (default:
+    every edge), neighbours taken in ascending edge-id order.
+
+    ``dist[u-1]`` is the hop count to vertex u (-1 if unreached) and
+    ``paths[u-1]`` the edge indicator of the BFS-tree path to u.
+    """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count + 1)]
-    for eid, u, v in g.edges:
+    for eid in range(1, g.edge_count + 1) if edge_ids is None else sorted(edge_ids):
+        _, u, v = g.edges[eid - 1]
         adj[u].append((eid, v))
         adj[v].append((eid, u))
-    for lst in adj:
-        lst.sort()
-    return adj
-
-
-def _connected(g: Graph) -> bool:
-    if g.vertex_count == 1:
-        return True
-    adj = _adjacency(g)
-    seen = {1}
-    queue = deque([1])
+    dist = np.full(g.vertex_count, -1, dtype=np.int32)
+    paths = np.zeros((g.vertex_count, g.edge_count), dtype=np.uint8)
+    dist[source - 1] = 0
+    queue = deque([source])
     while queue:
         u = queue.popleft()
-        for _, w in adj[u]:
-            if w not in seen:
-                seen.add(w)
+        for eid, w in adj[u]:
+            if dist[w - 1] < 0:
+                dist[w - 1] = dist[u - 1] + 1
+                paths[w - 1] = paths[u - 1]
+                paths[w - 1, eid - 1] = 1
                 queue.append(w)
-    return len(seen) == g.vertex_count
+    return dist, paths
 
 
 def spanning_tree(g: Graph) -> SpanningTree:
     """Deterministic default tree: BFS from vertex 1, neighbors in
     ascending edge-id order, tree edges reported in ascending id order."""
-    adj = _adjacency(g)
-    seen = {1}
-    queue = deque([1])
-    tree_ids = []
-    while queue:
-        u = queue.popleft()
-        for eid, w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                tree_ids.append(eid)
-                queue.append(w)
-    tree_ids.sort()
-    tree_set = set(tree_ids)
-    chords = tuple(eid for eid, _, _ in g.edges if eid not in tree_set)
-    return SpanningTree(tree_edges=tuple(tree_ids), chords=chords)
+    in_tree = _bfs(g, 1)[1].any(axis=0)
+    tree_ids = tuple(int(e) + 1 for e in np.flatnonzero(in_tree))
+    chords = tuple(int(e) + 1 for e in np.flatnonzero(~in_tree))
+    return SpanningTree(tree_edges=tree_ids, chords=chords)
 
 
 def spanning_tree_from_ids(g: Graph, edge_ids) -> SpanningTree:
@@ -180,52 +176,36 @@ def spanning_tree_from_ids(g: Graph, edge_ids) -> SpanningTree:
         raise GraphError(
             f"spanning tree needs {g.vertex_count - 1} edges, got {len(ids)}"
         )
-    by_id = {eid: (u, v) for eid, u, v in g.edges}
     for eid in ids:
-        if eid not in by_id:
+        if not 1 <= eid <= g.edge_count:
             raise GraphError(f"unknown edge id {eid}")
     # v-1 edges reaching all v vertices <=> spanning tree
-    adj: dict[int, list[int]] = {}
-    for eid in ids:
-        u, v = by_id[eid]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != g.vertex_count:
+    if (_bfs(g, 1, ids)[0] < 0).any():
         raise GraphError("edge ids do not form a spanning tree")
     tree_set = set(ids)
     chords = tuple(eid for eid, _, _ in g.edges if eid not in tree_set)
     return SpanningTree(tree_edges=tuple(ids), chords=chords)
 
 
-def _tree_parents(g: Graph, tree: SpanningTree, root: int):
-    """Parent vertex/edge of every vertex in the tree, rooted at ``root``."""
-    by_id = {eid: (u, v) for eid, u, v in g.edges}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count + 1)]
-    for eid in tree.tree_edges:
-        u, v = by_id[eid]
-        adj[u].append((eid, v))
-        adj[v].append((eid, u))
-    parent_vertex = [0] * (g.vertex_count + 1)
-    parent_edge = [0] * (g.vertex_count + 1)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for eid, w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                parent_vertex[w] = u
-                parent_edge[w] = eid
-                queue.append(w)
-    return parent_vertex, parent_edge
+def _fundamental_matrices(g: Graph, tree: SpanningTree) -> tuple[np.ndarray, np.ndarray]:
+    """Circuit and cut-set matrices from one tree-path array.
+
+    ``root[u-1]`` is the tree path from vertex 1 to u on the tree
+    columns (in tree order), so row e of ``root[u_e] ^ root[v_e]`` is
+    the tree path between edge e's endpoints.  Tree edge t lies on
+    that path exactly when e crosses t's fundamental cut, so the
+    cut-set matrix is the array transposed; a chord's circuit is its
+    path plus the chord.
+    """
+    tree_cols = np.array(tree.tree_edges, dtype=np.intp) - 1
+    chords = np.array(tree.chords, dtype=np.intp) - 1
+    root = _bfs(g, 1, tree.tree_edges)[1][:, tree_cols]
+    ends = np.array([(u, v) for _, u, v in g.edges], dtype=np.intp).reshape(-1, 2) - 1
+    between = root[ends[:, 0]] ^ root[ends[:, 1]]
+    circuits = np.zeros((len(chords), g.edge_count), dtype=np.uint8)
+    circuits[:, tree_cols] = between[chords]
+    circuits[np.arange(len(chords)), chords] = 1
+    return circuits, between.T.copy()
 
 
 def fundamental_circuit_matrix(g: Graph, tree: SpanningTree) -> np.ndarray:
@@ -233,18 +213,7 @@ def fundamental_circuit_matrix(g: Graph, tree: SpanningTree) -> np.ndarray:
 
     Every row is a circuit, hence a codeword of the cycle code.
     """
-    m = g.edge_count
-    by_id = {eid: (u, v) for eid, u, v in g.edges}
-    rows = np.zeros((len(tree.chords), m), dtype=np.uint8)
-    for r, chord in enumerate(tree.chords):
-        u, v = by_id[chord]
-        parent_vertex, parent_edge = _tree_parents(g, tree, root=u)
-        rows[r, chord - 1] = 1
-        x = v
-        while x != u:
-            rows[r, parent_edge[x] - 1] ^= 1
-            x = parent_vertex[x]
-    return rows
+    return _fundamental_matrices(g, tree)[0]
 
 
 def fundamental_cutset_matrix(g: Graph, tree: SpanningTree) -> np.ndarray:
@@ -253,51 +222,24 @@ def fundamental_cutset_matrix(g: Graph, tree: SpanningTree) -> np.ndarray:
     Removing tree edge e splits the tree in two; the row marks every
     graph edge with exactly one endpoint on e's side of the split.
     """
-    m = g.edge_count
-    by_id = {eid: (u, v) for eid, u, v in g.edges}
-    rows = np.zeros((len(tree.tree_edges), m), dtype=np.uint8)
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count + 1)]
-    for eid in tree.tree_edges:
-        u, v = by_id[eid]
-        tree_adj[u].append((eid, v))
-        tree_adj[v].append((eid, u))
-    for r, cut_edge in enumerate(tree.tree_edges):
-        cu, _ = by_id[cut_edge]
-        side = {cu}
-        queue = deque([cu])
-        while queue:
-            x = queue.popleft()
-            for eid, w in tree_adj[x]:
-                if eid != cut_edge and w not in side:
-                    side.add(w)
-                    queue.append(w)
-        for eid, u, v in g.edges:
-            if (u in side) != (v in side):
-                rows[r, eid - 1] = 1
-    return rows
+    return _fundamental_matrices(g, tree)[1]
 
 
 def girth(g: Graph) -> int | None:
     """Length of the shortest cycle, or None for an acyclic graph.
 
-    For each edge (u, v): the shortest cycle through it is 1 plus the
-    u-v distance avoiding that edge.
+    Each edge (x, y) off the BFS tree of a source closes a walk of
+    d(x) + d(y) + 1 edges that contains a cycle, and from a source on a
+    shortest cycle some such walk is no longer than that cycle.
     """
-    adj = _adjacency(g)
+    ends = np.array([(u, v) for _, u, v in g.edges], dtype=np.intp).reshape(-1, 2) - 1
     best: int | None = None
-    for eid, u, v in g.edges:
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for eid2, w in adj[x]:
-                if eid2 != eid and w not in dist:
-                    dist[w] = dist[x] + 1
-                    queue.append(w)
-        if v in dist and (best is None or dist[v] + 1 < best):
-            best = dist[v] + 1
+    for source in range(1, g.vertex_count + 1):
+        dist, paths = _bfs(g, source)
+        off_tree = ~paths.any(axis=0)
+        if off_tree.any():
+            length = int(dist[ends[off_tree]].sum(axis=1).min()) + 1
+            best = length if best is None else min(best, length)
     return best
 
 
@@ -324,8 +266,7 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
         t = tree
     else:
         t = spanning_tree_from_ids(g, tree)
-    gen = fundamental_circuit_matrix(g, t)
-    chk = fundamental_cutset_matrix(g, t)
+    gen, chk = _fundamental_matrices(g, t)
     if block_syndromes(gen, column_syndromes(chk), len(chk)).any():
         raise GraphError("orthogonality failure: circuits do not satisfy the cut-set checks")
     if gf2_rank(gen) != k or gf2_rank(chk) != v - 1:

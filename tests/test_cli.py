@@ -82,6 +82,55 @@ def test_analyze_triangle(tmp_path, capsys):
     )
 
 
+def write_ring(path, length):
+    path.write_text("".join(f"{i} {i % length + 1}\n" for i in range(1, length + 1)))
+    return path
+
+
+def test_cli_roundtrip_above_the_old_size_limits(tmp_path, capsys):
+    k8 = tmp_path / "k8.gc"  # n = 28
+    assert main(["codebook", "--spec", "K8", "--out", str(k8)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--codebook", str(k8), "--porcelain"]) == 0
+    record = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
+    assert (record["n"], record["p"], record["rho"]) == ("28", "7", "4")
+    cover = write_pgm(tmp_path / "cover.pgm")
+    payload = tmp_path / "secret.bin"
+    payload.write_bytes(b"past twenty-four edges" * 4)
+    stego = tmp_path / "stego.pgm"
+    recovered = tmp_path / "out.bin"
+    assert main([
+        "embed", "--codebook", str(k8), "--cover", str(cover),
+        "--payload", str(payload), "--out", str(stego),
+    ]) == 0
+    assert main(["extract", "--codebook", str(k8), "--stego", str(stego), "--out", str(recovered)]) == 0
+    assert recovered.read_bytes() == payload.read_bytes()
+    ring17 = tmp_path / "ring17.gc"  # 17 vertices, p = 16
+    edges = write_ring(tmp_path / "ring17.txt", 17)
+    assert main(["codebook", "--spec", f"file:{edges}", "--out", str(ring17)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--codebook", str(ring17), "--porcelain"]) == 0
+    record = dict(ln.split("=", 1) for ln in capsys.readouterr().out.strip().splitlines())
+    assert (record["n"], record["p"], record["rho"]) == ("17", "16", "8")
+
+
+def test_table_size_exit(tmp_path, capsys):
+    big = tmp_path / "ring22.gc"  # p = 21, one over the table limit
+    edges = write_ring(tmp_path / "ring22.txt", 22)
+    assert main(["codebook", "--spec", f"file:{edges}", "--out", str(big)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--codebook", str(big)]) == 6
+    assert "table limit" in capsys.readouterr().err
+    cover = write_pgm(tmp_path / "cover.pgm")
+    payload = tmp_path / "secret.bin"
+    payload.write_bytes(b"x")
+    assert main([
+        "embed", "--codebook", str(big), "--cover", str(cover),
+        "--payload", str(payload), "--out", str(tmp_path / "x.pgm"),
+    ]) == 6
+    assert "table limit" in capsys.readouterr().err
+
+
 def test_analyze_bad_codebook(tmp_path, capsys):
     path = tmp_path / "junk.gc"
     path.write_text("not a codebook\n")

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from graphstego.decoder import (
+    MAX_SYNDROME_BITS,
     CosetTable,
     TableCacheError,
+    TableSizeError,
     _shortest_paths,
     _tjoin_dp,
     build_coset_table_bruteforce,
@@ -107,10 +109,17 @@ def test_bruteforce_minimality_against_enumeration():
         )
 
 
+def ring(length: int):
+    return build_graph(length, [(i, i % length + 1) for i in range(1, length + 1)])
+
+
 def test_bruteforce_refuses_oversized_codes():
-    code = build_code(complete_graph(8))  # n = 28
-    with pytest.raises(ValueError, match="tjoin"):
+    code = build_code(ring(22))  # p = 21, one over MAX_SYNDROME_BITS
+    assert code.n_len - code.k == MAX_SYNDROME_BITS + 1
+    with pytest.raises(TableSizeError):
         build_coset_table_bruteforce(code)
+    with pytest.raises(TableSizeError):
+        build_coset_table_tjoin(code)
 
 
 def test_syndrome_to_terminals_reference(k5_code):
@@ -203,11 +212,9 @@ def test_covering_radius_known_values(k5_code):
 
 
 def test_covering_radius_refuses_oversized_graphs():
-    big = build_graph(
-        17, [(i, i + 1) for i in range(1, 17)] + [(17, 1)]
-    )
-    with pytest.raises(ValueError):
-        covering_radius_tjoin(big)
+    assert covering_radius_tjoin(ring(17)) == 8  # p = 16
+    with pytest.raises(TableSizeError):
+        covering_radius_tjoin(ring(22))  # p = 21
 
 
 def test_table_cache_roundtrip(tmp_path, k5_table, k5_code):

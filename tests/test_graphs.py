@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from helpers import (
     all_words,
     boundary_of,
     random_connected_graph,
+    random_graph,
     wheel_graph,
 )
 
@@ -177,3 +180,61 @@ def test_code_report_metrics(k5_code):
     assert rep.embedding_efficiency == pytest.approx(2.0)
     with pytest.raises(ValueError):
         code_report(k5_code, rho=0)
+
+
+def _oracle_codes():
+    """Seeded random_graph codes of 3-30 vertices, each with the default
+    tree and with a random spanning tree pinned in shuffled order."""
+    import networkx as nx
+
+    rng = np.random.default_rng(4401)
+    for _ in range(40):
+        v = int(rng.integers(3, 31))
+        e = int(rng.integers(v, min(v * (v - 1) // 2, 2 * v + 8) + 1))
+        g = random_graph(rng, v, e)
+        yield build_code(g)
+        weighted = nx.Graph()
+        weighted.add_weighted_edges_from(
+            (u, w, float(x)) for (_, u, w), x in zip(g.edges, rng.random(e))
+        )
+        ids = {frozenset((u, w)): eid for eid, u, w in g.edges}
+        pinned = [ids[frozenset(edge)] for edge in nx.minimum_spanning_tree(weighted).edges]
+        yield build_code(g, [pinned[int(i)] for i in rng.permutation(len(pinned))])
+
+
+# SHA-256 over generator, parity check, tree and girth of every
+# _oracle_codes() code, recorded with the per-chord and per-tree-edge
+# traversals that the tree-path construction replaced.
+GRAPH_LAYER_DIGEST = "50e3cc2ef19d97014b168be42649e382098398e1aea73bb3a6f34c5e7e92787a"
+
+
+def test_fundamental_matrices_against_networkx():
+    import networkx as nx
+
+    digest = hashlib.sha256()
+    for code in _oracle_codes():
+        g = code.graph
+        ends = {eid: (u, w) for eid, u, w in g.edges}
+        ids = {frozenset(uw): eid for eid, uw in ends.items()}
+        tree = nx.Graph()
+        tree.add_nodes_from(range(1, g.vertex_count + 1))
+        tree.add_edges_from(ends[eid] for eid in code.tree.tree_edges)
+        for row, cut in zip(code.parity_check, code.tree.tree_edges):
+            tree.remove_edge(*ends[cut])
+            side = nx.node_connected_component(tree, ends[cut][0])
+            crossing = [(u in side) != (w in side) for _, u, w in g.edges]
+            assert row.tolist() == [int(c) for c in crossing]
+            tree.add_edge(*ends[cut])
+        for row, chord in zip(code.generator, code.tree.chords):
+            path = nx.shortest_path(tree, *ends[chord])
+            want = np.zeros(g.edge_count, dtype=np.uint8)
+            want[chord - 1] = 1
+            for a, b in zip(path, path[1:]):
+                want[ids[frozenset((a, b))] - 1] = 1
+            assert np.array_equal(row, want)
+        full = nx.Graph((u, w) for _, u, w in g.edges)
+        assert girth(g) == code.d == nx.girth(full)
+        for arr in (code.generator, code.parity_check):
+            digest.update(arr.tobytes())
+        digest.update(repr((code.tree.tree_edges, code.tree.chords, code.d)).encode())
+    assert digest.hexdigest() == GRAPH_LAYER_DIGEST

@@ -19,11 +19,9 @@ from graphstego import (
     bytes_to_bits,
     bits_to_bytes,
     code_from_codebook,
-    extract_stream,
-    embed_stream,
+    embed_image,
+    extract_image,
     load_image,
-    lsb_extract,
-    lsb_inject,
     peak_signal_noise,
     save_image,
 )
@@ -51,8 +49,9 @@ code = code_from_codebook(bundled_codebook_text("k5"))
 table = build_coset_table_bruteforce(code)
 
 secret = b"Meet at the old bridge, Thursday 23:40. Bring the ledger."
-stego_bits, report = embed_stream(lsb_extract(cover), bytes_to_bits(secret), table)
-stego = lsb_inject(cover, stego_bits)
+# embed_image XORs each block's leader straight into a copy of the
+# pixels: flipping a bit of the LSB plane is flipping a pixel's LSB.
+stego, report = embed_image(cover, bytes_to_bits(secret), table)
 stego_path = workdir / "stego.pgm"
 save_image(stego, stego_path)
 
@@ -69,7 +68,7 @@ print(f"PSNR: {psnr:.2f} dB" if psnr else "PSNR: infinite (no pixel changed)")
 # The receiving side needs only the stego image and the codebook.
 
 received = load_image(stego_path)
-bits = extract_stream(lsb_extract(received), code)
+bits = extract_image(received, code)
 message = bits_to_bytes(bits)
 print(f"recovered {len(message)} bytes: {message.decode()!r}")
 assert message == secret

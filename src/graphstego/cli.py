@@ -24,8 +24,8 @@ from .codec import (
     FrameError,
     bits_to_bytes,
     bytes_to_bits,
-    embed_stream,
-    extract_stream,
+    embed_image,
+    extract_image,
 )
 from .decoder import (
     TableCacheError,
@@ -35,14 +35,7 @@ from .decoder import (
     covering_radius_tjoin,
 )
 from .graphs import GraphError, build_graph, code_report, complete_graph
-from .images import (
-    ImageFormatError,
-    load_image,
-    lsb_extract,
-    lsb_inject,
-    peak_signal_noise,
-    save_image,
-)
+from .images import ImageFormatError, load_image, peak_signal_noise, save_image
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -140,8 +133,7 @@ def _metric_lines(code, rho: int, porcelain: bool) -> list[str]:
 
 def _cmd_analyze(args) -> int:
     code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
-    table = build_coset_table_bruteforce(code)
-    rho = covering_radius_bruteforce(table)
+    rho = covering_radius_bruteforce(code)
     rho_join = covering_radius_tjoin(code.graph)
     if rho != rho_join:
         print(
@@ -159,8 +151,7 @@ def _cmd_embed(args) -> int:
     table = build_coset_table_bruteforce(code)
     cover = load_image(args.cover)
     payload = Path(args.payload).read_bytes()
-    stego_bits, report = embed_stream(lsb_extract(cover), bytes_to_bits(payload), table)
-    stego = lsb_inject(cover, stego_bits)
+    stego, report = embed_image(cover, bytes_to_bits(payload), table)
     save_image(stego, args.out)
     psnr = peak_signal_noise(cover, stego)
     psnr_txt = "inf" if psnr is None else f"{psnr:.2f}"
@@ -184,8 +175,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_extract(args) -> int:
     code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
-    stego = load_image(args.stego)
-    bits = extract_stream(lsb_extract(stego), code)
+    bits = extract_image(load_image(args.stego), code)
     if bits.size % 8:
         raise FrameError(f"recovered {bits.size} bits, not a whole number of bytes")
     Path(args.out).write_bytes(bits_to_bytes(bits))

@@ -13,13 +13,14 @@ up to a multiple of p.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .decoder import CosetTable
 from .gf2 import as_bits, block_syndromes, column_syndromes, syndrome_bits
 from .graphs import GraphicalCode
+from .images import CoverImage
 
 HEADER_BITS = 32
 #: Blocks per pass of the stream codec; bounds its working memory.
@@ -156,30 +157,58 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
         CapacityError: if the framed payload needs more blocks than the
             cover holds.
     """
+    stego = as_bits(cover_bits)  # a fresh copy: the output array
+    return stego, _embed_lsbs(stego, data_bits, table)
+
+
+def embed_image(cover: CoverImage, data_bits, table: CosetTable) -> tuple[CoverImage, EmbedReport]:
+    """:func:`embed_stream` on the cover's LSB plane, in one copy of its pixels.
+
+    Gives the same stego pixels and report as
+    ``lsb_inject(cover, embed_stream(lsb_extract(cover), data_bits, table))``
+    without building the bit plane.  The cover is never modified; the
+    returned image's pixels are a read-only array of their own.
+
+    Raises:
+        CapacityError: if the framed payload needs more blocks than the
+            cover has pixels.
+    """
+    pixels = cover.pixels.copy()
+    report = _embed_lsbs(pixels.reshape(-1), data_bits, table)
+    pixels.setflags(write=False)
+    return replace(cover, pixels=pixels), report
+
+
+def _embed_lsbs(carrier: np.ndarray, data_bits, table: CosetTable) -> EmbedReport:
+    """Embed the framed ``data_bits`` in the LSBs of ``carrier``, in place.
+
+    ``carrier`` is a writable flat integer array of 0/1 bits or of
+    pixels: each chunk's syndromes are read from ``part & 1``, and
+    XOR-ing a 0/1 leader into ``part`` flips exactly those LSBs.
+    """
     code = table.code
     n = code.n_len
     p = n - code.k
-    stego = as_bits(cover_bits)  # a fresh copy: the output array
     messages = frame_payload(data_bits, p).reshape(-1, p)
     blocks_used = len(messages)
     needed = blocks_used * n
-    if needed > stego.size:
+    if needed > carrier.size:
         raise CapacityError(
-            f"framed payload needs {needed} cover bits, only {stego.size} available"
+            f"framed payload needs {needed} cover bits, only {carrier.size} available"
         )
-    blocks = stego[:needed].reshape(-1, n)
+    blocks = carrier[:needed].reshape(-1, n)
     columns = _embed_columns(code)
     counts = np.zeros(len(table.leaders), dtype=np.int64)
     for start in range(0, blocks_used, CHUNK_BLOCKS):
         part = blocks[start : start + CHUNK_BLOCKS]
         idx = block_syndromes(
-            np.hstack([part, messages[start : start + CHUNK_BLOCKS]]), columns, p
+            np.hstack([part & 1, messages[start : start + CHUNK_BLOCKS]]), columns, p
         )
         part ^= np.take(table.leaders, idx, axis=0)
         counts += np.bincount(idx, minlength=len(counts))
     weights = table.leaders.sum(axis=1, dtype=np.int64)
     total = int(counts @ weights)
-    report = EmbedReport(
+    return EmbedReport(
         blocks_used=blocks_used,
         total_flips=total,
         max_flips_per_block=int(weights[counts > 0].max()),
@@ -187,7 +216,6 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
         theoretical_efficiency=p / table.rho,
         empirical_efficiency=(p * blocks_used / total) if total else float("inf"),
     )
-    return stego, report
 
 
 def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
@@ -200,26 +228,42 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
         FrameError: if the stream is too short for the header or for
             the length the header declares.
     """
-    stego_bits = as_bits(stego_bits)
+    return _extract_lsbs(as_bits(stego_bits), code)
+
+
+def extract_image(img: CoverImage, code: GraphicalCode) -> np.ndarray:
+    """:func:`extract_stream` on the image's LSB plane, read straight from its pixels.
+
+    Equal to ``extract_stream(lsb_extract(img), code)`` without building
+    the bit plane.
+
+    Raises:
+        FrameError: as :func:`extract_stream`.
+    """
+    return _extract_lsbs(img.pixels.reshape(-1), code)
+
+
+def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> np.ndarray:
+    """Framed payload from the LSBs of a flat array of bits or pixels."""
     n = code.n_len
     p = n - code.k
     header_blocks = -(-HEADER_BITS // p)
-    if stego_bits.size < header_blocks * n:
+    if carrier.size < header_blocks * n:
         raise FrameError(
-            f"stego stream has {stego_bits.size} bits, header needs {header_blocks * n}"
+            f"stego stream has {carrier.size} bits, header needs {header_blocks * n}"
         )
-    blocks = stego_bits[: stego_bits.size // n * n].reshape(-1, n)
-    declared = _declared_bits(_extract_blocks(blocks[:header_blocks], code).reshape(-1))
+    blocks = carrier[: carrier.size // n * n].reshape(-1, n)
+    declared = _declared_bits(_extract_blocks(blocks[:header_blocks] & 1, code).reshape(-1))
     total_blocks = -(-(HEADER_BITS + declared) // p)
     if total_blocks > len(blocks):
         raise FrameError(
             f"header declares {declared} payload bits needing {total_blocks * n} "
-            f"stego bits, only {stego_bits.size} present"
+            f"stego bits, only {carrier.size} present"
         )
     framed = np.empty((total_blocks, p), dtype=np.uint8)
     for start in range(0, total_blocks, CHUNK_BLOCKS):
         stop = min(start + CHUNK_BLOCKS, total_blocks)
-        framed[start:stop] = _extract_blocks(blocks[start:stop], code)
+        framed[start:stop] = _extract_blocks(blocks[start:stop] & 1, code)
     return framed.reshape(-1)[HEADER_BITS : HEADER_BITS + declared]
 
 

@@ -137,9 +137,21 @@ def build_coset_table_bruteforce(code: GraphicalCode) -> CosetTable:
     return CosetTable(code=code, leaders=leaders, rho=int(dist.max()))
 
 
-def covering_radius_bruteforce(table: CosetTable) -> int:
-    """Largest leader weight of a complete table."""
-    return int(table.leaders.sum(axis=1).max())
+def covering_radius_bruteforce(source: CosetTable | GraphicalCode) -> int:
+    """Largest leader weight of a complete table, or of a code's table.
+
+    Given a code, no table is built: the radius is the largest minimum
+    coset weight from the syndrome-space BFS that
+    :func:`build_coset_table_bruteforce` starts with, 2^p bytes of work
+    space instead of n * 2^p.
+
+    Raises:
+        TableSizeError: for a code whose p exceeds :data:`MAX_SYNDROME_BITS`.
+    """
+    if isinstance(source, CosetTable):
+        return int(source.leaders.sum(axis=1).max())
+    _check_size(source.n_len - source.k)
+    return int(_coset_weights(source)[1].max())
 
 
 def syndrome_to_terminals(code: GraphicalCode, syndrome) -> frozenset[int]:

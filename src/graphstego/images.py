@@ -77,13 +77,11 @@ def _load_pgm(data: bytes) -> CoverImage:
     if maxval != 255:
         raise ImageFormatError(f"only maxval 255 PGM supported, got {maxval}")
     pos += 1  # exactly one whitespace byte separates header from raster
-    raster = data[pos : pos + width * height]
-    if len(raster) < width * height:
+    if len(data) - pos < width * height:
         raise ImageFormatError(
-            f"PGM raster truncated: {len(raster)} of {width * height} bytes"
+            f"PGM raster truncated: {max(len(data) - pos, 0)} of {width * height} bytes"
         )
-    pixels = np.frombuffer(raster, dtype=np.uint8).copy()
-    pixels.setflags(write=False)
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     return CoverImage(
         width=width, height=height, channels=1, depth=8, pixels=pixels, format_tag="pgm"
     )
@@ -111,10 +109,9 @@ def _load_bmp(data: bytes) -> CoverImage:
     need = offset + stride * height
     if len(data) < need:
         raise ImageFormatError(f"BMP raster truncated: {len(data)} of {need} bytes")
-    rows = np.frombuffer(
-        data[offset : offset + stride * height], dtype=np.uint8
-    ).reshape(height, stride)
-    pixels = rows[:, : 3 * width].reshape(-1).copy()
+    rows = np.frombuffer(data, dtype=np.uint8, count=stride * height, offset=offset)
+    # a view of the file bytes unless padding must be stripped
+    pixels = rows.reshape(height, stride)[:, : 3 * width].reshape(-1)
     pixels.setflags(write=False)
     return CoverImage(
         width=width, height=height, channels=3, depth=8, pixels=pixels, format_tag="bmp"
@@ -123,6 +120,9 @@ def _load_bmp(data: bytes) -> CoverImage:
 
 def load_image(path) -> CoverImage:
     """Load a binary PGM (P5, maxval 255) or uncompressed 24-bit BMP.
+
+    The pixels are read-only and, unless BMP rows carry padding, a view
+    of the bytes read from the file rather than a copy.
 
     Raises:
         ImageFormatError: for any other format or a malformed file.
@@ -138,28 +138,27 @@ def load_image(path) -> CoverImage:
 
 def save_image(img: CoverImage, path) -> None:
     """Write the image in its own format, with a canonical header."""
+    pixels = np.ascontiguousarray(img.pixels, dtype=np.uint8)
     if img.format_tag == "pgm":
-        if img.channels != 1 or img.pixels.size != img.width * img.height:
+        if img.channels != 1 or pixels.size != img.width * img.height:
             raise ImageFormatError("inconsistent PGM image record")
-        blob = b"P5\n%d %d\n255\n" % (img.width, img.height) + img.pixels.tobytes()
+        header = b"P5\n%d %d\n255\n" % (img.width, img.height)
     elif img.format_tag == "bmp":
-        if img.channels != 3 or img.pixels.size != 3 * img.width * img.height:
+        if img.channels != 3 or pixels.size != 3 * img.width * img.height:
             raise ImageFormatError("inconsistent BMP image record")
         stride = (3 * img.width + 3) // 4 * 4
-        rows = np.zeros((img.height, stride), dtype=np.uint8)
-        rows[:, : 3 * img.width] = img.pixels.reshape(img.height, 3 * img.width)
-        body = rows.tobytes()
-        blob = (
-            struct.pack("<2sIHHI", b"BM", 54 + len(body), 0, 0, 54)
-            + struct.pack(
-                "<IiiHHIIiiII", 40, img.width, img.height, 1, 24, 0, len(body), 2835, 2835, 0, 0
-            )
-            + body
+        if stride != 3 * img.width:
+            rows = np.zeros((img.height, stride), dtype=np.uint8)
+            rows[:, : 3 * img.width] = pixels.reshape(img.height, 3 * img.width)
+            pixels = rows
+        header = struct.pack("<2sIHHI", b"BM", 54 + pixels.size, 0, 0, 54) + struct.pack(
+            "<IiiHHIIiiII", 40, img.width, img.height, 1, 24, 0, pixels.size, 2835, 2835, 0, 0
         )
     else:
         raise ImageFormatError(f"unknown format tag {img.format_tag!r}")
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(header)
+        fh.write(pixels.data)
 
 
 def lsb_extract(img: CoverImage) -> np.ndarray:

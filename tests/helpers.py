@@ -9,6 +9,8 @@ the library's own algorithms.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from graphstego.gf2 import syndrome_index
@@ -192,3 +194,39 @@ def random_graph(rng: np.random.Generator, vertices: int, edges: int) -> Graph:
     picks = rng.choice(len(missing), size=edges - len(chosen), replace=False)
     chosen.extend(missing[int(i)] for i in sorted(picks))
     return build_graph(vertices, chosen)
+
+
+def bmp_bytes(width: int, height: int, rows: np.ndarray) -> bytes:
+    """A 24-bit BMP with canonical headers around raw (height, stride) rows.
+
+    ``rows`` holds each stored row with its padding bytes, so a test can
+    put nonzero values there.
+    """
+    stride = (3 * width + 3) // 4 * 4
+    assert rows.shape == (height, stride) and rows.dtype == np.uint8
+    body = rows.tobytes()
+    return (
+        struct.pack("<2sIHHI", b"BM", 54 + len(body), 0, 0, 54)
+        + struct.pack("<IiiHHIIiiII", 40, width, height, 1, 24, 0, len(body), 2835, 2835, 0, 0)
+        + body
+    )
+
+
+def random_bmp_bytes(width: int, height: int, seed: int) -> bytes:
+    """Uniform-random BMP, padding bytes random too."""
+    stride = (3 * width + 3) // 4 * 4
+    rows = np.random.default_rng(seed).integers(0, 256, (height, stride), dtype=np.uint8)
+    return bmp_bytes(width, height, rows)
+
+
+def random_pgm_bytes(width: int, height: int, seed: int) -> bytes:
+    pixels = np.random.default_rng(seed).integers(0, 256, width * height, dtype=np.uint8)
+    return b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes()
+
+
+def gp83_edges() -> list[tuple[int, int]]:
+    """Moebius-Kantor graph GP(8,3): outer 8-cycle, spokes, inner {8/3}."""
+    edges = []
+    for i in range(8):
+        edges += [(i + 1, (i + 1) % 8 + 1), (i + 1, i + 9), (i + 9, (i + 3) % 8 + 9)]
+    return edges

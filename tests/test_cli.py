@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from graphstego import cli, codec, decoder
 from graphstego.cli import main
 from graphstego.codebook import bundled_codebook_text, parse_codebook
+from graphstego.images import load_image, save_image
+
+from helpers import gp83_edges, random_bmp_bytes, random_pgm_bytes
 
 
 @pytest.fixture()
@@ -15,9 +21,7 @@ def k5_codebook_file(tmp_path):
 
 
 def write_pgm(path, side=64, seed=7):
-    rng = np.random.default_rng(seed)
-    pixels = rng.integers(0, 256, size=side * side, dtype=np.uint8)
-    path.write_bytes(b"P5\n%d %d\n255\n" % (side, side) + pixels.tobytes())
+    path.write_bytes(random_pgm_bytes(side, side, seed))
     return path
 
 
@@ -237,3 +241,76 @@ def test_usage_exit_for_unknown_subcommand(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def write_codebook(tmp_path, name):
+    path = tmp_path / f"{name}.gc"
+    if name == "k5":
+        path.write_text(bundled_codebook_text("k5"))
+    else:
+        edges = tmp_path / "gp83.txt"
+        edges.write_text("".join(f"{u} {v}\n" for u, v in gp83_edges()))
+        assert main(["codebook", "--spec", f"file:{edges}", "--out", str(path)]) == 0
+    return path
+
+
+# SHA-256 of the stego file and of the extracted payload, recorded with
+# the CLI that went through lsb_extract -> embed_stream -> lsb_inject.
+# The BMP is 37 pixels wide, so its rows carry one padding byte, which
+# the cover fills with random values and the stego file writes as zero.
+CLI_GOLDEN = {
+    ("bmp", "k5"): "8bfc2e46892ccab254f1c43e1a373afd55b0477e0f2ea2f20b737e55164f4ca7",
+    ("bmp", "gp83"): "2836ec5d00846764cb4349630dad023dc1085c30033716810c0e92c102ad71c4",
+    ("pgm", "k5"): "10ceb2767f13f87dbf8f7ded75c93153c8f500dcb6bb06c59500b75f75f2899c",
+    ("pgm", "gp83"): "307b9e71cec655bfd5ba0c26235fb3c4f1b22dacb6b9e4b32f9608e0420117e1",
+}
+PAYLOAD_SHA256 = "f53fe0240e1605e59d86ec7016aed9325414d0a18787ea446b34ce9a490e6441"
+PADDED_BMP_RESAVE_SHA256 = "7c43955cb5cef120dd7e4b73cc34cbde37d28fe1275fe1691423091707334dc6"
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("fmt,code", sorted(CLI_GOLDEN))
+def test_cli_golden_digests(fmt, code, chunk, tmp_path, capsys, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(codec, "CHUNK_BLOCKS", chunk)
+    cover = tmp_path / f"cover.{fmt}"
+    cover.write_bytes(random_bmp_bytes(37, 23, 71) if fmt == "bmp" else random_pgm_bytes(64, 48, 73))
+    payload = tmp_path / "secret.bin"
+    payload.write_bytes(np.random.default_rng(79).integers(0, 256, 100, dtype=np.uint8).tobytes())
+    codebook = write_codebook(tmp_path, code)
+    stego, recovered = tmp_path / f"stego.{fmt}", tmp_path / "out.bin"
+    assert main([
+        "embed", "--codebook", str(codebook), "--cover", str(cover),
+        "--payload", str(payload), "--out", str(stego),
+    ]) == 0
+    assert main(["extract", "--codebook", str(codebook), "--stego", str(stego), "--out", str(recovered)]) == 0
+    capsys.readouterr()
+    assert recovered.read_bytes() == payload.read_bytes()
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (stego, recovered))
+    assert digests == (CLI_GOLDEN[fmt, code], PAYLOAD_SHA256)
+
+
+def test_padded_bmp_resave_golden_digest(tmp_path):
+    src, out = tmp_path / "padded.bmp", tmp_path / "resaved.bmp"
+    src.write_bytes(random_bmp_bytes(37, 23, 71))
+    save_image(load_image(src), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PADDED_BMP_RESAVE_SHA256
+
+
+def test_analyze_builds_no_leader_table(tmp_path, capsys, monkeypatch):
+    def refuse(code):
+        raise AssertionError("analyze built a leader table")
+
+    monkeypatch.setattr(cli, "build_coset_table_bruteforce", refuse)
+    monkeypatch.setattr(decoder, "build_coset_table_bruteforce", refuse)
+    k8 = tmp_path / "k8.gc"
+    assert main(["codebook", "--spec", "K8", "--out", str(k8)]) == 0
+    expect = {
+        write_codebook(tmp_path, "k5"): "n=10 k=6 d=3 girth=3 p=4 rho=2 ER=0.40 EF=2.00",
+        write_codebook(tmp_path, "gp83"): "n=24 k=9 d=6 girth=6 p=15 rho=8 ER=0.62 EF=1.88",
+        k8: "n=28 k=21 d=3 girth=3 p=7 rho=4 ER=0.25 EF=1.75",
+    }
+    capsys.readouterr()
+    for path, line in expect.items():
+        assert main(["analyze", "--codebook", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == line

@@ -3,10 +3,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graphstego import codec
 from graphstego.codec import (
     CapacityError,
     FrameError,
@@ -14,8 +16,10 @@ from graphstego.codec import (
     bytes_to_bits,
     compute_metrics,
     embed_block,
+    embed_image,
     embed_stream,
     extract_block,
+    extract_image,
     extract_stream,
     frame_payload,
     unframe_payload,
@@ -23,13 +27,16 @@ from graphstego.codec import (
 from graphstego.decoder import build_coset_table_bruteforce
 from graphstego.gf2 import as_bits, bits_to_str
 from graphstego.graphs import build_code
+from graphstego.images import CoverImage, load_image, lsb_extract, lsb_inject
 
 from helpers import (
     K5_CARRIER,
     K5_EXAMPLE_FLIP,
     K5_EXAMPLE_KEEP,
+    random_bmp_bytes,
     random_connected_graph,
     random_graph,
+    random_pgm_bytes,
 )
 
 
@@ -262,6 +269,21 @@ def test_stream_peak_memory_is_a_small_multiple_of_the_cover(k5_table, k5_code):
     assert np.array_equal(recovered, payload)
 
 
+def test_image_path_peak_memory_stays_below_the_bit_plane_composition(k5_table, k5_code):
+    # the lsb_extract -> embed_stream -> lsb_inject composition peaks at
+    # about 3x the cover; embedding in one copy of the pixels must not
+    rng = np.random.default_rng(47)
+    pixels = rng.integers(0, 256, 1 << 22, dtype=np.uint8)
+    cover = CoverImage(width=2048, height=2048, channels=1, depth=8, pixels=pixels,
+                       format_tag="pgm")
+    payload = rng.integers(0, 2, int(0.95 * 0.4 * pixels.size), dtype=np.uint8)
+    peak, (stego, _) = _traced_peak(embed_image, cover, payload, k5_table)
+    assert peak < 2.5 * pixels.nbytes
+    peak, recovered = _traced_peak(extract_image, stego, k5_code)
+    assert peak < 1.5 * pixels.nbytes
+    assert np.array_equal(recovered, payload)
+
+
 @pytest.mark.parametrize("bad", [2, 255])
 def test_public_entry_points_reject_non_bits(bad, k5_table, k5_code):
     bits = np.zeros(800, dtype=np.uint8)
@@ -291,3 +313,63 @@ def test_embed_stream_leaves_inputs_unchanged(k5_table):
     assert np.array_equal(payload, payload_before)
     assert stego.flags.writeable and not np.shares_memory(stego, cover)
     assert report.total_flips == int((stego != cover).sum())
+
+
+COVERS = {
+    "pgm": lambda: random_pgm_bytes(40, 30, 83),
+    "bmp_unpadded": lambda: random_bmp_bytes(20, 16, 89),  # 60-byte rows
+    "bmp_padded": lambda: random_bmp_bytes(21, 15, 97),  # 63-byte rows, stride 64
+}
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the CapacityError / FrameError it raised."""
+    try:
+        return fn(*args)
+    except (CapacityError, FrameError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("kind", sorted(COVERS))
+def test_image_path_matches_the_bit_plane_composition(kind, chunk, tmp_path, monkeypatch, k5_table):
+    monkeypatch.setattr(codec, "CHUNK_BLOCKS", chunk)
+    path = tmp_path / "cover.img"
+    path.write_bytes(COVERS[kind]())
+    cover = load_image(path)
+    writable = replace(cover, pixels=cover.pixels.copy())
+    rng = np.random.default_rng(chunk)
+    other = build_coset_table_bruteforce(build_code(random_graph(rng, 7, 11)))
+    for table in (k5_table, other):
+        code = table.code
+        p = code.n_len - code.k
+        room = cover.capacity // code.n_len * p - 32
+        for size in (0, int(rng.integers(1, room)), room, room + 1):
+            data = rng.integers(0, 2, size, dtype=np.uint8)
+            for img in (cover, writable):
+                before = img.pixels.copy()
+                got = _outcome(embed_image, img, data, table)
+                want = _outcome(embed_stream, lsb_extract(img), data, table)
+                assert np.array_equal(img.pixels, before)
+                assert (want is CapacityError) == (size == room + 1)
+                if want is CapacityError:
+                    assert got is CapacityError
+                    continue
+                stego, report = got
+                assert report == want[1]
+                assert np.array_equal(stego.pixels, lsb_inject(img, want[0]).pixels)
+                assert not stego.pixels.flags.writeable
+                assert not np.shares_memory(stego.pixels, img.pixels)
+                assert (stego.width, stego.height, stego.format_tag) == (
+                    img.width, img.height, img.format_tag
+                )
+                assert np.array_equal(extract_image(stego, code), data)
+        # covers that carry no frame: the header may declare too much,
+        # and a cut-down image may not even hold the header
+        for img in (cover, replace(cover, pixels=cover.pixels[: -(-32 // p) * code.n_len - 1])):
+            got = _outcome(extract_image, img, code)
+            want = _outcome(extract_stream, lsb_extract(img), code)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want)
+            else:
+                assert got is want

@@ -360,3 +360,15 @@ def test_tjoin_table_against_networkx_matching():
         leader = table.leaders[idx]
         assert boundary_of(code.graph, leader) == terminals
         assert int(leader.sum()) == cost, int(idx)
+
+
+def test_bruteforce_radius_of_a_code_without_its_table():
+    rng = np.random.default_rng(211)
+    for _ in range(10):
+        code = build_code(random_connected_graph(rng))
+        rho = covering_radius_bruteforce(code)
+        assert rho == covering_radius_bruteforce(build_coset_table_bruteforce(code))
+        assert rho == int(min_weights_by_syndrome(code).max())
+    assert covering_radius_bruteforce(build_code(ring(17))) == 8  # p = 16
+    with pytest.raises(TableSizeError):
+        covering_radius_bruteforce(build_code(ring(22)))  # p = 21

@@ -17,6 +17,8 @@ from graphstego.images import (
     save_image,
 )
 
+from helpers import random_bmp_bytes
+
 
 def small_pgm_bytes() -> bytes:
     pixels = bytes(range(16))
@@ -223,3 +225,24 @@ def test_pgm_resave_canonicalises_the_header(tmp_path):
     assert out.read_bytes() == b"P5\n4 4\n255\n" + bytes(range(16))
     assert out.stat().st_size == 27
     assert np.array_equal(load_image(out).pixels, img.pixels)
+
+
+def test_load_image_views_the_file_bytes_unless_rows_are_padded(tmp_path):
+    unpadded = tmp_path / "unpadded.bmp"  # 4 pixels = 12 bytes per row
+    unpadded.write_bytes(random_bmp_bytes(4, 3, 5))
+    pgm = tmp_path / "img.pgm"
+    pgm.write_bytes(small_pgm_bytes())
+    padded = tmp_path / "padded.bmp"
+    padded.write_bytes(small_bmp_bytes())
+    for path, view in ((unpadded, True), (pgm, True), (padded, False)):
+        img = load_image(path)
+        assert not img.pixels.flags.writeable
+        owner = img.pixels
+        while isinstance(owner, np.ndarray) and owner.base is not None:
+            owner = owner.base
+        assert isinstance(owner, bytes) == view, path.name
+        with pytest.raises(ValueError):
+            img.pixels[0] = 0
+        out = tmp_path / f"copy-{path.name}"
+        save_image(img, out)
+        assert np.array_equal(load_image(out).pixels, img.pixels)

@@ -25,7 +25,6 @@ from graphstego import (
     minimum_t_join,
     syndrome_to_terminals,
 )
-from graphstego.gf2 import bits_to_str, index_to_bits
 
 code = code_from_codebook(bundled_codebook_text("k5"))
 p = code.n_len - code.k
@@ -35,12 +34,12 @@ joined = build_coset_table_tjoin(code)
 
 print("syndrome  leader (exhaustive)  weight  terminals T")
 for idx in range(1 << p):
-    s = index_to_bits(idx, p)
+    s = f"{idx:0{p}b}"  # syndrome bits, bit 0 first
     leader = brute.leader(idx)
     edges = [f"e{j + 1}" for j in np.nonzero(leader)[0]]
     terms = sorted(syndrome_to_terminals(code, s))
     print(
-        f"  {bits_to_str(s)}    {' + '.join(edges) if edges else '(none)':20s}"
+        f"  {s}    {' + '.join(edges) if edges else '(none)':20s}"
         f" {int(leader.sum())}      {terms if terms else '{}'}"
     )
 

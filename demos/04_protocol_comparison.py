@@ -13,8 +13,8 @@ from importlib import resources
 
 from graphstego import (
     build_code,
+    code_report,
     complete_graph,
-    compute_metrics,
     covering_radius_tjoin,
 )
 
@@ -31,14 +31,9 @@ for ln in text.splitlines():
     if not ln or ln.startswith("#") or ln.startswith("n\t"):
         continue
     n, d, family, hidden, rho, _er, _ef = ln.split("\t")
-    rhos = [int(x) for x in rho.split("-")]
-    ers, efs = [], []
-    for r in rhos:
-        er, ef = compute_metrics(int(n), int(hidden), r)
-        ers.append(er)
-        efs.append(ef)
-    ef_txt = "-".join(f"{x:.2f}" for x in efs)
-    print(f"{n:>3} {d:>2} {family:>6} {hidden:>3} {rho:>6} {ers[0]:>6.2f} {ef_txt:>20}")
+    er = int(hidden) / int(n)
+    ef_txt = "-".join(f"{int(hidden) / int(r):.2f}" for r in rho.split("-"))
+    print(f"{n:>3} {d:>2} {family:>6} {hidden:>3} {rho:>6} {er:>6.2f} {ef_txt:>20}")
 
 # The cycle-code rows (family C) trade worse worst-case efficiency for
 # much higher rate at the same distance — visible at every n above.
@@ -52,9 +47,9 @@ print("complete graphs, built and measured live:")
 print(f"{'q':>2} {'n':>3} {'p':>2} {'rho':>3} {'ER':>6} {'EF':>6}")
 for q in range(3, 8):
     code = build_code(complete_graph(q))
-    rho = covering_radius_tjoin(code.graph)
-    er, ef = compute_metrics(code.n_len, code.n_len - code.k, rho)
-    print(f"{q:>2} {code.n_len:>3} {code.n_len - code.k:>2} {rho:>3} {er:>6.2f} {ef:>6.2f}")
+    rep = code_report(code, covering_radius_tjoin(code.graph))
+    print(f"{q:>2} {rep.n_len:>3} {rep.p:>2} {rep.rho:>3} "
+          f"{rep.embedding_rate:>6.2f} {rep.embedding_efficiency:>6.2f}")
 
 # For K_q the covering radius is floor(q/2): the hardest terminal set
 # is every vertex (q even) or all but one (q odd), and since every

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decoder import CosetTable
-from .gf2 import as_bits, block_syndromes, column_syndromes, syndrome_bits
+from .gf2 import _bits_view, as_bits, block_syndromes, column_syndromes, syndrome_bits
 from .graphs import GraphicalCode
 from .images import CoverImage
 
@@ -76,7 +76,8 @@ def extract_block(v, code: GraphicalCode) -> np.ndarray:
     v = as_bits(v)
     if v.size != code.n_len:
         raise ValueError(f"block must have {code.n_len} bits, got {v.size}")
-    return _extract_blocks(v[None, :], code)[0]
+    p = code.n_len - code.k
+    return _message_bits(v[None, :], column_syndromes(code.parity_check), p)[0]
 
 
 def _embed_columns(code: GraphicalCode) -> list[int]:
@@ -89,10 +90,12 @@ def _embed_columns(code: GraphicalCode) -> list[int]:
     return column_syndromes(code.parity_check) + [1 << (p - 1 - i) for i in range(p)]
 
 
-def _extract_blocks(blocks: np.ndarray, code: GraphicalCode) -> np.ndarray:
-    """Message bits H(v) of each row of an (N, n) block matrix, as (N, p)."""
-    p = code.n_len - code.k
-    return syndrome_bits(block_syndromes(blocks, column_syndromes(code.parity_check), p), p)
+def _message_bits(blocks: np.ndarray, columns: list[int], p: int) -> np.ndarray:
+    """Message bits H(v) of each row of an (N, n) block matrix, as (N, p).
+
+    ``columns`` are the parity check's :func:`column_syndromes`.
+    """
+    return syndrome_bits(block_syndromes(blocks, columns, p), p)
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
@@ -102,7 +105,7 @@ def bytes_to_bits(data: bytes) -> np.ndarray:
 
 def bits_to_bytes(bits) -> bytes:
     """Inverse of :func:`bytes_to_bits`; length must be a multiple of 8."""
-    bits = as_bits(bits)
+    bits = _bits_view(bits)
     if bits.size % 8:
         raise ValueError(f"bit length {bits.size} is not a multiple of 8")
     return np.packbits(bits).tobytes()
@@ -110,7 +113,7 @@ def bits_to_bytes(bits) -> bytes:
 
 def frame_payload(data_bits, p: int) -> np.ndarray:
     """Prefix a 32-bit length header and zero-pad to a multiple of p."""
-    data_bits = as_bits(data_bits)
+    data_bits = _bits_view(data_bits)
     if p < 1:
         raise ValueError(f"block message size must be positive, got {p}")
     if data_bits.size >= 1 << HEADER_BITS:
@@ -120,29 +123,6 @@ def frame_payload(data_bits, p: int) -> np.ndarray:
     )
     pad = -(HEADER_BITS + data_bits.size) % p
     return np.concatenate([header, data_bits, np.zeros(pad, dtype=np.uint8)])
-
-
-def unframe_payload(framed) -> np.ndarray:
-    """Strip header and padding; validates the declared length.
-
-    Raises:
-        FrameError: if the stream is shorter than the header, or the
-            header claims more bits than are present.
-    """
-    framed = as_bits(framed)
-    if framed.size < HEADER_BITS:
-        raise FrameError(f"frame has {framed.size} bits, header needs {HEADER_BITS}")
-    declared = _declared_bits(framed)
-    if declared > framed.size - HEADER_BITS:
-        raise FrameError(
-            f"header declares {declared} payload bits, only "
-            f"{framed.size - HEADER_BITS} present"
-        )
-    return framed[HEADER_BITS : HEADER_BITS + declared].copy()
-
-
-def _declared_bits(framed: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(framed[:HEADER_BITS]).tobytes(), "big")
 
 
 def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, EmbedReport]:
@@ -228,7 +208,7 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
         FrameError: if the stream is too short for the header or for
             the length the header declares.
     """
-    return _extract_lsbs(as_bits(stego_bits), code)
+    return _extract_lsbs(_bits_view(stego_bits), code)
 
 
 def extract_image(img: CoverImage, code: GraphicalCode) -> np.ndarray:
@@ -253,7 +233,9 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> np.ndarray:
             f"stego stream has {carrier.size} bits, header needs {header_blocks * n}"
         )
     blocks = carrier[: carrier.size // n * n].reshape(-1, n)
-    declared = _declared_bits(_extract_blocks(blocks[:header_blocks] & 1, code).reshape(-1))
+    columns = column_syndromes(code.parity_check)
+    header = _message_bits(blocks[:header_blocks] & 1, columns, p).reshape(-1)[:HEADER_BITS]
+    declared = int.from_bytes(np.packbits(header).tobytes(), "big")
     total_blocks = -(-(HEADER_BITS + declared) // p)
     if total_blocks > len(blocks):
         raise FrameError(
@@ -263,19 +245,6 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> np.ndarray:
     framed = np.empty((total_blocks, p), dtype=np.uint8)
     for start in range(0, total_blocks, CHUNK_BLOCKS):
         stop = min(start + CHUNK_BLOCKS, total_blocks)
-        framed[start:stop] = _extract_blocks(blocks[start:stop] & 1, code)
+        framed[start:stop] = _message_bits(blocks[start:stop] & 1, columns, p)
     return framed.reshape(-1)[HEADER_BITS : HEADER_BITS + declared]
 
-
-def compute_metrics(n_len: int, p: int, rho: int) -> tuple[float, float]:
-    """(embedding rate p/n, embedding efficiency p/rho), as exact floats.
-
-    Raises:
-        ValueError: unless all three arguments are positive (a covering
-            radius of 0 leaves efficiency undefined).
-    """
-    if n_len < 1 or p < 1 or rho < 1:
-        raise ValueError(
-            f"n={n_len}, p={p}, rho={rho}: all must be positive"
-        )
-    return p / n_len, p / rho

@@ -54,6 +54,14 @@ def as_bits(values: Iterable[int] | str) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+def _bits_view(values) -> np.ndarray:
+    """:func:`as_bits` for input that is only read: a 1-D uint8 array is checked, not copied."""
+    if isinstance(values, np.ndarray) and values.dtype == np.uint8 and values.ndim == 1:
+        _require_binary(values, "bit vector")
+        return values
+    return as_bits(values)
+
+
 def as_bit_matrix(rows) -> np.ndarray:
     """Coerce nested 0/1 rows (or bit strings) to a 2-D uint8 matrix."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
@@ -64,33 +72,6 @@ def as_bit_matrix(rows) -> np.ndarray:
         raise ValueError(f"expected a 2-D bit matrix, got shape {arr.shape}")
     _require_binary(arr, "bit matrix")
     return arr.astype(np.uint8)
-
-
-def bits_to_str(bits: np.ndarray) -> str:
-    """Render a bit vector as a compact string, e.g. ``"0110"``."""
-    return "".join("1" if b else "0" for b in as_bits(bits))
-
-
-def vec_add(a, b) -> np.ndarray:
-    """XOR two bit vectors of equal length."""
-    a = as_bits(a)
-    b = as_bits(b)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return a ^ b
-
-
-def mat_vec_mul(matrix, x) -> np.ndarray:
-    """Multiply a bit matrix by a bit vector over GF(2).
-
-    Row i of the result is the parity of ``matrix[i] & x``.
-    """
-    m = as_bit_matrix(matrix)
-    x = as_bits(x)
-    if m.shape[1] != x.size:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape}, vector has {x.size}")
-    # sum in int64 so long rows cannot wrap uint8
-    return ((m & x).sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
 
 
 def gf2_rank(matrix) -> int:
@@ -111,11 +92,6 @@ def gf2_rank(matrix) -> int:
         if rank == rows:
             break
     return rank
-
-
-def weight(bits) -> int:
-    """Hamming weight (number of 1 bits)."""
-    return int(as_bits(bits).sum())
 
 
 def syndrome_index(bits) -> int:
@@ -186,12 +162,3 @@ def syndrome_bits(syndromes: np.ndarray, width: int) -> np.ndarray:
     row_bits = 8 * big.itemsize * math.prod(big.shape[1:])
     bits = np.unpackbits(big.view(np.uint8).reshape(-1)).reshape(len(big), row_bits)
     return bits[:, row_bits - width :]
-
-
-def index_to_bits(index: int, width: int) -> np.ndarray:
-    """Inverse of :func:`syndrome_index`: integer -> bit vector of ``width``."""
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    if not 0 <= index < (1 << width):
-        raise ValueError(f"index {index} out of range for width {width}")
-    return np.array([(index >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)

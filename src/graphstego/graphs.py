@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import as_bits, block_syndromes, column_syndromes, gf2_rank, syndrome_bits
+from .gf2 import block_syndromes, column_syndromes, gf2_rank
 
 
 class GraphError(ValueError):
@@ -208,23 +208,6 @@ def _fundamental_matrices(g: Graph, tree: SpanningTree) -> tuple[np.ndarray, np.
     return circuits, between.T.copy()
 
 
-def fundamental_circuit_matrix(g: Graph, tree: SpanningTree) -> np.ndarray:
-    """One row per chord (ascending id): the chord plus its tree path.
-
-    Every row is a circuit, hence a codeword of the cycle code.
-    """
-    return _fundamental_matrices(g, tree)[0]
-
-
-def fundamental_cutset_matrix(g: Graph, tree: SpanningTree) -> np.ndarray:
-    """One row per tree edge, in the tree's listed order.
-
-    Removing tree edge e splits the tree in two; the row marks every
-    graph edge with exactly one endpoint on e's side of the split.
-    """
-    return _fundamental_matrices(g, tree)[1]
-
-
 def girth(g: Graph) -> int | None:
     """Length of the shortest cycle, or None for an acyclic graph.
 
@@ -278,16 +261,6 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
     return GraphicalCode(
         graph=g, tree=t, generator=gen, parity_check=chk, n_len=m, k=k, d=d
     )
-
-
-def syndrome_of(code: GraphicalCode, word) -> np.ndarray:
-    """Parity-check syndrome of a length-n word."""
-    word = as_bits(word)
-    if word.size != code.n_len:
-        raise ValueError(f"word must have {code.n_len} bits, got {word.size}")
-    p = code.n_len - code.k
-    syn = block_syndromes(word[None, :], column_syndromes(code.parity_check), p)
-    return syndrome_bits(syn, p)[0]
 
 
 def code_report(code: GraphicalCode, rho: int) -> CodeReport:

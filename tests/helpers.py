@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from graphstego.gf2 import syndrome_index
+from graphstego.gf2 import as_bit_matrix, as_bits, syndrome_index
 from graphstego.graphs import Graph, build_graph
 
 # Generator of the K5 reference code: one row per chord (ascending:
@@ -76,6 +76,20 @@ K5_DOUBLE_EDGE_EXAMPLES = {
 K5_CARRIER = "1101111011"
 K5_EXAMPLE_KEEP = ("1100", "1101111011", 0)  # message already carried
 K5_EXAMPLE_FLIP = ("1010", "1101101011", 1)  # syndrome 0110 -> flip edge 6
+
+
+def mat_vec_mul(matrix, x) -> np.ndarray:
+    """Multiply a bit matrix by a bit vector over GF(2), one row at a time.
+
+    Row i of the result is the parity of ``matrix[i] & x``: the oracle
+    for the library's column-syndrome engine.
+    """
+    m = as_bit_matrix(matrix)
+    x = as_bits(x)
+    if m.shape[1] != x.size:
+        raise ValueError(f"dimension mismatch: matrix is {m.shape}, vector has {x.size}")
+    # sum in int64 so long rows cannot wrap uint8
+    return ((m & x).sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
 
 
 def all_words(n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from graphstego.decoder import (
     save_table,
     syndrome_to_terminals,
 )
-from graphstego.gf2 import as_bits, index_to_bits, syndrome_index
+from graphstego.gf2 import as_bits, syndrome_index
 from graphstego.graphs import build_code, build_graph, complete_graph
 
 from helpers import (
@@ -134,7 +134,7 @@ def test_syndrome_to_terminals_reference(k5_code):
 
 def test_syndrome_terminals_always_even(k5_code):
     for idx in range(16):
-        t = syndrome_to_terminals(k5_code, index_to_bits(idx, 4))
+        t = syndrome_to_terminals(k5_code, f"{idx:04b}")
         assert len(t) % 2 == 0
 
 
@@ -275,7 +275,7 @@ def test_bruteforce_picks_the_lexicographically_least_leader():
         table = build_coset_table_bruteforce(code)
         for idx in range(1 << p):
             leader = table.leaders[idx]
-            members = coset_members(code, index_to_bits(idx, p), int(leader.sum()))
+            members = coset_members(code, f"{idx:0{p}b}", int(leader.sum()))
             chosen = tuple(int(j) + 1 for j in np.nonzero(leader)[0])
             assert chosen == min(sorted(members)), (vertices, idx)
 
@@ -351,7 +351,7 @@ def test_tjoin_table_against_networkx_matching():
     hops = dict(nx.all_pairs_shortest_path_length(graph))
     rng = np.random.default_rng(1802)
     for idx in rng.choice(1 << p, size=200, replace=False):
-        terminals = syndrome_to_terminals(code, index_to_bits(int(idx), p))
+        terminals = syndrome_to_terminals(code, f"{idx:0{p}b}")
         closure = nx.Graph()
         closure.add_weighted_edges_from(
             (a, b, hops[a][b]) for a, b in combinations(sorted(terminals), 2)

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from graphstego.codec import extract_block
 from graphstego.gf2 import as_bit_matrix, gf2_rank
 from graphstego.graphs import (
     GraphError,
@@ -12,12 +13,9 @@ from graphstego.graphs import (
     build_graph,
     code_report,
     complete_graph,
-    fundamental_circuit_matrix,
-    fundamental_cutset_matrix,
     girth,
     spanning_tree,
     spanning_tree_from_ids,
-    syndrome_of,
 )
 
 from helpers import (
@@ -93,10 +91,9 @@ def test_triangle_fundamental_matrices():
     # BFS from vertex 1 reaches both neighbors directly: tree {e1, e3}
     assert t.tree_edges == (1, 3)
     assert t.chords == (2,)
-    gen = fundamental_circuit_matrix(g, t)
-    chk = fundamental_cutset_matrix(g, t)
-    assert gen.tolist() == [[1, 1, 1]]
-    assert chk.tolist() == [[1, 1, 0], [0, 1, 1]]
+    code = build_code(g, t)
+    assert code.generator.tolist() == [[1, 1, 1]]
+    assert code.parity_check.tolist() == [[1, 1, 0], [0, 1, 1]]
 
 
 def test_reference_matrices_bit_exact(k5_code):
@@ -170,7 +167,7 @@ def test_codewords_have_zero_syndrome(k5_code):
     msgs = all_words(k5_code.k)
     words = (msgs.astype(int) @ k5_code.generator.astype(int)) % 2
     for word in words[:: 7]:
-        assert not syndrome_of(k5_code, word.astype(np.uint8)).any()
+        assert not extract_block(word.astype(np.uint8), k5_code).any()
 
 
 def test_code_report_metrics(k5_code):

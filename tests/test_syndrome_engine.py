@@ -1,4 +1,4 @@
-"""The column-syndrome engine against the row-by-row oracle ``mat_vec_mul``.
+"""The column-syndrome engine against the row-by-row oracle ``helpers.mat_vec_mul``.
 
 ``block_syndromes`` packs each syndrome into the narrowest unsigned
 dtype (several uint64 words above 64 bits); the stream codec walks
@@ -15,17 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphstego import codec
-from graphstego.codec import embed_block, embed_stream, extract_stream, frame_payload
-from graphstego.gf2 import (
-    block_syndromes,
-    column_syndromes,
-    mat_vec_mul,
-    syndrome_bits,
-    syndrome_index,
+from graphstego.codec import (
+    embed_block,
+    embed_stream,
+    extract_block,
+    extract_stream,
+    frame_payload,
 )
-from graphstego.graphs import build_code, syndrome_of
+from graphstego.gf2 import block_syndromes, column_syndromes, syndrome_bits, syndrome_index
+from graphstego.graphs import build_code
 
-from helpers import random_graph
+from helpers import mat_vec_mul, random_graph
 
 WIDTHS = [1, 8, 9, 16, 17, 32, 33, 64, 65]
 NARROWEST = {1: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32,
@@ -106,5 +106,5 @@ def test_extract_stream_on_a_code_wider_than_64_bits():
     for i, m in enumerate(messages):
         block = stego[n * i : n * (i + 1)]
         assert np.array_equal(mat_vec_mul(code.parity_check, block), m)
-        assert np.array_equal(syndrome_of(code, block), m)
+        assert np.array_equal(extract_block(block, code), m)
     assert np.array_equal(extract_stream(stego, code), payload)

@@ -5,8 +5,9 @@
 # leader weight is the covering radius — the worst-case number of bit
 # flips per block.
 #
-# Two independent ways to build the same table:
-#   * exhaustive search over error patterns of increasing weight, and
+# Two independent ways to find each coset's minimum weight, and so to
+# build the same table:
+#   * exhaustive search over syndromes reachable with 1, 2, ... flips, and
 #   * one minimum T-join per syndrome: a syndrome selects tree edges,
 #     their odd-degree vertices form an even terminal set T, and the
 #     cheapest word with that syndrome is a minimum T-join of the
@@ -48,11 +49,12 @@ print(f"covering radius (exhaustive table): {brute.rho}")
 print(f"covering radius (T-join table):     {joined.rho}")
 print(f"covering radius (T-join maximum):   {covering_radius_tjoin(code.graph)}")
 
-# The two builders can disagree on WHICH leader they pick when a coset
-# has several minimum-weight members, but never on the weight:
+# The two builders find every coset's minimum weight independently,
+# then pick the same leader of that weight (the lexicographically
+# least), so the whole tables agree:
 
-assert np.array_equal(brute.leaders.sum(axis=1), joined.leaders.sum(axis=1))
-print("leader weights identical across builders: True")
+assert np.array_equal(brute.leaders, joined.leaders)
+print("leader tables identical across builders: True")
 
 # --- the T-join view, step by step --------------------------------------
 #

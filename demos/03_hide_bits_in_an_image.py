@@ -26,8 +26,9 @@ from graphstego import (
     save_image,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="graphstego_demo_"))
-print(f"writing demo files under {workdir}")
+scratch = tempfile.TemporaryDirectory(prefix="graphstego_demo_")
+workdir = Path(scratch.name)
+print(f"writing demo files under {workdir} (removed at the end)")
 
 # --- make a cover image --------------------------------------------------
 # A synthetic 128x128 grayscale PGM with smooth gradients plus noise,
@@ -79,3 +80,5 @@ assert message == secret
 delta = np.abs(cover.pixels.astype(int) - stego.pixels.astype(int))
 print(f"largest pixel change: {delta.max()} gray level(s), "
       f"{int((delta > 0).sum())} of {cover.capacity} pixels touched")
+
+scratch.cleanup()

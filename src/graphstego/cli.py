@@ -30,6 +30,7 @@ from .codec import (
 from .decoder import (
     TableCacheError,
     TableSizeError,
+    _check_size,
     build_coset_table_bruteforce,
     covering_radius_bruteforce,
     covering_radius_tjoin,
@@ -105,6 +106,7 @@ def _cmd_codebook(args) -> int:
             raise _UsageError(f"--tree wants comma-separated edge ids, got {args.tree!r}") from None
     text = format_codebook(graph, tree_ids)
     code = code_from_codebook(text)  # reject trees / bad tree ids before writing
+    _check_size(code.n_len - code.k)  # and codes no table can serve
     Path(args.out).write_text(text, "utf-8")
     print(
         f"wrote {args.out}: {label}, n={code.n_len} k={code.k} d={code.d}"

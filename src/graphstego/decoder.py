@@ -1,7 +1,7 @@
 """Syndrome -> minimum-flip lookup tables for cycle codes.
 
-Two independent builders produce tables with identical leader weights,
-each as whole-array numpy passes:
+Two independent builders compute the minimum coset weight of every
+syndrome, each as whole-array numpy passes:
 
 * exhaustive coset search, a breadth-first search over the 2^p
   syndromes that uses only the parity check: layer w XORs every column
@@ -19,12 +19,10 @@ minimum-weight perfect matching of the terminals under shortest-path
 distance.  The covering radius is the largest leader weight, i.e. the
 largest minimum T-join over all even vertex sets T.
 
-Tie rules.  The exhaustive builder picks the lexicographically
-smallest minimum-weight pattern (by edge-id set).  The T-join builder
-matches the lowest terminal with the smallest partner that attains the
-optimum and joins each pair along the BFS path from the lower one
-(neighbours in edge-id order); it is deterministic but may pick a
-different leader of the same weight when ties exist.
+Tie rule.  Both builders hand their weights to one fill, which picks
+the lexicographically smallest minimum-weight pattern (by edge-id
+set), so they return byte-identical tables.  The fill checks the
+weights first, so a wrong weight cannot yield a wrong leader.
 """
 
 from __future__ import annotations
@@ -86,8 +84,8 @@ class CosetTable:
         return self.leaders[idx].copy()
 
 
-def _coset_weights(code: GraphicalCode) -> tuple[np.ndarray, np.ndarray]:
-    """Column syndromes and the minimum coset weight of every syndrome.
+def _coset_weights(code: GraphicalCode) -> np.ndarray:
+    """Minimum coset weight of every syndrome.
 
     A breadth-first search in syndrome space that uses only the parity
     check: layer w holds the syndromes first reached by XOR-ing one more
@@ -105,36 +103,55 @@ def _coset_weights(code: GraphicalCode) -> tuple[np.ndarray, np.ndarray]:
             step = frontier ^ col
             dist[step[dist[step] < 0]] = w
         frontier = np.flatnonzero(dist == w).astype(np.uint32)
-    return columns, dist
+    return dist
+
+
+def _table_from_weights(code: GraphicalCode, dist: np.ndarray) -> CosetTable:
+    """Coset leaders whose weights are ``dist``, one weight layer at a time.
+
+    Each leader is the lexicographically smallest (by edge-id set)
+    minimum-weight pattern of its coset: its least edge j is the
+    smallest with ``dist[s ^ col[j]] == dist[s] - 1``, and the rest is
+    the leader of ``s ^ col[j]``, filled one layer earlier.
+
+    Raises AssertionError unless ``dist[0] == 0`` and every other
+    syndrome at weight w has a neighbour ``s ^ col[j]`` at w-1 and none
+    below.  That proves ``dist`` holds the minimum coset weights, so
+    every leader lies in its coset and has minimum weight.
+    """
+    n = code.n_len
+    columns = np.array(column_syndromes(code.parity_check), dtype=np.uint32)
+    if dist[0] != 0 or (dist[1:] < 1).any():
+        raise AssertionError("coset weights inconsistent with parity check")
+    rho = int(dist.max())
+    leaders = np.zeros((len(dist), n), dtype=np.uint8)
+    for w in range(1, rho + 1):
+        layer = np.flatnonzero(dist == w).astype(np.uint32)
+        first = np.zeros(layer.size, dtype=np.intp)
+        low = np.full(layer.size, w, dtype=dist.dtype)
+        for j in range(n - 1, -1, -1):
+            near = dist[layer ^ columns[j]]
+            first[near == w - 1] = j
+            np.minimum(low, near, out=low)
+        if (low != w - 1).any():
+            raise AssertionError("coset weights inconsistent with parity check")
+        leaders[layer] = leaders[layer ^ columns[first]]
+        leaders[layer, first] = 1
+    leaders.setflags(write=False)
+    return CosetTable(code=code, leaders=leaders, rho=rho)
 
 
 def build_coset_table_bruteforce(code: GraphicalCode) -> CosetTable:
     """Exhaustive coset search: a breadth-first search over the 2^p syndromes.
 
-    Uses only the parity check.  Each leader is the lexicographically
-    smallest (by edge-id set) minimum-weight pattern of its coset: its
-    least edge j is the smallest with ``dist[s ^ col[j]] == dist[s] - 1``,
-    and the rest is the leader of ``s ^ col[j]``, filled one BFS layer
-    earlier.
+    Uses only the parity check.  The leaders are filled from the
+    search's coset weights by :func:`_table_from_weights`.
 
     Raises:
         TableSizeError: if p exceeds :data:`MAX_SYNDROME_BITS`.
     """
-    n = code.n_len
-    _check_size(n - code.k)
-    columns, dist = _coset_weights(code)
-    if (dist < 0).any():
-        raise ValueError("parity check does not reach every syndrome")
-    leaders = np.zeros((len(dist), n), dtype=np.uint8)
-    for w in range(1, int(dist.max()) + 1):
-        layer = np.flatnonzero(dist == w).astype(np.uint32)
-        first = np.zeros(layer.size, dtype=np.intp)
-        for j in range(n - 1, -1, -1):
-            first[dist[layer ^ columns[j]] == w - 1] = j
-        leaders[layer] = leaders[layer ^ columns[first]]
-        leaders[layer, first] = 1
-    leaders.setflags(write=False)
-    return CosetTable(code=code, leaders=leaders, rho=int(dist.max()))
+    _check_size(code.n_len - code.k)
+    return _table_from_weights(code, _coset_weights(code))
 
 
 def covering_radius_bruteforce(source: CosetTable | GraphicalCode) -> int:
@@ -151,7 +168,7 @@ def covering_radius_bruteforce(source: CosetTable | GraphicalCode) -> int:
     if isinstance(source, CosetTable):
         return int(source.leaders.sum(axis=1).max())
     _check_size(source.n_len - source.k)
-    return int(_coset_weights(source)[1].max())
+    return int(_coset_weights(source).max())
 
 
 def syndrome_to_terminals(code: GraphicalCode, syndrome) -> frozenset[int]:
@@ -164,13 +181,17 @@ def syndrome_to_terminals(code: GraphicalCode, syndrome) -> frozenset[int]:
     p = code.n_len - code.k
     if s.size != p:
         raise ValueError(f"syndrome must have {p} bits, got {s.size}")
-    degree: dict[int, int] = {}
+    mask = 0
     for bit, eid in zip(s, code.tree.tree_edges):
         if bit:
-            _, u, v = code.graph.edges[eid - 1]
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-    return frozenset(v for v, deg in degree.items() if deg % 2 == 1)
+            mask ^= _ends(code.graph, eid)
+    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _ends(g: Graph, eid: int) -> int:
+    """Vertex mask of edge ``eid``'s two endpoints (bit v-1 = vertex v)."""
+    _, a, b = g.edges[eid - 1]
+    return (1 << (a - 1)) ^ (1 << (b - 1))
 
 
 def _shortest_paths(g: Graph, sources) -> tuple[np.ndarray, np.ndarray]:
@@ -257,37 +278,21 @@ def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
 
     Syndrome s maps to its terminal mask (the XOR of its tree edges'
     endpoint masks), one to one onto the even vertex subsets.  One
-    :func:`_tjoin_dp` over all vertices pairs each mask's lowest vertex
-    a with its first-tie partner b, and the leader of s is the leader
-    of the mask without {a, b}, XOR the BFS path from a to b — filled
-    layer by layer in increasing leader weight.  Costs a 2^v = 2^(p+1)
+    :func:`_tjoin_dp` over all vertices gives each mask's minimum
+    T-join size, the coset weight of s, and :func:`_table_from_weights`
+    fills the leaders from those weights.  Costs a 2^v = 2^(p+1)
     subset DP instead of enumerating 2^n error patterns.
 
     Raises:
         TableSizeError: if p exceeds :data:`MAX_SYNDROME_BITS`.
     """
     g = code.graph
-    v, m = g.vertex_count, g.edge_count
-    _check_size(m - code.k)
-    count = 1 << (m - code.k)
-    dist, paths = _shortest_paths(g, range(1, v + 1))
-    dp, pairs = _tjoin_dp(dist)
-    ends = {eid: (1 << (a - 1)) | (1 << (b - 1)) for eid, a, b in g.edges}
-    terminal_mask = np.zeros(1, dtype=np.intp)
+    _check_size(code.n_len - code.k)
+    terminal_mask = np.zeros(1, dtype=np.int32)  # v = p + 1 <= 21 bits
     for eid in reversed(code.tree.tree_edges):  # last tree edge = index bit 0
-        terminal_mask = np.concatenate([terminal_mask, terminal_mask ^ ends[eid]])
-    syndrome_of_mask = np.zeros(1 << v, dtype=np.intp)
-    syndrome_of_mask[terminal_mask] = np.arange(count)
-    a, b = pairs[terminal_mask].T.astype(np.intp)
-    rest = syndrome_of_mask[terminal_mask ^ (1 << a) ^ (1 << b)]
-    weight = dp[terminal_mask]
-    leaders = np.zeros((count, m), dtype=np.uint8)
-    for w in range(1, int(weight.max()) + 1):
-        layer = np.flatnonzero(weight == w)
-        leaders[layer] = leaders[rest[layer]] ^ paths[a[layer], b[layer]]
-    _check_leader_syndromes(code, leaders)
-    leaders.setflags(write=False)
-    return CosetTable(code=code, leaders=leaders, rho=int(weight.max()))
+        terminal_mask = np.concatenate([terminal_mask, terminal_mask ^ _ends(g, eid)])
+    dist, _ = _shortest_paths(g, range(1, g.vertex_count + 1))
+    return _table_from_weights(code, _tjoin_dp(dist)[0][terminal_mask])
 
 
 def covering_radius_tjoin(g: Graph) -> int:
@@ -301,14 +306,6 @@ def covering_radius_tjoin(g: Graph) -> int:
     _check_size(v - 1)
     dist, _ = _shortest_paths(g, range(1, v + 1))
     return int(_tjoin_dp(dist)[0].max())
-
-
-def _check_leader_syndromes(code: GraphicalCode, leaders: np.ndarray) -> None:
-    """Every leader must land in its own coset (internal invariant)."""
-    p = code.n_len - code.k
-    got = block_syndromes(leaders, column_syndromes(code.parity_check), p)
-    if not np.array_equal(got, np.arange(len(leaders))):
-        raise AssertionError("leader table inconsistent with parity check")
 
 
 def save_table(table: CosetTable, path) -> None:
@@ -357,11 +354,10 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
         )
     packed = np.frombuffer(body, dtype=np.uint8).reshape(count, bytes_per)
     leaders = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
-    try:
-        _check_leader_syndromes(code, leaders)
-    except AssertionError:
-        raise TableCacheError("cached table does not match this code") from None
-    dist = _coset_weights(code)[1]
+    got = block_syndromes(leaders, column_syndromes(code.parity_check), p)
+    if not np.array_equal(got, np.arange(count)):
+        raise TableCacheError("cached table does not match this code")
+    dist = _coset_weights(code)
     if not np.array_equal(leaders.sum(axis=1), dist):
         raise TableCacheError("cached table holds a leader of more than minimum weight")
     leaders.setflags(write=False)

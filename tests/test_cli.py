@@ -7,7 +7,8 @@ import pytest
 
 from graphstego import cli, codec, decoder
 from graphstego.cli import main
-from graphstego.codebook import bundled_codebook_text, parse_codebook
+from graphstego.codebook import bundled_codebook_text, format_codebook, parse_codebook
+from graphstego.graphs import build_graph
 from graphstego.images import load_image, save_image
 
 from helpers import gp83_edges, random_bmp_bytes, random_pgm_bytes
@@ -121,8 +122,11 @@ def test_cli_roundtrip_above_the_old_size_limits(tmp_path, capsys):
 def test_table_size_exit(tmp_path, capsys):
     big = tmp_path / "ring22.gc"  # p = 21, one over the table limit
     edges = write_ring(tmp_path / "ring22.txt", 22)
-    assert main(["codebook", "--spec", f"file:{edges}", "--out", str(big)]) == 0
-    capsys.readouterr()
+    assert main(["codebook", "--spec", f"file:{edges}", "--out", str(big)]) == 6
+    assert "table limit" in capsys.readouterr().err
+    assert not big.exists()
+    ring = [(i, i % 22 + 1) for i in range(1, 23)]
+    big.write_text(format_codebook(build_graph(22, ring)))
     assert main(["analyze", "--codebook", str(big)]) == 6
     assert "table limit" in capsys.readouterr().err
     cover = write_pgm(tmp_path / "cover.pgm")

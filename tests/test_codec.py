@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -366,3 +369,16 @@ def test_readme_quickstart_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_image_demo_removes_its_files(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": path}
+    demo = root / "demos" / "03_hide_bits_in_an_image.py"
+    run = subprocess.run(
+        [sys.executable, "-W", "error", str(demo)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert not any(tmp_path.iterdir())

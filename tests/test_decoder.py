@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,9 @@ from graphstego.decoder import (
     CosetTable,
     TableCacheError,
     TableSizeError,
+    _coset_weights,
     _shortest_paths,
+    _table_from_weights,
     _tjoin_dp,
     build_coset_table_bruteforce,
     build_coset_table_tjoin,
@@ -132,6 +135,18 @@ def test_syndrome_to_terminals_reference(k5_code):
         syndrome_to_terminals(k5_code, "101")
 
 
+def test_syndrome_to_terminals_is_the_tree_edges_boundary():
+    # 70 vertices: the terminal masks outgrow any fixed-width integer
+    code = build_code(random_graph(np.random.default_rng(7001), 70, 90))
+    p = code.n_len - code.k
+    rng = np.random.default_rng(7002)
+    for _ in range(50):
+        syndrome = rng.integers(0, 2, p, dtype=np.uint8)
+        word = np.zeros(code.n_len, dtype=np.uint8)
+        word[np.array(code.tree.tree_edges) - 1] = syndrome
+        assert syndrome_to_terminals(code, syndrome) == boundary_of(code.graph, word)
+
+
 def test_syndrome_terminals_always_even(k5_code):
     for idx in range(16):
         t = syndrome_to_terminals(k5_code, f"{idx:04b}")
@@ -179,9 +194,7 @@ def test_minimum_t_join_against_enumeration():
 
 def test_tjoin_table_matches_bruteforce(k5_table, k5_table_tjoin, k5_code):
     assert k5_table_tjoin.rho == k5_table.rho == 2
-    assert np.array_equal(
-        k5_table_tjoin.leaders.sum(axis=1), k5_table.leaders.sum(axis=1)
-    )
+    assert np.array_equal(k5_table_tjoin.leaders, k5_table.leaders)
     # every leader sits in its own coset
     for idx in range(16):
         syn = (k5_code.parity_check.astype(int) @ k5_table_tjoin.leaders[idx]) % 2
@@ -195,9 +208,7 @@ def test_builders_agree_on_random_graphs():
         brute = build_coset_table_bruteforce(code)
         joined = build_coset_table_tjoin(code)
         assert brute.rho == joined.rho
-        assert np.array_equal(
-            brute.leaders.sum(axis=1), joined.leaders.sum(axis=1)
-        )
+        assert np.array_equal(brute.leaders, joined.leaders)
 
 
 def test_covering_radius_known_values(k5_code):
@@ -302,32 +313,71 @@ TABLE_GRAPHS = {
     "random_v13_e22": lambda: random_graph(np.random.default_rng(8103), 13, 22),
 }
 
-# (rho, SHA-256 of leaders.tobytes()), recorded with the per-pattern and
-# per-syndrome builders that the syndrome-space BFS and the vectorised
-# subset DP replaced.
+# (rho, SHA-256 of leaders.tobytes()) of the exhaustive tables, recorded
+# with the per-pattern builder that the syndrome-space BFS replaced (c16
+# with the BFS builder).  The T-join builder must give the same bytes
+# (test_builders_give_identical_tables).
 TABLE_DIGESTS = {
     ("bruteforce", "k5"): (2, "89b747838bc12b254769cb9cc85e451911ec05aa5ecede9e3db6c7be682c28d7"),
     ("bruteforce", "gp83"): (8, "125922925933c738e4a7228c2da8e06b2c49933d3936046a5370e9800921fe1e"),
+    ("bruteforce", "c16"): (8, "e2f6b75a47a4b233dd79260c030fca9d06bfedf3e7af8132df450bf7840ae7d0"),
     ("bruteforce", "random_v9_e14"): (4, "de3e1806d616c5526dd943a43e7bd9ddf7c56150d294706fc9d46487e699b880"),
     ("bruteforce", "random_v11_e19"): (5, "f3abbf11488d2b1c0c85a6de9e50dc0440080c6f13b17c20f1f91fc8ab4dae60"),
     ("bruteforce", "random_v13_e22"): (8, "1a9a8ab5a7862674857efd6f397c221ad8d30b4f47b331b57449968235de0582"),
-    ("tjoin", "k5"): (2, "6a9ac9b9c615b9348ae2c60acf892ab7f2cbc9c7a9bfcb3636a897e3ba7cc1f5"),
-    ("tjoin", "gp83"): (8, "b6f9740e20b4da50771a8a06f0bf7c7227bfd1756587707f87812067aa959ee7"),
-    ("tjoin", "c16"): (8, "8dc15dc418ac2afeaef127f018446f034f925344d831fb350491a8123f1264cc"),
-    ("tjoin", "random_v9_e14"): (4, "b26b2b0df2a52d370ae8a52757b55916c87afff40173d97daf0d27549d00724b"),
-    ("tjoin", "random_v11_e19"): (5, "488d8f767a922b8cb05622a9b1805f97845ff65d3db05077501190d860dd2e48"),
-    ("tjoin", "random_v13_e22"): (8, "90131570282fbb9c994ae273192fe108e66771ac843d77f1ffacef0c90a26369"),
 }
+
+
+def table_code(name, k5_code):
+    return k5_code if name == "k5" else build_code(TABLE_GRAPHS[name]())
 
 
 @pytest.mark.parametrize("builder, name", sorted(TABLE_DIGESTS))
 def test_table_golden_digests(builder, name, k5_code):
-    code = k5_code if name == "k5" else build_code(TABLE_GRAPHS[name]())
-    build = {"bruteforce": build_coset_table_bruteforce, "tjoin": build_coset_table_tjoin}[builder]
-    table = build(code)
+    table = build_coset_table_bruteforce(table_code(name, k5_code))
     assert (table.rho, hashlib.sha256(table.leaders.tobytes()).hexdigest()) == TABLE_DIGESTS[
         builder, name
     ]
+
+
+@pytest.mark.parametrize("name", ["k5", *TABLE_GRAPHS])
+def test_builders_give_identical_tables(name, k5_code):
+    code = table_code(name, k5_code)
+    brute = build_coset_table_bruteforce(code)
+    joined = build_coset_table_tjoin(code)
+    assert joined.rho == brute.rho
+    assert joined.leaders.tobytes() == brute.leaders.tobytes()
+
+
+@pytest.mark.parametrize("name", ["k5", "gp83"])
+@pytest.mark.parametrize("mutation", ["raised", "lowered", "all_zero", "zero_syndrome"])
+def test_fill_rejects_wrong_weights(name, mutation, k5_code):
+    code = table_code(name, k5_code)
+    dist = _coset_weights(code)
+    assert _table_from_weights(code, dist).rho == dist.max()
+    bad = dist.copy()
+    if mutation == "raised":
+        bad[np.flatnonzero(dist == 1)[0]] = 2  # one flip already reaches it
+    elif mutation == "lowered":
+        bad[np.flatnonzero(dist == dist.max())[-1]] -= 1  # no neighbour one lighter
+    elif mutation == "all_zero":
+        bad[:] = 0  # no weight layer left to check
+    else:
+        bad[0] = 1
+    with pytest.raises(AssertionError):
+        _table_from_weights(code, bad)
+
+
+@pytest.mark.parametrize("build", [build_coset_table_bruteforce, build_coset_table_tjoin])
+def test_table_build_peak_memory(build):
+    # p = 17, n = 30: the 3.9 MB leader table dominates either build
+    code = build_code(random_graph(np.random.default_rng(1801), 18, 30))
+    tracemalloc.start()
+    try:
+        table = build(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table.leaders.nbytes, peak / table.leaders.nbytes
 
 
 def test_table_cache_rejects_non_minimal_leaders(tmp_path, k5_table, k5_code):

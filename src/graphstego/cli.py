@@ -36,7 +36,7 @@ from .decoder import (
     covering_radius_tjoin,
 )
 from .graphs import GraphError, build_graph, code_report, complete_graph
-from .images import ImageFormatError, load_image, peak_signal_noise, save_image
+from .images import ImageFormatError, _psnr_db, load_image, save_image
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,7 +155,7 @@ def _cmd_embed(args) -> int:
     payload = Path(args.payload).read_bytes()
     stego, report = embed_image(cover, bytes_to_bits(payload), table)
     save_image(stego, args.out)
-    psnr = peak_signal_noise(cover, stego)
+    psnr = _psnr_db(report.total_flips, stego.pixels.size)
     psnr_txt = "inf" if psnr is None else f"{psnr:.2f}"
     if args.porcelain:
         print(f"blocks_used={report.blocks_used}")

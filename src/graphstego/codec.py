@@ -18,7 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .decoder import CosetTable
-from .gf2 import _bits_view, as_bits, block_syndromes, column_syndromes, syndrome_bits
+from .gf2 import (
+    _bits_view,
+    as_bits,
+    block_syndromes,
+    column_syndromes,
+    syndrome_bits,
+    syndrome_index,
+)
 from .graphs import GraphicalCode
 from .images import CoverImage
 
@@ -66,7 +73,7 @@ def embed_block(t, m, table: CosetTable) -> tuple[np.ndarray, int]:
         raise ValueError(f"block must have {code.n_len} bits, got {t.size}")
     if m.size != p:
         raise ValueError(f"message must have {p} bits, got {m.size}")
-    s = block_syndromes(np.concatenate([t, m])[None, :], _embed_columns(code), p)
+    s = block_syndromes(t[None], column_syndromes(code.parity_check), p) ^ syndrome_index(m)
     leader = table.leaders[int(s[0])]
     return t ^ leader, int(leader.sum())
 
@@ -78,16 +85,6 @@ def extract_block(v, code: GraphicalCode) -> np.ndarray:
         raise ValueError(f"block must have {code.n_len} bits, got {v.size}")
     p = code.n_len - code.k
     return _message_bits(v[None, :], column_syndromes(code.parity_check), p)[0]
-
-
-def _embed_columns(code: GraphicalCode) -> list[int]:
-    """Parity-check columns followed by identity columns for the message.
-
-    The syndrome of a block with its p message bits appended is then
-    H(t) XOR m: the index of the leader that embeds m into t.
-    """
-    p = code.n_len - code.k
-    return column_syndromes(code.parity_check) + [1 << (p - 1 - i) for i in range(p)]
 
 
 def _message_bits(blocks: np.ndarray, columns: list[int], p: int) -> np.ndarray:
@@ -177,13 +174,13 @@ def _embed_lsbs(carrier: np.ndarray, data_bits, table: CosetTable) -> EmbedRepor
             f"framed payload needs {needed} cover bits, only {carrier.size} available"
         )
     blocks = carrier[:needed].reshape(-1, n)
-    columns = _embed_columns(code)
+    columns = column_syndromes(code.parity_check)
+    # leader index H(t) XOR m: each message read as a syndrome through identity columns
+    msg = block_syndromes(messages, [1 << (p - 1 - i) for i in range(p)], p)
     counts = np.zeros(len(table.leaders), dtype=np.int64)
     for start in range(0, blocks_used, CHUNK_BLOCKS):
         part = blocks[start : start + CHUNK_BLOCKS]
-        idx = block_syndromes(
-            np.hstack([part & 1, messages[start : start + CHUNK_BLOCKS]]), columns, p
-        )
+        idx = block_syndromes(part & 1, columns, p) ^ msg[start : start + CHUNK_BLOCKS]
         part ^= np.take(table.leaders, idx, axis=0)
         counts += np.bincount(idx, minlength=len(counts))
     weights = table.leaders.sum(axis=1, dtype=np.int64)

@@ -208,14 +208,13 @@ def _shortest_paths(g: Graph, sources) -> tuple[np.ndarray, np.ndarray]:
     return dist, paths
 
 
-def _tjoin_dp(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tjoin_dp(dist: np.ndarray) -> np.ndarray:
     """Minimum perfect matching cost of every even subset of t terminals.
 
     ``dist`` is the t x t shortest-path matrix of the terminals; subset
     bit i stands for terminal i.  ``dp[T]`` pairs T's lowest terminal a
     with the partner b minimising ``dist[a, b] + dp[T - {a, b}]``, one
-    popcount layer at a time; ``pairs[T]`` is that (a, b), the smallest
-    b on ties.  Odd subsets keep ``dp == -1``.
+    popcount layer at a time.  Odd subsets keep ``dp == -1``.
     """
     t = len(dist)
     pop = np.zeros(1, dtype=np.int8)
@@ -227,22 +226,16 @@ def _tjoin_dp(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = 1 << np.arange(t)
     dp = np.full(1 << t, -1, dtype=np.int32)
     dp[0] = 0
-    pairs = np.zeros((1 << t, 2), dtype=np.int8)
     for size in range(2, t + 1, 2):
         layer = np.flatnonzero(pop == size)
         a = low[layer]
         rest = layer ^ bits[a]
         best = np.full(layer.size, np.iinfo(np.int32).max, dtype=np.int32)
-        partner = np.zeros(layer.size, dtype=np.int8)
-        for b in range(1, t):  # ascending, and only a strict gain moves: first tie wins
+        for b in range(1, t):
             cost = dist[a, b] + dp[rest ^ bits[b]]
-            better = ((rest & bits[b]) != 0) & (cost < best)
-            best[better] = cost[better]
-            partner[better] = b
+            np.minimum(best, cost, out=best, where=(rest & bits[b]) != 0)
         dp[layer] = best
-        pairs[layer, 0] = a
-        pairs[layer, 1] = partner
-    return dp, pairs
+    return dp
 
 
 def minimum_t_join(g: Graph, terminals) -> np.ndarray:
@@ -263,13 +256,18 @@ def minimum_t_join(g: Graph, terminals) -> np.ndarray:
             raise ValueError(f"terminal {t} out of range")
     dist, paths = _shortest_paths(g, t_set)
     cols = [t - 1 for t in t_set]
-    _, pairs = _tjoin_dp(dist[:, cols])
+    dp = _tjoin_dp(dist[:, cols])
     join = np.zeros(g.edge_count, dtype=np.uint8)
     mask = (1 << len(t_set)) - 1
     while mask:
-        a, b = (int(x) for x in pairs[mask])
+        # the lowest terminal a and the smallest partner b attaining dp[mask]
+        a = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << a)
+        b = a + 1
+        while not (rest >> b & 1 and dist[a, cols[b]] + dp[rest ^ (1 << b)] == dp[mask]):
+            b += 1
         join ^= paths[a, cols[b]]
-        mask ^= (1 << a) | (1 << b)
+        mask = rest ^ (1 << b)
     return join
 
 
@@ -292,7 +290,7 @@ def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
     for eid in reversed(code.tree.tree_edges):  # last tree edge = index bit 0
         terminal_mask = np.concatenate([terminal_mask, terminal_mask ^ _ends(g, eid)])
     dist, _ = _shortest_paths(g, range(1, g.vertex_count + 1))
-    return _table_from_weights(code, _tjoin_dp(dist)[0][terminal_mask])
+    return _table_from_weights(code, _tjoin_dp(dist)[terminal_mask])
 
 
 def covering_radius_tjoin(g: Graph) -> int:
@@ -305,7 +303,7 @@ def covering_radius_tjoin(g: Graph) -> int:
     v = g.vertex_count
     _check_size(v - 1)
     dist, _ = _shortest_paths(g, range(1, v + 1))
-    return int(_tjoin_dp(dist)[0].max())
+    return int(_tjoin_dp(dist).max())
 
 
 def save_table(table: CosetTable, path) -> None:

@@ -118,9 +118,14 @@ def column_syndromes(matrix) -> list[int]:
 def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> np.ndarray:
     """Syndrome of each row of a block matrix: the XOR of its set columns.
 
-    Each row is packed into bytes, and each byte is looked up in a
-    256-entry table of XORs of the eight columns it covers.  ``blocks``
-    is trusted: callers validate at their public entry points.
+    The rows are packed as one flat bit stream, so row i starts at bit
+    i*n.  Bit offsets repeat every 8/gcd(n, 8) rows: for each row phase,
+    each byte-wide digit of a row is a strided slice of the packed
+    stream shifted by a constant, looked up in a 256-entry table of
+    XORs of the eight columns it covers.  Table columns past n are
+    zero, so bits of the next row that a digit takes in drop out.
+    ``blocks`` is trusted: callers validate at their public entry
+    points.
 
     Args:
         blocks: (N, len(columns)) uint8 array with entries in {0, 1}.
@@ -134,25 +139,35 @@ def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> n
         uint64 words, most significant word first.  Either way a
         syndrome reads as :func:`syndrome_index` reads its bits.
     """
+    n = len(columns)
     words = max(1, -(-width // 64))
     tail = () if width <= 64 else (words,)
     dtype = np.min_scalar_type((1 << min(width, 64)) - 1)
     shifts = range(64 * (words - 1), -1, -64)
-    col_words = np.zeros((-(-len(columns) // 8) * 8, words), dtype=dtype)
+    col_words = np.zeros((-(-n // 8) * 8, words), dtype=dtype)
     for j, c in enumerate(columns):
         col_words[j] = [(c >> s) & 0xFFFF_FFFF_FFFF_FFFF for s in shifts]
     col_words = col_words.reshape((-1,) + tail)
-    # pad rows to whole bytes so one flat packbits does every row
-    padded = np.zeros((blocks.shape[0], len(col_words)), dtype=np.uint8)
-    padded[:, : len(columns)] = blocks
-    packed = np.packbits(padded.reshape(-1)).reshape(len(padded), len(col_words) // 8)
-    out = np.zeros((len(padded),) + tail, dtype=dtype)
-    for b in range(packed.shape[1]):
-        # table[v] = XOR of the columns selected by byte value v (MSB first)
+    tables = []  # tables[d][v]: XOR of the columns byte v selects in digit d, MSB first
+    for b in range(0, len(col_words), 8):
         table = np.zeros((1,) + tail, dtype=dtype)
-        for col in col_words[8 * b : 8 * b + 8][::-1]:
+        for col in col_words[b : b + 8][::-1]:
             table = np.concatenate([table, table ^ col])
-        out ^= np.take(table, packed[:, b], axis=0)
+        tables.append(table)
+    period = 8 // math.gcd(n, 8)
+    step = n * period // 8  # packed bytes per period of rows
+    # one zero byte past the end: the last row's last digit may read it
+    packed = np.append(np.packbits(blocks.reshape(-1)), np.uint8(0))
+    count = len(blocks)
+    out = np.zeros((count,) + tail, dtype=dtype)
+    for r in range(period):
+        rows = len(range(r, count, period))
+        base, sh = divmod(r * n, 8)
+        for d, table in enumerate(tables):
+            digit = packed[base + d :: step][:rows]
+            if sh:
+                digit = (digit << sh) | (packed[base + d + 1 :: step][:rows] >> (8 - sh))
+            out[r::period] ^= np.take(table, digit, axis=0)
     return out
 
 

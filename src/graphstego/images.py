@@ -198,6 +198,15 @@ def peak_signal_noise(original: CoverImage, modified: CoverImage) -> float | Non
     for lo in range(0, a.size, _PSNR_CHUNK):
         diff = np.subtract(a[lo : lo + _PSNR_CHUNK], b[lo : lo + _PSNR_CHUNK], dtype=np.int32)
         total += int(np.dot(diff, diff))
-    if total == 0:
+    return _psnr_db(total, a.size)
+
+
+def _psnr_db(sse: int, size: int) -> float | None:
+    """PSNR in dB of 8-bit pixels from their sum of squared errors; None when zero.
+
+    An LSB embedding changes each flipped pixel by exactly 1, so its
+    ``sse`` is the flip count.
+    """
+    if sse == 0:
         return None
-    return 10.0 * math.log10(255.0 * 255.0 / (total / a.size))
+    return 10.0 * math.log10(255.0 * 255.0 / (sse / size))

@@ -8,8 +8,9 @@ import pytest
 from graphstego import cli, codec, decoder
 from graphstego.cli import main
 from graphstego.codebook import bundled_codebook_text, format_codebook, parse_codebook
+from graphstego.codec import bytes_to_bits, embed_image
 from graphstego.graphs import build_graph
-from graphstego.images import load_image, save_image
+from graphstego.images import load_image, peak_signal_noise, save_image
 
 from helpers import gp83_edges, random_bmp_bytes, random_pgm_bytes
 
@@ -292,6 +293,40 @@ def test_cli_golden_digests(fmt, code, chunk, tmp_path, capsys, monkeypatch):
     assert recovered.read_bytes() == payload.read_bytes()
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (stego, recovered))
     assert digests == (CLI_GOLDEN[fmt, code], PAYLOAD_SHA256)
+
+
+@pytest.mark.parametrize(
+    "name,cover_bytes",
+    [
+        ("cover.pgm", random_pgm_bytes(64, 48, 83)),
+        ("cover.bmp", random_bmp_bytes(40, 20, 89)),  # 120-byte rows, no padding
+        ("padded.bmp", random_bmp_bytes(37, 23, 97)),  # 111-byte rows, padded to 112
+    ],
+)
+def test_embed_psnr_comes_from_the_flip_count(name, cover_bytes, tmp_path, k5_table, capsys):
+    cover_path, payload = tmp_path / name, tmp_path / "secret.bin"
+    cover_path.write_bytes(cover_bytes)
+    payload.write_bytes(np.random.default_rng(101).integers(0, 256, 100, dtype=np.uint8).tobytes())
+    # each flip moves one pixel by exactly 1, so the squared error is the flip count
+    cover = load_image(cover_path)
+    stego, report = embed_image(cover, bytes_to_bits(payload.read_bytes()), k5_table)
+    diff = stego.pixels.astype(np.int64) - cover.pixels
+    assert report.total_flips > 0 and int(diff @ diff) == report.total_flips
+    codebook = write_codebook(tmp_path, "k5")
+    stego_path, again = tmp_path / f"stego-{name}", tmp_path / f"again-{name}"
+    records = []
+    for src, dst in ((cover_path, stego_path), (stego_path, again)):
+        assert main([
+            "embed", "--codebook", str(codebook), "--cover", str(src),
+            "--payload", str(payload), "--out", str(dst), "--porcelain",
+        ]) == 0
+        records.append(dict(ln.split("=", 1) for ln in capsys.readouterr().out.split()))
+    psnr = peak_signal_noise(load_image(cover_path), load_image(stego_path))
+    assert records[0]["total_flips"] == str(report.total_flips)
+    assert records[0]["psnr_db"] == f"{psnr:.2f}"
+    # the payload re-embedded into its own stego flips nothing
+    assert records[1]["total_flips"] == "0" and records[1]["psnr_db"] == "inf"
+    assert peak_signal_noise(load_image(stego_path), load_image(again)) is None
 
 
 def test_padded_bmp_resave_golden_digest(tmp_path):

@@ -187,8 +187,8 @@ def test_minimum_t_join_against_enumeration():
         # the subset DP, over the terminals alone and over all vertices
         dist, _ = _shortest_paths(g, verts)
         cols = [t - 1 for t in sorted(terminals)]
-        assert _tjoin_dp(dist[np.ix_(cols, cols)])[0][-1] == size
-        assert _tjoin_dp(dist)[0][sum(1 << c for c in cols)] == size
+        assert _tjoin_dp(dist[np.ix_(cols, cols)])[-1] == size
+        assert _tjoin_dp(dist)[sum(1 << c for c in cols)] == size
         cases += 1
 
 

@@ -27,30 +27,50 @@ from graphstego.graphs import build_code
 
 from helpers import mat_vec_mul, random_graph
 
-WIDTHS = [1, 8, 9, 16, 17, 32, 33, 64, 65]
+WIDTHS = [1, 8, 9, 16, 17, 32, 33, 64, 65, 128, 130]
 NARROWEST = {1: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32,
              32: np.uint32, 33: np.uint64, 64: np.uint64}
 
 
-@settings(max_examples=120, deadline=None)
+def _layout(bits: np.ndarray, how: str) -> np.ndarray:
+    """The same 0/1 rows in another memory layout."""
+    if how == "pixel rows":  # LSBs of rows of a flat pixel buffer, as the codec reads them
+        n = bits.shape[1]
+        pixels = np.random.default_rng(0).integers(0, 256, (len(bits) + 3) * n, dtype=np.uint8)
+        rows = pixels.reshape(-1, n)[2 : 2 + len(bits)]
+        rows ^= (rows & 1) ^ bits
+        return rows & 1
+    if how == "strided":
+        wide = np.zeros((2 * len(bits), 2 * bits.shape[1]), dtype=np.uint8)
+        wide[::2, 1::2] = bits
+        return wide[::2, 1::2]
+    if how == "fortran":
+        return np.asfortranarray(bits)
+    return bits
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     p=st.sampled_from(WIDTHS),
-    n=st.integers(1, 40),
+    n=st.integers(1, 72),  # up to nine byte digits per row
     count=st.one_of(st.sampled_from([0, 1]), st.integers(2, 70)),
+    layout=st.sampled_from(["contiguous", "pixel rows", "strided", "fortran"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_block_syndromes_match_mat_vec_mul(p, n, count, seed):
+def test_block_syndromes_match_mat_vec_mul(p, n, count, layout, seed):
+    # counts are drawn freely, so most are not a multiple of the
+    # 8 / gcd(n, 8) rows after which the row bit offsets repeat
     rng = np.random.default_rng(seed)
     h = rng.integers(0, 2, (p, n), dtype=np.uint8)
     blocks = rng.integers(0, 2, (count, n), dtype=np.uint8)
-    syn = block_syndromes(blocks, column_syndromes(h), p)
+    syn = block_syndromes(_layout(blocks, layout), column_syndromes(h), p)
     oracle = np.array([mat_vec_mul(h, row) for row in blocks], dtype=np.uint8).reshape(count, p)
     if p <= 64:
         assert syn.shape == (count,) and syn.dtype == NARROWEST[p]
         ints = [int(s) for s in syn]
     else:
-        assert syn.shape == (count, 2) and syn.dtype == np.uint64
-        ints = [(int(hi) << 64) | int(lo) for hi, lo in syn]
+        assert syn.shape == (count, -(-p // 64)) and syn.dtype == np.uint64
+        ints = [int.from_bytes(row.astype(">u8").tobytes(), "big") for row in syn]
     assert ints == [syndrome_index(row) for row in oracle]
     assert np.array_equal(syndrome_bits(syn, p), oracle)
 

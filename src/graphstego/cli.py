@@ -6,12 +6,18 @@ PGM/BMP covers), table (recompute the published protocol-comparison
 figures).  Exit codes: 0 success, 2 usage, 3 format/parse error,
 4 capacity exceeded, 5 invariant violation, 6 code too large for a
 coset table (more than MAX_SYNDROME_BITS syndrome bits).
+
+The process entry, :func:`run`, freezes the heap left by the imports
+before it dispatches, so the collection at interpreter exit skips
+numpy's import-time objects; :func:`main` leaves the GC alone for
+callers that run it in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import re
 import sys
@@ -22,10 +28,9 @@ from .codebook import CodebookError, code_from_codebook, format_codebook
 from .codec import (
     CapacityError,
     FrameError,
-    bits_to_bytes,
+    _extract_image_bytes,
     bytes_to_bits,
     embed_image,
-    extract_image,
 )
 from .decoder import (
     TableCacheError,
@@ -177,11 +182,9 @@ def _cmd_embed(args) -> int:
 
 def _cmd_extract(args) -> int:
     code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
-    bits = extract_image(load_image(args.stego), code)
-    if bits.size % 8:
-        raise FrameError(f"recovered {bits.size} bits, not a whole number of bytes")
-    Path(args.out).write_bytes(bits_to_bytes(bits))
-    print(f"extracted {bits.size // 8} bytes to {args.out}")
+    data = _extract_image_bytes(load_image(args.stego), code)
+    Path(args.out).write_bytes(data)
+    print(f"extracted {data.size} bytes to {args.out}")
     return EXIT_OK
 
 
@@ -304,5 +307,11 @@ def main(argv=None) -> int:
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
+def run() -> int:
+    """Process entry of ``python -m graphstego.cli`` and the ``graphstego`` script."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -17,7 +17,6 @@ order.  Blank lines are ignored; anything else is an error.
 
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
 
 from .graphs import Graph, GraphicalCode, build_code, build_graph
@@ -106,6 +105,8 @@ def codebook_digest(text: str) -> str:
 
     Suitable for naming coset-table cache files per codebook.
     """
+    import hashlib  # only here: it costs ~5 ms of every package import
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

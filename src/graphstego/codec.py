@@ -7,7 +7,8 @@ receiver recovers m as H(v) with no table at all.
 
 A byte stream is framed before embedding: a 32-bit big-endian bit
 count, the payload bits MSB-first within each byte, then zero padding
-up to a multiple of p.
+up to a multiple of p.  Both directions carry the frame packed, eight
+bits to a byte: the header's 4 bytes, then the payload bits.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .gf2 import (
     as_bits,
     block_syndromes,
     column_syndromes,
+    stream_syndromes,
     syndrome_bits,
     syndrome_index,
 )
@@ -30,6 +32,7 @@ from .graphs import GraphicalCode
 from .images import CoverImage
 
 HEADER_BITS = 32
+HEADER_BYTES = HEADER_BITS // 8
 #: Blocks per pass of the stream codec; bounds its working memory.
 CHUNK_BLOCKS = 1 << 16
 
@@ -84,15 +87,7 @@ def extract_block(v, code: GraphicalCode) -> np.ndarray:
     if v.size != code.n_len:
         raise ValueError(f"block must have {code.n_len} bits, got {v.size}")
     p = code.n_len - code.k
-    return _message_bits(v[None, :], column_syndromes(code.parity_check), p)[0]
-
-
-def _message_bits(blocks: np.ndarray, columns: list[int], p: int) -> np.ndarray:
-    """Message bits H(v) of each row of an (N, n) block matrix, as (N, p).
-
-    ``columns`` are the parity check's :func:`column_syndromes`.
-    """
-    return syndrome_bits(block_syndromes(blocks, columns, p), p)
+    return syndrome_bits(block_syndromes(v[None, :], column_syndromes(code.parity_check), p), p)[0]
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
@@ -109,17 +104,27 @@ def bits_to_bytes(bits) -> bytes:
 
 
 def frame_payload(data_bits, p: int) -> np.ndarray:
-    """Prefix a 32-bit length header and zero-pad to a multiple of p."""
-    data_bits = _bits_view(data_bits)
+    """Prefix a 32-bit length header and zero-pad to a multiple of p.
+
+    The unpacked view of the frame that embedding carries packed.
+    """
     if p < 1:
         raise ValueError(f"block message size must be positive, got {p}")
+    frame, bits = _packed_frame(data_bits)
+    return np.unpackbits(frame, count=bits + -bits % p)
+
+
+def _packed_frame(data_bits) -> tuple[np.ndarray, int]:
+    """The frame packed MSB first, and its length in bits before padding.
+
+    ``packbits`` fills the last byte with zeros, which are the frame's
+    padding; bits read past the end are zero as well.
+    """
+    data_bits = _bits_view(data_bits)
     if data_bits.size >= 1 << HEADER_BITS:
         raise ValueError("payload too long for a 32-bit length header")
-    header = np.unpackbits(
-        np.frombuffer(struct.pack(">I", data_bits.size), dtype=np.uint8)
-    )
-    pad = -(HEADER_BITS + data_bits.size) % p
-    return np.concatenate([header, data_bits, np.zeros(pad, dtype=np.uint8)])
+    header = np.frombuffer(struct.pack(">I", data_bits.size), dtype=np.uint8)
+    return np.concatenate([header, np.packbits(data_bits)]), HEADER_BITS + data_bits.size
 
 
 def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, EmbedReport]:
@@ -166,8 +171,8 @@ def _embed_lsbs(carrier: np.ndarray, data_bits, table: CosetTable) -> EmbedRepor
     code = table.code
     n = code.n_len
     p = n - code.k
-    messages = frame_payload(data_bits, p).reshape(-1, p)
-    blocks_used = len(messages)
+    frame, bits = _packed_frame(data_bits)
+    blocks_used = -(-bits // p)
     needed = blocks_used * n
     if needed > carrier.size:
         raise CapacityError(
@@ -176,7 +181,7 @@ def _embed_lsbs(carrier: np.ndarray, data_bits, table: CosetTable) -> EmbedRepor
     blocks = carrier[:needed].reshape(-1, n)
     columns = column_syndromes(code.parity_check)
     # leader index H(t) XOR m: each message read as a syndrome through identity columns
-    msg = block_syndromes(messages, [1 << (p - 1 - i) for i in range(p)], p)
+    msg = stream_syndromes(frame, blocks_used, [1 << (p - 1 - i) for i in range(p)], p)
     counts = np.zeros(len(table.leaders), dtype=np.int64)
     for start in range(0, blocks_used, CHUNK_BLOCKS):
         part = blocks[start : start + CHUNK_BLOCKS]
@@ -205,7 +210,7 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
         FrameError: if the stream is too short for the header or for
             the length the header declares.
     """
-    return _extract_lsbs(_bits_view(stego_bits), code)
+    return _payload_bits(*_extract_lsbs(_bits_view(stego_bits), code))
 
 
 def extract_image(img: CoverImage, code: GraphicalCode) -> np.ndarray:
@@ -217,11 +222,33 @@ def extract_image(img: CoverImage, code: GraphicalCode) -> np.ndarray:
     Raises:
         FrameError: as :func:`extract_stream`.
     """
-    return _extract_lsbs(img.pixels.reshape(-1), code)
+    return _payload_bits(*_extract_lsbs(img.pixels.reshape(-1), code))
 
 
-def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> np.ndarray:
-    """Framed payload from the LSBs of a flat array of bits or pixels."""
+def _extract_image_bytes(img: CoverImage, code: GraphicalCode) -> np.ndarray:
+    """``bits_to_bytes(extract_image(img, code))``, sliced from the packed frame.
+
+    Raises:
+        FrameError: as :func:`extract_image`, or if the declared length
+            is not a whole number of bytes.
+    """
+    frame, declared = _extract_lsbs(img.pixels.reshape(-1), code)
+    if declared % 8:
+        raise FrameError(f"recovered {declared} bits, not a whole number of bytes")
+    return frame[HEADER_BYTES : HEADER_BYTES + declared // 8]
+
+
+def _payload_bits(frame: np.ndarray, declared: int) -> np.ndarray:
+    return np.unpackbits(frame[HEADER_BYTES:], count=declared)
+
+
+def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray, int]:
+    """Packed frame from the LSBs of a flat array of bits or pixels.
+
+    Returns:
+        (frame, declared): the frame's bytes, header first, and the
+        payload length in bits that the header declares.
+    """
     n = code.n_len
     p = n - code.k
     header_blocks = -(-HEADER_BITS // p)
@@ -231,17 +258,26 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> np.ndarray:
         )
     blocks = carrier[: carrier.size // n * n].reshape(-1, n)
     columns = column_syndromes(code.parity_check)
-    header = _message_bits(blocks[:header_blocks] & 1, columns, p).reshape(-1)[:HEADER_BITS]
-    declared = int.from_bytes(np.packbits(header).tobytes(), "big")
+    header = _pack_rows(block_syndromes(blocks[:header_blocks] & 1, columns, p), p, 0)
+    declared = int.from_bytes(header[:HEADER_BYTES].tobytes(), "big")
     total_blocks = -(-(HEADER_BITS + declared) // p)
     if total_blocks > len(blocks):
         raise FrameError(
             f"header declares {declared} payload bits needing {total_blocks * n} "
             f"stego bits, only {carrier.size} present"
         )
-    framed = np.empty((total_blocks, p), dtype=np.uint8)
+    frame = np.zeros(-(-total_blocks * p // 8), dtype=np.uint8)
     for start in range(0, total_blocks, CHUNK_BLOCKS):
         stop = min(start + CHUNK_BLOCKS, total_blocks)
-        framed[start:stop] = _message_bits(blocks[start:stop] & 1, columns, p)
-    return framed.reshape(-1)[HEADER_BITS : HEADER_BITS + declared]
+        first, lead = divmod(start * p, 8)
+        part = _pack_rows(block_syndromes(blocks[start:stop] & 1, columns, p), p, lead)
+        # the previous chunk left the low 8 - lead bits of frame[first] zero
+        frame[first : first + len(part)] |= part
+    return frame, declared
 
+
+def _pack_rows(syndromes: np.ndarray, width: int, lead: int) -> np.ndarray:
+    """``lead`` zero bits, then each syndrome's ``width`` bits, packed MSB first."""
+    bits = np.zeros(lead + len(syndromes) * width, dtype=np.uint8)
+    bits[lead:].reshape(-1, width)[:] = syndrome_bits(syndromes, width)
+    return np.packbits(bits)

@@ -118,14 +118,9 @@ def column_syndromes(matrix) -> list[int]:
 def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> np.ndarray:
     """Syndrome of each row of a block matrix: the XOR of its set columns.
 
-    The rows are packed as one flat bit stream, so row i starts at bit
-    i*n.  Bit offsets repeat every 8/gcd(n, 8) rows: for each row phase,
-    each byte-wide digit of a row is a strided slice of the packed
-    stream shifted by a constant, looked up in a 256-entry table of
-    XORs of the eight columns it covers.  Table columns past n are
-    zero, so bits of the next row that a digit takes in drop out.
-    ``blocks`` is trusted: callers validate at their public entry
-    points.
+    The rows are packed as one flat bit stream and handed to
+    :func:`stream_syndromes`.  ``blocks`` is trusted: callers validate
+    at their public entry points.
 
     Args:
         blocks: (N, len(columns)) uint8 array with entries in {0, 1}.
@@ -138,6 +133,22 @@ def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> n
         dtype holding ``width`` bits; above that, (N, ceil(width/64))
         uint64 words, most significant word first.  Either way a
         syndrome reads as :func:`syndrome_index` reads its bits.
+    """
+    return stream_syndromes(np.packbits(blocks.reshape(-1)), len(blocks), columns, width)
+
+
+def stream_syndromes(
+    packed: np.ndarray, count: int, columns: Sequence[int], width: int
+) -> np.ndarray:
+    """:func:`block_syndromes` of ``count`` rows read from a packed bit stream.
+
+    ``packed`` holds the rows MSB first with no per-row padding, so row
+    i starts at bit i*n; bits past its end read as zero.  Bit offsets
+    repeat every 8/gcd(n, 8) rows: for each row phase, each byte-wide
+    digit of a row is a strided slice of the stream shifted by a
+    constant, looked up in a 256-entry table of XORs of the eight
+    columns it covers.  Table columns past n are zero, so bits of the
+    next row that a digit takes in drop out.
     """
     n = len(columns)
     words = max(1, -(-width // 64))
@@ -156,9 +167,9 @@ def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> n
         tables.append(table)
     period = 8 // math.gcd(n, 8)
     step = n * period // 8  # packed bytes per period of rows
-    # one zero byte past the end: the last row's last digit may read it
-    packed = np.append(np.packbits(blocks.reshape(-1)), np.uint8(0))
-    count = len(blocks)
+    # zero bytes up to one past the last row: its last digit may read it
+    need = -(-count * n // 8) + 1
+    packed = np.pad(packed[:need], (0, max(0, need - len(packed))))
     out = np.zeros((count,) + tail, dtype=dtype)
     for r in range(period):
         rows = len(range(r, count, period))

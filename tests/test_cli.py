@@ -1,18 +1,29 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphstego import cli, codec, decoder
 from graphstego.cli import main
-from graphstego.codebook import bundled_codebook_text, format_codebook, parse_codebook
-from graphstego.codec import bytes_to_bits, embed_image
+from graphstego.codebook import (
+    bundled_codebook_text,
+    code_from_codebook,
+    format_codebook,
+    parse_codebook,
+)
+from graphstego.codec import FrameError, bits_to_bytes, bytes_to_bits, embed_image, extract_stream
+from graphstego.decoder import build_coset_table_bruteforce
 from graphstego.graphs import build_graph
-from graphstego.images import load_image, peak_signal_noise, save_image
+from graphstego.images import load_image, lsb_extract, peak_signal_noise, save_image
 
-from helpers import gp83_edges, random_bmp_bytes, random_pgm_bytes
+from helpers import gp83_edges, random_bmp_bytes, random_graph, random_pgm_bytes
 
 
 @pytest.fixture()
@@ -353,3 +364,107 @@ def test_analyze_builds_no_leader_table(tmp_path, capsys, monkeypatch):
     for path, line in expect.items():
         assert main(["analyze", "--codebook", str(path)]) == 0
         assert capsys.readouterr().out.strip() == line
+
+
+
+WRITERS = {"pgm": random_pgm_bytes, "bmp": random_bmp_bytes}  # (width, height, seed) -> bytes
+COVER_SIZES = {
+    "pgm": ("pgm", 40, 30),
+    "bmp_unpadded": ("bmp", 20, 16),  # 60-byte rows
+    "bmp_padded": ("bmp", 21, 15),  # 63-byte rows, stride 64
+}
+
+
+def _cli_extract(codebook, stego, out, capsys):
+    rc = main(["extract", "--codebook", str(codebook), "--stego", str(stego), "--out", str(out)])
+    return rc, capsys.readouterr()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+@pytest.mark.parametrize("kind", sorted(COVER_SIZES))
+def test_cli_extract_bytes_match_the_bit_path(kind, chunk, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(codec, "CHUNK_BLOCKS", chunk)
+    rng = np.random.default_rng(chunk)
+    fmt, width, height = COVER_SIZES[kind]
+    cover_path, stego_path, out = tmp_path / "cover.img", tmp_path / "stego.img", tmp_path / "out.bin"
+    cover_path.write_bytes(WRITERS[fmt](width, height, chunk))
+    cover = load_image(cover_path)
+    codebook = tmp_path / "code.gc"
+    for text in (bundled_codebook_text("k5"), format_codebook(random_graph(rng, 7, 11))):
+        codebook.write_text(text)
+        code = code_from_codebook(text)
+        table = build_coset_table_bruteforce(code)
+        n, p = code.n_len, code.n_len - code.k
+        full = (cover.capacity // n * p - 32) // 8
+        for size in (0, 1, int(rng.integers(2, full)), full):
+            data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+            save_image(embed_image(cover, bytes_to_bits(data), table)[0], stego_path)
+            want = bits_to_bytes(extract_stream(lsb_extract(load_image(stego_path)), code))
+            rc, captured = _cli_extract(codebook, stego_path, out, capsys)
+            assert (rc, out.read_bytes()) == (0, want) and want == data
+            assert captured.out == f"extracted {size} bytes to {out}\n"
+        # no frame: the random header declares too much, and a one-row
+        # image below header_blocks * n samples cannot even hold the header
+        small = tmp_path / "small.img"
+        small.write_bytes(WRITERS[fmt]((-(-32 // p) * n - 1) // cover.channels, 1, chunk))
+        for path in (cover_path, small):
+            with pytest.raises(FrameError) as exc:
+                extract_stream(lsb_extract(load_image(path)), code)
+            assert ("declares" in str(exc.value)) == (path == cover_path)
+            rc, captured = _cli_extract(codebook, path, out, capsys)
+            assert (rc, captured.err) == (3, f"error: {exc.value}\n")
+
+
+PORCELAIN_KEYS = [
+    "blocks_used", "total_flips", "max_flips_per_block", "embedding_rate",
+    "theoretical_efficiency", "empirical_efficiency", "psnr_db",
+]
+
+
+def _run_cli(*args):
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "graphstego.cli", *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_process_entry_flushes_and_closes_everything(tmp_path, k5_codebook_file, k5_table):
+    # python -m graphstego.cli exits over a frozen heap; piped stdout
+    # and the written files must still come out whole
+    cover, payload = write_pgm(tmp_path / "cover.pgm"), tmp_path / "secret.bin"
+    secret = np.random.default_rng(103).integers(0, 256, 150, dtype=np.uint8).tobytes()
+    payload.write_bytes(secret)
+    stego, out = tmp_path / "stego.pgm", tmp_path / "out.bin"
+    run = _run_cli("embed", "--codebook", k5_codebook_file, "--cover", cover,
+                   "--payload", payload, "--out", stego, "--porcelain")
+    assert (run.returncode, run.stderr) == (0, "")
+    record = [ln.split("=", 1) for ln in run.stdout.splitlines()]
+    assert [key for key, _ in record] == PORCELAIN_KEYS
+    want, report = embed_image(load_image(cover), bytes_to_bits(secret), k5_table)
+    save_image(want, tmp_path / "want.pgm")
+    assert stego.read_bytes() == (tmp_path / "want.pgm").read_bytes()
+    assert dict(record)["total_flips"] == str(report.total_flips)
+    run = _run_cli("extract", "--codebook", k5_codebook_file, "--stego", stego, "--out", out)
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"extracted 150 bytes to {out}\n", "")
+    assert out.read_bytes() == secret
+    # the error exits are unchanged
+    truncated = tmp_path / "truncated.pgm"
+    truncated.write_bytes(stego.read_bytes()[:-1])
+    run = _run_cli("extract", "--codebook", k5_codebook_file, "--stego", truncated, "--out", out)
+    assert run.returncode == 3 and run.stderr.startswith("error:")
+    payload.write_bytes(bytes(1000))
+    run = _run_cli("embed", "--codebook", k5_codebook_file, "--cover", cover,
+                   "--payload", payload, "--out", tmp_path / "x.pgm")
+    assert (run.returncode, run.stdout) == (4, "") and run.stderr.startswith("error:")
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path, k5_codebook_file, monkeypatch, capsys):
+    assert main(["analyze", "--codebook", str(k5_codebook_file)]) == 0
+    assert gc.get_freeze_count() == 0
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    assert cli.run() == 0
+    assert calls == ["freeze", "main"]

@@ -273,6 +273,22 @@ def test_image_path_peak_memory_stays_below_the_bit_plane_composition(k5_table, 
     assert np.array_equal(recovered, payload)
 
 
+def test_packed_frame_peaks_below_the_bit_per_byte_frame(k5_table, k5_code):
+    # with one byte per frame bit, embed_image peaked at 2.00x the pixel
+    # bytes and the CLI's extract path (extract_image, then
+    # bits_to_bytes) at 0.69x
+    rng = np.random.default_rng(47)
+    pixels = rng.integers(0, 256, 1 << 22, dtype=np.uint8)
+    cover = CoverImage(width=2048, height=2048, channels=1, depth=8, pixels=pixels,
+                       format_tag="pgm")
+    payload = rng.integers(0, 2, int(0.95 * 0.4 * pixels.size) // 8 * 8, dtype=np.uint8)
+    peak, (stego, _) = _traced_peak(embed_image, cover, payload, k5_table)
+    assert peak < 1.8 * pixels.nbytes
+    peak, data = _traced_peak(codec._extract_image_bytes, stego, k5_code)
+    assert peak < 0.5 * pixels.nbytes
+    assert data.tobytes() == np.packbits(payload).tobytes()
+
+
 @pytest.mark.parametrize("bad", [2, 255])
 def test_public_entry_points_reject_non_bits(bad, k5_table, k5_code):
     bits = np.zeros(800, dtype=np.uint8)

@@ -16,8 +16,6 @@ import numpy as np
 from graphstego import (
     build_coset_table_bruteforce,
     bundled_codebook_text,
-    bytes_to_bits,
-    bits_to_bytes,
     code_from_codebook,
     embed_image,
     extract_image,
@@ -50,9 +48,10 @@ code = code_from_codebook(bundled_codebook_text("k5"))
 table = build_coset_table_bruteforce(code)
 
 secret = b"Meet at the old bridge, Thursday 23:40. Bring the ledger."
-# embed_image XORs each block's leader straight into a copy of the
-# pixels: flipping a bit of the LSB plane is flipping a pixel's LSB.
-stego, report = embed_image(cover, bytes_to_bits(secret), table)
+# embed_image frames the bytes (a 32-bit bit count, then the payload)
+# and XORs each block's leader straight into a copy of the pixels:
+# flipping a bit of the LSB plane is flipping a pixel's LSB.
+stego, report = embed_image(cover, secret, table)
 stego_path = workdir / "stego.pgm"
 save_image(stego, stego_path)
 
@@ -66,11 +65,11 @@ psnr = peak_signal_noise(cover, stego)
 print(f"PSNR: {psnr:.2f} dB" if psnr else "PSNR: infinite (no pixel changed)")
 
 # --- extract -------------------------------------------------------------
-# The receiving side needs only the stego image and the codebook.
+# The receiving side needs only the stego image and the codebook: the
+# frame's header says how many payload bytes to read back.
 
 received = load_image(stego_path)
-bits = extract_image(received, code)
-message = bits_to_bytes(bits)
+message = extract_image(received, code)
 print(f"recovered {len(message)} bytes: {message.decode()!r}")
 assert message == secret
 

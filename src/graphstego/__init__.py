@@ -11,7 +11,6 @@ from .codebook import (
     CodebookError,
     bundled_codebook_text,
     code_from_codebook,
-    codebook_digest,
     format_codebook,
     parse_codebook,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "bytes_to_bits",
     "code_from_codebook",
     "code_report",
-    "codebook_digest",
     "complete_graph",
     "covering_radius_bruteforce",
     "covering_radius_tjoin",

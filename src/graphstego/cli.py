@@ -25,13 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from .codebook import CodebookError, code_from_codebook, format_codebook
-from .codec import (
-    CapacityError,
-    FrameError,
-    _extract_image_bytes,
-    bytes_to_bits,
-    embed_image,
-)
+from .codec import CapacityError, FrameError, embed_image, extract_image
 from .decoder import (
     TableCacheError,
     TableSizeError,
@@ -158,7 +152,7 @@ def _cmd_embed(args) -> int:
     table = build_coset_table_bruteforce(code)
     cover = load_image(args.cover)
     payload = Path(args.payload).read_bytes()
-    stego, report = embed_image(cover, bytes_to_bits(payload), table)
+    stego, report = embed_image(cover, payload, table)
     save_image(stego, args.out)
     psnr = _psnr_db(report.total_flips, stego.pixels.size)
     psnr_txt = "inf" if psnr is None else f"{psnr:.2f}"
@@ -182,9 +176,9 @@ def _cmd_embed(args) -> int:
 
 def _cmd_extract(args) -> int:
     code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
-    data = _extract_image_bytes(load_image(args.stego), code)
+    data = extract_image(load_image(args.stego), code)
     Path(args.out).write_bytes(data)
-    print(f"extracted {data.size} bytes to {args.out}")
+    print(f"extracted {len(data)} bytes to {args.out}")
     return EXIT_OK
 
 

@@ -100,16 +100,6 @@ def code_from_codebook(text: str) -> GraphicalCode:
     return build_code(graph, tree_ids)
 
 
-def codebook_digest(text: str) -> str:
-    """SHA-256 hex digest of the exact codebook text (UTF-8 bytes).
-
-    Suitable for naming coset-table cache files per codebook.
-    """
-    import hashlib  # only here: it costs ~5 ms of every package import
-
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def bundled_codebook_text(name: str = "k5") -> str:
     """Text of a codebook shipped with the package.
 

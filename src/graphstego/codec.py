@@ -5,10 +5,12 @@ equals the check of t (syndrome s = m XOR H(t) is zero); otherwise the
 coset leader of s is XORed in, flipping at most rho positions.  The
 receiver recovers m as H(v) with no table at all.
 
-A byte stream is framed before embedding: a 32-bit big-endian bit
-count, the payload bits MSB-first within each byte, then zero padding
-up to a multiple of p.  Both directions carry the frame packed, eight
-bits to a byte: the header's 4 bytes, then the payload bits.
+A payload is framed before embedding: a 32-bit big-endian bit count,
+the payload bits MSB-first within each byte, then zero padding up to a
+multiple of p.  Both directions carry the frame packed, eight bits to a
+byte: the header's 4 bytes, then the payload bytes.  The image level
+takes and returns those bytes; the stream level unpacks them to one
+array entry per bit.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .images import CoverImage
 HEADER_BITS = 32
 HEADER_BYTES = HEADER_BITS // 8
 #: Blocks per pass of the stream codec; bounds its working memory.
+#: Extraction rounds it up to a multiple of 8 blocks, so that every
+#: chunk starts on a whole frame byte.
 CHUNK_BLOCKS = 1 << 16
 
 
@@ -110,21 +114,23 @@ def frame_payload(data_bits, p: int) -> np.ndarray:
     """
     if p < 1:
         raise ValueError(f"block message size must be positive, got {p}")
-    frame, bits = _packed_frame(data_bits)
+    data_bits = _bits_view(data_bits)
+    frame = _packed_frame(np.packbits(data_bits), data_bits.size)
+    bits = HEADER_BITS + data_bits.size
     return np.unpackbits(frame, count=bits + -bits % p)
 
 
-def _packed_frame(data_bits) -> tuple[np.ndarray, int]:
-    """The frame packed MSB first, and its length in bits before padding.
+def _packed_frame(packed: np.ndarray, bits: int) -> np.ndarray:
+    """The header declaring ``bits`` payload bits, then ``packed``: the frame MSB first.
 
-    ``packbits`` fills the last byte with zeros, which are the frame's
-    padding; bits read past the end are zero as well.
+    ``packed`` holds the payload bits packed, their last byte filled
+    with zeros, which are the frame's padding; bits read past the end
+    are zero as well.
     """
-    data_bits = _bits_view(data_bits)
-    if data_bits.size >= 1 << HEADER_BITS:
+    if bits >= 1 << HEADER_BITS:
         raise ValueError("payload too long for a 32-bit length header")
-    header = np.frombuffer(struct.pack(">I", data_bits.size), dtype=np.uint8)
-    return np.concatenate([header, np.packbits(data_bits)]), HEADER_BITS + data_bits.size
+    header = np.frombuffer(struct.pack(">I", bits), dtype=np.uint8)
+    return np.concatenate([header, packed])
 
 
 def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, EmbedReport]:
@@ -140,30 +146,38 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
             cover holds.
     """
     stego = as_bits(cover_bits)  # a fresh copy: the output array
-    return stego, _embed_lsbs(stego, data_bits, table)
+    data_bits = _bits_view(data_bits)
+    return stego, _embed_lsbs(stego, np.packbits(data_bits), data_bits.size, table)
 
 
-def embed_image(cover: CoverImage, data_bits, table: CosetTable) -> tuple[CoverImage, EmbedReport]:
-    """:func:`embed_stream` on the cover's LSB plane, in one copy of its pixels.
+def embed_image(
+    cover: CoverImage, payload: bytes, table: CosetTable
+) -> tuple[CoverImage, EmbedReport]:
+    """Embed the ``payload`` bytes in the cover's LSB plane, in one copy of its pixels.
 
     Gives the same stego pixels and report as
-    ``lsb_inject(cover, embed_stream(lsb_extract(cover), data_bits, table))``
-    without building the bit plane.  The cover is never modified; the
-    returned image's pixels are a read-only array of their own.
+    ``lsb_inject(cover, embed_stream(lsb_extract(cover), bytes_to_bits(payload), table))``
+    without building the bit plane or the payload bits.  The cover is
+    never modified; the returned image's pixels are a read-only array
+    of their own.
 
     Raises:
         CapacityError: if the framed payload needs more blocks than the
             cover has pixels.
     """
+    packed = np.frombuffer(payload, dtype=np.uint8)
     pixels = cover.pixels.copy()
-    report = _embed_lsbs(pixels.reshape(-1), data_bits, table)
+    report = _embed_lsbs(pixels.reshape(-1), packed, 8 * packed.size, table)
     pixels.setflags(write=False)
     return replace(cover, pixels=pixels), report
 
 
-def _embed_lsbs(carrier: np.ndarray, data_bits, table: CosetTable) -> EmbedReport:
-    """Embed the framed ``data_bits`` in the LSBs of ``carrier``, in place.
+def _embed_lsbs(
+    carrier: np.ndarray, packed: np.ndarray, bits: int, table: CosetTable
+) -> EmbedReport:
+    """Embed the framed payload in the LSBs of ``carrier``, in place.
 
+    ``packed`` holds the ``bits`` payload bits, packed MSB first.
     ``carrier`` is a writable flat integer array of 0/1 bits or of
     pixels: each chunk's syndromes are read from ``part & 1``, and
     XOR-ing a 0/1 leader into ``part`` flips exactly those LSBs.
@@ -171,8 +185,8 @@ def _embed_lsbs(carrier: np.ndarray, data_bits, table: CosetTable) -> EmbedRepor
     code = table.code
     n = code.n_len
     p = n - code.k
-    frame, bits = _packed_frame(data_bits)
-    blocks_used = -(-bits // p)
+    frame = _packed_frame(packed, bits)
+    blocks_used = -(-(HEADER_BITS + bits) // p)
     needed = blocks_used * n
     if needed > carrier.size:
         raise CapacityError(
@@ -201,7 +215,7 @@ def _embed_lsbs(carrier: np.ndarray, data_bits, table: CosetTable) -> EmbedRepor
 
 
 def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
-    """Recover the framed payload from the leading stego blocks.
+    """Recover the framed payload bits from the leading stego blocks.
 
     Reads just enough blocks for the header, then exactly as many as
     the declared length requires, :data:`CHUNK_BLOCKS` at a time.
@@ -210,36 +224,24 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
         FrameError: if the stream is too short for the header or for
             the length the header declares.
     """
-    return _payload_bits(*_extract_lsbs(_bits_view(stego_bits), code))
+    frame, declared = _extract_lsbs(_bits_view(stego_bits), code)
+    return np.unpackbits(frame[HEADER_BYTES:], count=declared)
 
 
-def extract_image(img: CoverImage, code: GraphicalCode) -> np.ndarray:
-    """:func:`extract_stream` on the image's LSB plane, read straight from its pixels.
+def extract_image(img: CoverImage, code: GraphicalCode) -> bytes:
+    """Recover the payload bytes from the image's LSB plane, read straight from its pixels.
 
-    Equal to ``extract_stream(lsb_extract(img), code)`` without building
-    the bit plane.
-
-    Raises:
-        FrameError: as :func:`extract_stream`.
-    """
-    return _payload_bits(*_extract_lsbs(img.pixels.reshape(-1), code))
-
-
-def _extract_image_bytes(img: CoverImage, code: GraphicalCode) -> np.ndarray:
-    """``bits_to_bytes(extract_image(img, code))``, sliced from the packed frame.
+    Equal to ``bits_to_bytes(extract_stream(lsb_extract(img), code))``
+    without building the bit plane or the payload bits.
 
     Raises:
-        FrameError: as :func:`extract_image`, or if the declared length
+        FrameError: as :func:`extract_stream`, or if the declared length
             is not a whole number of bytes.
     """
     frame, declared = _extract_lsbs(img.pixels.reshape(-1), code)
     if declared % 8:
         raise FrameError(f"recovered {declared} bits, not a whole number of bytes")
-    return frame[HEADER_BYTES : HEADER_BYTES + declared // 8]
-
-
-def _payload_bits(frame: np.ndarray, declared: int) -> np.ndarray:
-    return np.unpackbits(frame[HEADER_BYTES:], count=declared)
+    return frame[HEADER_BYTES : HEADER_BYTES + declared // 8].tobytes()
 
 
 def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray, int]:
@@ -258,7 +260,7 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray,
         )
     blocks = carrier[: carrier.size // n * n].reshape(-1, n)
     columns = column_syndromes(code.parity_check)
-    header = _pack_rows(block_syndromes(blocks[:header_blocks] & 1, columns, p), p, 0)
+    header = _message_bytes(blocks[:header_blocks], columns, p)
     declared = int.from_bytes(header[:HEADER_BYTES].tobytes(), "big")
     total_blocks = -(-(HEADER_BITS + declared) // p)
     if total_blocks > len(blocks):
@@ -266,18 +268,15 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray,
             f"header declares {declared} payload bits needing {total_blocks * n} "
             f"stego bits, only {carrier.size} present"
         )
-    frame = np.zeros(-(-total_blocks * p // 8), dtype=np.uint8)
-    for start in range(0, total_blocks, CHUNK_BLOCKS):
-        stop = min(start + CHUNK_BLOCKS, total_blocks)
-        first, lead = divmod(start * p, 8)
-        part = _pack_rows(block_syndromes(blocks[start:stop] & 1, columns, p), p, lead)
-        # the previous chunk left the low 8 - lead bits of frame[first] zero
-        frame[first : first + len(part)] |= part
+    frame = np.empty(-(-total_blocks * p // 8), dtype=np.uint8)
+    step = -(-CHUNK_BLOCKS // 8) * 8  # start * p is then a whole number of bytes
+    for start in range(0, total_blocks, step):
+        part = _message_bytes(blocks[start : min(start + step, total_blocks)], columns, p)
+        frame[start * p // 8 : start * p // 8 + len(part)] = part
     return frame, declared
 
 
-def _pack_rows(syndromes: np.ndarray, width: int, lead: int) -> np.ndarray:
-    """``lead`` zero bits, then each syndrome's ``width`` bits, packed MSB first."""
-    bits = np.zeros(lead + len(syndromes) * width, dtype=np.uint8)
-    bits[lead:].reshape(-1, width)[:] = syndrome_bits(syndromes, width)
-    return np.packbits(bits)
+def _message_bytes(blocks: np.ndarray, columns, p: int) -> np.ndarray:
+    """The p message bits H(v) of each block, packed MSB first with no gaps."""
+    bits = syndrome_bits(block_syndromes(blocks & 1, columns, p), p)
+    return np.packbits(bits.reshape(-1))  # a contiguous copy packs faster than the strided view

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,17 @@ from graphstego.codebook import (
     format_codebook,
     parse_codebook,
 )
-from graphstego.codec import FrameError, bits_to_bytes, bytes_to_bits, embed_image, extract_stream
+from graphstego.codec import (
+    FrameError,
+    bits_to_bytes,
+    embed_image,
+    embed_stream,
+    extract_image,
+    extract_stream,
+)
 from graphstego.decoder import build_coset_table_bruteforce
 from graphstego.graphs import build_graph
-from graphstego.images import load_image, lsb_extract, peak_signal_noise, save_image
+from graphstego.images import load_image, lsb_extract, lsb_inject, peak_signal_noise, save_image
 
 from helpers import gp83_edges, random_bmp_bytes, random_graph, random_pgm_bytes
 
@@ -214,6 +222,20 @@ def test_extract_wrong_codebook_reports_frame_error(tmp_path, k5_codebook_file, 
     assert "declares" in captured.err
 
 
+def test_extract_rejects_a_frame_of_partial_bytes(tmp_path, k5_codebook_file, k5_table, capsys):
+    stego_path, out = tmp_path / "stego.pgm", tmp_path / "y.bin"
+    cover = load_image(write_pgm(tmp_path / "cover.pgm"))
+    bits = np.random.default_rng(13).integers(0, 2, 13, dtype=np.uint8)
+    stego = lsb_inject(cover, embed_stream(lsb_extract(cover), bits, k5_table)[0])
+    save_image(stego, stego_path)
+    assert np.array_equal(extract_stream(lsb_extract(stego), k5_table.code), bits)
+    with pytest.raises(FrameError, match="not a whole number of bytes"):
+        extract_image(stego, k5_table.code)
+    rc, captured = _cli_extract(k5_codebook_file, stego_path, out, capsys)
+    assert (rc, captured.out) == (3, "") and "not a whole number of bytes" in captured.err
+    assert not out.exists()
+
+
 def test_extract_truncated_stego(tmp_path, k5_codebook_file, capsys):
     tiny = write_pgm(tmp_path / "tiny.pgm", side=4)
     rc = main([
@@ -320,7 +342,7 @@ def test_embed_psnr_comes_from_the_flip_count(name, cover_bytes, tmp_path, k5_ta
     payload.write_bytes(np.random.default_rng(101).integers(0, 256, 100, dtype=np.uint8).tobytes())
     # each flip moves one pixel by exactly 1, so the squared error is the flip count
     cover = load_image(cover_path)
-    stego, report = embed_image(cover, bytes_to_bits(payload.read_bytes()), k5_table)
+    stego, report = embed_image(cover, payload.read_bytes(), k5_table)
     diff = stego.pixels.astype(np.int64) - cover.pixels
     assert report.total_flips > 0 and int(diff @ diff) == report.total_flips
     codebook = write_codebook(tmp_path, "k5")
@@ -398,7 +420,7 @@ def test_cli_extract_bytes_match_the_bit_path(kind, chunk, tmp_path, monkeypatch
         full = (cover.capacity // n * p - 32) // 8
         for size in (0, 1, int(rng.integers(2, full)), full):
             data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-            save_image(embed_image(cover, bytes_to_bits(data), table)[0], stego_path)
+            save_image(embed_image(cover, data, table)[0], stego_path)
             want = bits_to_bytes(extract_stream(lsb_extract(load_image(stego_path)), code))
             rc, captured = _cli_extract(codebook, stego_path, out, capsys)
             assert (rc, out.read_bytes()) == (0, want) and want == data
@@ -442,7 +464,7 @@ def test_process_entry_flushes_and_closes_everything(tmp_path, k5_codebook_file,
     assert (run.returncode, run.stderr) == (0, "")
     record = [ln.split("=", 1) for ln in run.stdout.splitlines()]
     assert [key for key, _ in record] == PORCELAIN_KEYS
-    want, report = embed_image(load_image(cover), bytes_to_bits(secret), k5_table)
+    want, report = embed_image(load_image(cover), secret, k5_table)
     save_image(want, tmp_path / "want.pgm")
     assert stego.read_bytes() == (tmp_path / "want.pgm").read_bytes()
     assert dict(record)["total_flips"] == str(report.total_flips)
@@ -458,6 +480,28 @@ def test_process_entry_flushes_and_closes_everything(tmp_path, k5_codebook_file,
     run = _run_cli("embed", "--codebook", k5_codebook_file, "--cover", cover,
                    "--payload", payload, "--out", tmp_path / "x.pgm")
     assert (run.returncode, run.stdout) == (4, "") and run.stderr.startswith("error:")
+
+
+def test_cli_embed_peak_memory_stays_below_3x_the_pixels(tmp_path, k5_codebook_file, capsys):
+    # unpacking the payload to one byte per bit, only to pack it back
+    # into the frame, put the embed command's peak at 3.14x
+    rng = np.random.default_rng(47)
+    pixels = rng.integers(0, 256, 1 << 22, dtype=np.uint8)
+    payload_bits = rng.integers(0, 2, int(0.95 * 0.4 * pixels.size), dtype=np.uint8)
+    cover, payload, stego = tmp_path / "cover.pgm", tmp_path / "secret.bin", tmp_path / "stego.pgm"
+    cover.write_bytes(b"P5\n2048 2048\n255\n" + pixels.tobytes())
+    payload.write_bytes(np.packbits(payload_bits).tobytes())
+    tracemalloc.start()
+    try:
+        rc = main([
+            "embed", "--codebook", str(k5_codebook_file), "--cover", str(cover),
+            "--payload", str(payload), "--out", str(stego),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0 and peak < 3.0 * pixels.nbytes
 
 
 def test_only_the_process_entry_freezes_the_heap(tmp_path, k5_codebook_file, monkeypatch, capsys):

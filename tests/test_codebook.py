@@ -6,7 +6,6 @@ from graphstego.codebook import (
     CodebookError,
     bundled_codebook_text,
     code_from_codebook,
-    codebook_digest,
     format_codebook,
     parse_codebook,
 )
@@ -78,11 +77,3 @@ def test_parse_rejects_bad_tree_lines():
 def test_graph_level_errors_propagate():
     with pytest.raises(GraphError):
         parse_codebook("graphcode v1\nvertices 4\nedge 1 1 2\nedge 2 3 4\n")
-
-
-def test_digest_is_stable_and_content_sensitive():
-    a = format_codebook(complete_graph(4))
-    b = format_codebook(complete_graph(5))
-    assert codebook_digest(a) == codebook_digest(a)
-    assert codebook_digest(a) != codebook_digest(b)
-    assert len(codebook_digest(a)) == 64

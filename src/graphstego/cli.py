@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from .codebook import CodebookError, code_from_codebook, format_codebook
-from .codec import CapacityError, FrameError, embed_image, extract_image
+from .codec import CapacityError, FrameError, check_capacity, embed_image, extract_image
 from .decoder import (
     TableCacheError,
     TableSizeError,
@@ -149,9 +149,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_embed(args) -> int:
     code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
-    table = build_coset_table_bruteforce(code)
+    _check_size(code.n_len - code.k)
     cover = load_image(args.cover)
     payload = Path(args.payload).read_bytes()
+    check_capacity(code, 8 * len(payload), cover.capacity)  # before any table work
+    table = build_coset_table_bruteforce(code)
     stego, report = embed_image(cover, payload, table)
     save_image(stego, args.out)
     psnr = _psnr_db(report.total_flips, stego.pixels.size)

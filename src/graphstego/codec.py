@@ -22,6 +22,7 @@ import numpy as np
 
 from .decoder import CosetTable
 from .gf2 import (
+    SyndromeTables,
     _bits_view,
     as_bits,
     block_syndromes,
@@ -29,6 +30,7 @@ from .gf2 import (
     stream_syndromes,
     syndrome_bits,
     syndrome_index,
+    syndrome_tables,
 )
 from .graphs import GraphicalCode
 from .images import CoverImage
@@ -36,7 +38,7 @@ from .images import CoverImage
 HEADER_BITS = 32
 HEADER_BYTES = HEADER_BITS // 8
 #: Blocks per pass of the stream codec; bounds its working memory.
-#: Extraction rounds it up to a multiple of 8 blocks, so that every
+#: Both directions round it up to a multiple of 8 blocks, so that every
 #: chunk starts on a whole frame byte.
 CHUNK_BLOCKS = 1 << 16
 
@@ -145,15 +147,16 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
         CapacityError: if the framed payload needs more blocks than the
             cover holds.
     """
-    stego = as_bits(cover_bits)  # a fresh copy: the output array
+    cover_bits = _bits_view(cover_bits)
     data_bits = _bits_view(data_bits)
-    return stego, _embed_lsbs(stego, np.packbits(data_bits), data_bits.size, table)
+    stego = np.empty_like(cover_bits)
+    return stego, _embed_lsbs(cover_bits, stego, np.packbits(data_bits), data_bits.size, table)
 
 
 def embed_image(
     cover: CoverImage, payload: bytes, table: CosetTable
 ) -> tuple[CoverImage, EmbedReport]:
-    """Embed the ``payload`` bytes in the cover's LSB plane, in one copy of its pixels.
+    """Embed the ``payload`` bytes in the cover's LSB plane, written into new pixels.
 
     Gives the same stego pixels and report as
     ``lsb_inject(cover, embed_stream(lsb_extract(cover), bytes_to_bits(payload), table))``
@@ -162,46 +165,66 @@ def embed_image(
     of their own.
 
     Raises:
+        TypeError: if ``payload`` is an ndarray (such as one entry per
+            bit) rather than bytes, a bytearray or a memoryview.
         CapacityError: if the framed payload needs more blocks than the
             cover has pixels.
     """
+    if isinstance(payload, np.ndarray):
+        raise TypeError("payload must be bytes-like, not an ndarray")
     packed = np.frombuffer(payload, dtype=np.uint8)
-    pixels = cover.pixels.copy()
-    report = _embed_lsbs(pixels.reshape(-1), packed, 8 * packed.size, table)
+    src = cover.pixels.reshape(-1)
+    pixels = np.empty_like(src)
+    report = _embed_lsbs(src, pixels, packed, 8 * packed.size, table)
     pixels.setflags(write=False)
-    return replace(cover, pixels=pixels), report
+    return replace(cover, pixels=pixels.reshape(cover.pixels.shape)), report
+
+
+def check_capacity(code: GraphicalCode, bits: int, cover_bits: int) -> int:
+    """Blocks that a framed payload of ``bits`` bits needs in a cover of ``cover_bits`` LSBs.
+
+    Raises:
+        CapacityError: if the cover has fewer bits than those blocks.
+    """
+    p = code.n_len - code.k
+    blocks = -(-(HEADER_BITS + bits) // p)
+    if blocks * code.n_len > cover_bits:
+        raise CapacityError(
+            f"framed payload needs {blocks * code.n_len} cover bits, only {cover_bits} available"
+        )
+    return blocks
 
 
 def _embed_lsbs(
-    carrier: np.ndarray, packed: np.ndarray, bits: int, table: CosetTable
+    src: np.ndarray, dst: np.ndarray, packed: np.ndarray, bits: int, table: CosetTable
 ) -> EmbedReport:
-    """Embed the framed payload in the LSBs of ``carrier``, in place.
+    """Write ``src`` with the framed payload embedded in its LSBs to ``dst``.
 
     ``packed`` holds the ``bits`` payload bits, packed MSB first.
-    ``carrier`` is a writable flat integer array of 0/1 bits or of
-    pixels: each chunk's syndromes are read from ``part & 1``, and
-    XOR-ing a 0/1 leader into ``part`` flips exactly those LSBs.
+    ``src`` and ``dst`` are flat integer arrays of one size, of 0/1
+    bits or of pixels: each chunk's syndromes are read from
+    ``part & 1``, and XOR-ing a 0/1 leader into ``part`` flips exactly
+    those LSBs.  Bits past the last block are copied unchanged.
     """
     code = table.code
     n = code.n_len
     p = n - code.k
-    frame = _packed_frame(packed, bits)
-    blocks_used = -(-(HEADER_BITS + bits) // p)
+    blocks_used = check_capacity(code, bits, src.size)
     needed = blocks_used * n
-    if needed > carrier.size:
-        raise CapacityError(
-            f"framed payload needs {needed} cover bits, only {carrier.size} available"
-        )
-    blocks = carrier[:needed].reshape(-1, n)
-    columns = column_syndromes(code.parity_check)
+    blocks = src[:needed].reshape(-1, n)
+    out = dst[:needed].reshape(-1, n)
+    frame = _packed_frame(packed, bits)
+    tables = syndrome_tables(column_syndromes(code.parity_check), p)
     # leader index H(t) XOR m: each message read as a syndrome through identity columns
-    msg = stream_syndromes(frame, blocks_used, [1 << (p - 1 - i) for i in range(p)], p)
+    identity = syndrome_tables([1 << (p - 1 - i) for i in range(p)], p)
     counts = np.zeros(len(table.leaders), dtype=np.int64)
-    for start in range(0, blocks_used, CHUNK_BLOCKS):
-        part = blocks[start : start + CHUNK_BLOCKS]
-        idx = block_syndromes(part & 1, columns, p) ^ msg[start : start + CHUNK_BLOCKS]
-        part ^= np.take(table.leaders, idx, axis=0)
+    for start, stop in _chunks(blocks_used):
+        part = blocks[start:stop]
+        idx = stream_syndromes(np.packbits(part & 1), stop - start, tables)
+        idx ^= stream_syndromes(frame[start * p // 8 :], stop - start, identity)
+        np.bitwise_xor(part, np.take(table.leaders, idx, axis=0), out=out[start:stop])
         counts += np.bincount(idx, minlength=len(counts))
+    dst[needed:] = src[needed:]
     weights = table.leaders.sum(axis=1, dtype=np.int64)
     total = int(counts @ weights)
     return EmbedReport(
@@ -259,8 +282,8 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray,
             f"stego stream has {carrier.size} bits, header needs {header_blocks * n}"
         )
     blocks = carrier[: carrier.size // n * n].reshape(-1, n)
-    columns = column_syndromes(code.parity_check)
-    header = _message_bytes(blocks[:header_blocks], columns, p)
+    tables = syndrome_tables(column_syndromes(code.parity_check), p, packed=True)
+    header = _message_bytes(blocks[:header_blocks], tables)
     declared = int.from_bytes(header[:HEADER_BYTES].tobytes(), "big")
     total_blocks = -(-(HEADER_BITS + declared) // p)
     if total_blocks > len(blocks):
@@ -269,14 +292,21 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray,
             f"stego bits, only {carrier.size} present"
         )
     frame = np.empty(-(-total_blocks * p // 8), dtype=np.uint8)
-    step = -(-CHUNK_BLOCKS // 8) * 8  # start * p is then a whole number of bytes
-    for start in range(0, total_blocks, step):
-        part = _message_bytes(blocks[start : min(start + step, total_blocks)], columns, p)
+    for start, stop in _chunks(total_blocks):
+        part = _message_bytes(blocks[start:stop], tables)
         frame[start * p // 8 : start * p // 8 + len(part)] = part
     return frame, declared
 
 
-def _message_bytes(blocks: np.ndarray, columns, p: int) -> np.ndarray:
-    """The p message bits H(v) of each block, packed MSB first with no gaps."""
-    bits = syndrome_bits(block_syndromes(blocks & 1, columns, p), p)
-    return np.packbits(bits.reshape(-1))  # a contiguous copy packs faster than the strided view
+def _chunks(blocks: int):
+    """(start, stop) of each chunk: :data:`CHUNK_BLOCKS` rounded up to a multiple of 8.
+
+    So ``start * p`` is a whole number of bytes of the packed frame.
+    """
+    step = -(-CHUNK_BLOCKS // 8) * 8
+    return ((start, min(start + step, blocks)) for start in range(0, blocks, step))
+
+
+def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:
+    """The message bits H(v) of each block, packed MSB first with no gaps."""
+    return stream_syndromes(np.packbits(blocks & 1), len(blocks), tables)

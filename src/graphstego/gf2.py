@@ -134,52 +134,138 @@ def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> n
         uint64 words, most significant word first.  Either way a
         syndrome reads as :func:`syndrome_index` reads its bits.
     """
-    return stream_syndromes(np.packbits(blocks.reshape(-1)), len(blocks), columns, width)
+    tables = syndrome_tables(columns, width)
+    return stream_syndromes(np.packbits(blocks.reshape(-1)), len(blocks), tables)
 
 
-def stream_syndromes(
-    packed: np.ndarray, count: int, columns: Sequence[int], width: int
-) -> np.ndarray:
-    """:func:`block_syndromes` of ``count`` rows read from a packed bit stream.
+class SyndromeTables:
+    """Byte lookup tables of one code's syndromes over a group of rows.
 
-    ``packed`` holds the rows MSB first with no per-row padding, so row
-    i starts at bit i*n; bits past its end read as zero.  Bit offsets
-    repeat every 8/gcd(n, 8) rows: for each row phase, each byte-wide
-    digit of a row is a strided slice of the stream shifted by a
-    constant, looked up in a 256-entry table of XORs of the eight
-    columns it covers.  Table columns past n are zero, so bits of the
-    next row that a digit takes in drop out.
+    A group is ``rows`` consecutive rows of a packed stream, ``in_bytes``
+    whole bytes.  Output slot s of a group is the XOR of ``table[v]``
+    over the ``(b, table)`` pairs of ``lookups[s]``, where v is the
+    group's input byte b.  (A plain class: a dataclass would add about
+    a millisecond to every ``import graphstego``.)
+    """
+
+    def __init__(self, rows: int, in_bytes: int, width: int, packed: bool, dtype: np.dtype,
+                 tail: tuple[int, ...], lookups: tuple[tuple[tuple[int, np.ndarray], ...], ...]):
+        self.rows = rows
+        self.in_bytes = in_bytes
+        self.width = width
+        self.packed = packed
+        self.dtype = dtype
+        self.tail = tail
+        self.lookups = lookups
+
+
+def syndrome_tables(columns: Sequence[int], width: int, packed: bool = False) -> SyndromeTables:
+    """Tables for :func:`stream_syndromes`, built once per code and output form.
+
+    With ``packed`` false a slot is one row's syndrome, in the dtype of
+    :func:`block_syndromes`.  With ``packed`` true the output is the
+    syndromes' own packed stream, ``width`` bits per row with no gaps,
+    and a slot is a word of up to 8 of its bytes, stored in stream
+    order.  A row's syndrome that spans k output bytes would cost each
+    of its input bytes k lookups into one-byte slots, but only one or
+    two into a word.
+
+    A group is the fewest rows whose input (and packed output) fills
+    whole bytes: lcm(8/gcd(n, 8), 8/gcd(width, 8)) <= 8 rows.
     """
     n = len(columns)
-    words = max(1, -(-width // 64))
-    tail = () if width <= 64 else (words,)
-    dtype = np.min_scalar_type((1 << min(width, 64)) - 1)
-    shifts = range(64 * (words - 1), -1, -64)
-    col_words = np.zeros((-(-n // 8) * 8, words), dtype=dtype)
-    for j, c in enumerate(columns):
-        col_words[j] = [(c >> s) & 0xFFFF_FFFF_FFFF_FFFF for s in shifts]
-    col_words = col_words.reshape((-1,) + tail)
-    tables = []  # tables[d][v]: XOR of the columns byte v selects in digit d, MSB first
-    for b in range(0, len(col_words), 8):
-        table = np.zeros((1,) + tail, dtype=dtype)
-        for col in col_words[b : b + 8][::-1]:
-            table = np.concatenate([table, table ^ col])
-        tables.append(table)
-    period = 8 // math.gcd(n, 8)
-    step = n * period // 8  # packed bytes per period of rows
-    # zero bytes up to one past the last row: its last digit may read it
-    need = -(-count * n // 8) + 1
-    packed = np.pad(packed[:need], (0, max(0, need - len(packed))))
-    out = np.zeros((count,) + tail, dtype=dtype)
-    for r in range(period):
-        rows = len(range(r, count, period))
-        base, sh = divmod(r * n, 8)
-        for d, table in enumerate(tables):
-            digit = packed[base + d :: step][:rows]
-            if sh:
-                digit = (digit << sh) | (packed[base + d + 1 :: step][:rows] >> (8 - sh))
-            out[r::period] ^= np.take(table, digit, axis=0)
+    rows = 8 // math.gcd(n, 8)
+    if packed:
+        rows = max(rows, 8 // math.gcd(width, 8))  # both are powers of two
+        out_bytes = rows * width // 8
+        dtype = np.dtype(f"u{min(8, 1 << (out_bytes - 1).bit_length())}")
+        tail, stride = (), width
+        span = -(-out_bytes // dtype.itemsize) * dtype.itemsize * 8
+        order = dtype  # bytes in stream order, never read as numbers
+    else:
+        words = max(1, -(-width // 64))
+        dtype = np.dtype(np.min_scalar_type((1 << min(width, 64)) - 1))
+        tail = () if width <= 64 else (words,)
+        stride = 8 * dtype.itemsize * words  # a row's slot, syndrome right-aligned
+        span = rows * stride
+        order = dtype.newbyteorder(">")
+    size = -(-width // 8)
+    col_bits = np.unpackbits(
+        np.frombuffer(b"".join(c.to_bytes(size, "big") for c in columns), np.uint8).reshape(n, size),
+        axis=1,
+    )[:, 8 * size - width :]
+    # effect[x]: the output bits of a group that input bit x flips
+    effect = np.zeros((rows, n, span), dtype=np.uint8)
+    for r in range(rows):
+        effect[r, :, (r + 1) * stride - width : (r + 1) * stride] = col_bits
+    contrib = np.packbits(effect.reshape(rows * n, span), axis=1).view(order).astype(dtype)
+    contrib = contrib.reshape((rows * n // 8, 8, -1) + tail)  # input byte, bit (MSB first), slot
+    reached = contrib.reshape(contrib.shape[:3] + (-1,)).any(axis=(1, 3))  # (byte, slot)
+    inputs, slots = np.nonzero(reached)  # one lookup per (input byte, slot) pair
+    pair_bits = contrib[inputs, :, slots]  # (lookup, bit) + tail
+    table = np.zeros((256,) + pair_bits[:, 0].shape, dtype=dtype)  # (byte value, lookup) + tail
+    for bit in range(8):  # the values whose top set bit is ``bit``, from those below it
+        np.bitwise_xor(table[: 1 << bit], pair_bits[:, 7 - bit], out=table[1 << bit : 2 << bit])
+    lookups = [[] for _ in range(reached.shape[1])]
+    for b, s, t in zip(inputs.tolist(), slots.tolist(), np.ascontiguousarray(table.swapaxes(0, 1))):
+        lookups[s].append((b, t))
+    return SyndromeTables(
+        rows=rows,
+        in_bytes=rows * n // 8,
+        width=width,
+        packed=packed,
+        dtype=dtype,
+        tail=tail,
+        lookups=tuple(map(tuple, lookups)),
+    )
+
+
+def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> np.ndarray:
+    """Syndromes of ``count`` rows read from a packed bit stream.
+
+    ``packed`` holds the rows MSB first with no per-row padding, so row
+    i starts at bit i*n; bits past its end read as zero.  The stream is
+    read as whole groups of rows (:func:`syndrome_tables`), each byte
+    looked up as it is: no shifts.  Only a last partial group, or one
+    that runs past the end of ``packed``, is copied into a zero-filled
+    group first.
+
+    Returns:
+        :func:`block_syndromes`' array of ``count`` rows, or with packed
+        tables the ``ceil(count * width / 8)`` bytes of the syndromes'
+        packed stream, the unused bits of the last byte zero.
+    """
+    P, B = tables.rows, tables.in_bytes
+    groups = -(-count // P)
+    full = min(count // P, len(packed) // B)
+    out = np.empty((groups, len(tables.lookups)) + tables.tail, dtype=tables.dtype)
+    if full:
+        _lookup(packed[: full * B].reshape(full, B), tables, out[:full])
+    if groups > full:
+        rest = np.zeros((groups - full) * B, dtype=np.uint8)
+        src = packed[full * B : groups * B]
+        rest[: len(src)] = src
+        _lookup(rest.reshape(-1, B), tables, out[full:])
+    if not tables.packed:
+        return out.reshape((-1,) + tables.tail)[:count]
+    bits = count * tables.width
+    out = out.view(np.uint8)[:, : P * tables.width // 8].reshape(-1)[: -(-bits // 8)]
+    if bits % 8:
+        out[-1] &= 0xFF << (8 - bits % 8) & 0xFF  # bits of rows past ``count``
     return out
+
+
+def _lookup(data: np.ndarray, tables: SyndromeTables, out: np.ndarray) -> None:
+    """Fill ``out[g, s]`` for the (G, in_bytes) groups ``data``: one table per input byte."""
+    for s, pairs in enumerate(tables.lookups):
+        if not pairs:
+            out[:, s] = 0
+            continue
+        (b, table), *rest = pairs
+        acc = np.take(table, data[:, b], axis=0)
+        for b, table in rest:
+            acc ^= np.take(table, data[:, b], axis=0)
+        out[:, s] = acc
 
 
 def syndrome_bits(syndromes: np.ndarray, width: int) -> np.ndarray:

@@ -10,6 +10,8 @@ non-default BMP header fields are not kept.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, replace
 
@@ -43,30 +45,34 @@ class CoverImage:
         return int(self.pixels.size)
 
 
-def _next_pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:
+_WHITESPACE = frozenset(b" \t\n\r\v\f")
+
+
+def _next_pgm_token(data: memoryview, pos: int) -> tuple[bytes, int]:
     # whitespace and '#'-to-end-of-line comments may precede any token
     while pos < len(data):
-        c = data[pos : pos + 1]
-        if c.isspace():
+        c = data[pos]
+        if c in _WHITESPACE:
             pos += 1
-        elif c == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
+        elif c == ord("#"):
+            while pos < len(data) and data[pos] != ord("\n"):
                 pos += 1
         else:
             break
     start = pos
-    while pos < len(data) and not data[pos : pos + 1].isspace():
+    while pos < len(data) and data[pos] not in _WHITESPACE:
         pos += 1
     if start == pos:
         raise ImageFormatError("truncated PGM header")
-    return data[start:pos], pos
+    return bytes(data[start:pos]), pos
 
 
-def _load_pgm(data: bytes) -> CoverImage:
+def _load_pgm(data: np.ndarray) -> CoverImage:
+    header = memoryview(data)
     pos = 2  # past "P5"
     fields = []
     for _ in range(3):
-        token, pos = _next_pgm_token(data, pos)
+        token, pos = _next_pgm_token(header, pos)
         try:
             fields.append(int(token))
         except ValueError:
@@ -81,13 +87,13 @@ def _load_pgm(data: bytes) -> CoverImage:
         raise ImageFormatError(
             f"PGM raster truncated: {max(len(data) - pos, 0)} of {width * height} bytes"
         )
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    pixels = data[pos : pos + width * height]
     return CoverImage(
         width=width, height=height, channels=1, depth=8, pixels=pixels, format_tag="pgm"
     )
 
 
-def _load_bmp(data: bytes) -> CoverImage:
+def _load_bmp(data: np.ndarray) -> CoverImage:
     if len(data) < 54:
         raise ImageFormatError("BMP too short for its headers")
     _magic, _size, _r1, _r2, offset = struct.unpack("<2sIHHI", data[:14])
@@ -109,10 +115,13 @@ def _load_bmp(data: bytes) -> CoverImage:
     need = offset + stride * height
     if len(data) < need:
         raise ImageFormatError(f"BMP raster truncated: {len(data)} of {need} bytes")
-    rows = np.frombuffer(data, dtype=np.uint8, count=stride * height, offset=offset)
-    # a view of the file bytes unless padding must be stripped
-    pixels = rows.reshape(height, stride)[:, : 3 * width].reshape(-1)
-    pixels.setflags(write=False)
+    rows = data[offset:need].reshape(height, stride)
+    if stride == 3 * width:
+        pixels = rows.reshape(-1)  # a view of the file bytes
+    else:  # padding stripped into a read-only copy that the pixels view
+        copy = np.ascontiguousarray(rows[:, : 3 * width])
+        copy.setflags(write=False)
+        pixels = copy.reshape(-1)
     return CoverImage(
         width=width, height=height, channels=3, depth=8, pixels=pixels, format_tag="bmp"
     )
@@ -121,19 +130,26 @@ def _load_bmp(data: bytes) -> CoverImage:
 def load_image(path) -> CoverImage:
     """Load a binary PGM (P5, maxval 255) or uncompressed 24-bit BMP.
 
-    The pixels are read-only and, unless BMP rows carry padding, a view
-    of the bytes read from the file rather than a copy.
+    A regular file is read into one numpy buffer (a pipe into a bytes
+    object), which is then made read-only.  The pixels are a view of
+    it, unless BMP rows carry padding: then they view a read-only copy
+    with the padding stripped.
 
     Raises:
         ImageFormatError: for any other format or a malformed file.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] == b"P5":
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            data = np.fromfile(fh, dtype=np.uint8)
+            data.setflags(write=False)
+        else:  # a pipe has no size to read into: take its bytes as they come
+            data = np.frombuffer(fh.read(), dtype=np.uint8)
+    magic = data[:2].tobytes()
+    if magic == b"P5":
         return _load_pgm(data)
-    if data[:2] == b"BM":
+    if magic == b"BM":
         return _load_bmp(data)
-    raise ImageFormatError(f"unsupported image format (magic {data[:2]!r})")
+    raise ImageFormatError(f"unsupported image format (magic {magic!r})")
 
 
 def save_image(img: CoverImage, path) -> None:

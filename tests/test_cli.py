@@ -202,6 +202,24 @@ def test_embed_capacity_exit(tmp_path, k5_codebook_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_embed_checks_capacity_before_building_the_table(tmp_path, k5_codebook_file, monkeypatch,
+                                                        capsys):
+    def refuse(code):
+        raise AssertionError("coset table built for a payload that cannot fit")
+
+    monkeypatch.setattr(cli, "build_coset_table_bruteforce", refuse)
+    cover = write_pgm(tmp_path / "tiny.pgm", side=4)  # 16 pixels
+    payload = tmp_path / "big.bin"
+    payload.write_bytes(bytes(1000))
+    out = tmp_path / "x.pgm"
+    assert main([
+        "embed", "--codebook", str(k5_codebook_file), "--cover", str(cover),
+        "--payload", str(payload), "--out", str(out),
+    ]) == 4
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_wrong_codebook_reports_frame_error(tmp_path, k5_codebook_file, capsys):
     cover = write_pgm(tmp_path / "cover.pgm")
     payload = tmp_path / "secret.bin"

@@ -329,6 +329,22 @@ COVERS = {
 }
 
 
+def test_embed_image_takes_bytes_like_payloads_only(k5_table, k5_code):
+    rng = np.random.default_rng(61)
+    cover = CoverImage(width=50, height=20, channels=1, depth=8,
+                       pixels=rng.integers(0, 256, 1000, dtype=np.uint8), format_tag="pgm")
+    data = rng.integers(0, 256, 30, dtype=np.uint8).tobytes()
+    stegos = [embed_image(cover, payload, k5_table)[0]
+              for payload in (data, bytearray(data), memoryview(data))]
+    for stego in stegos:
+        assert np.array_equal(stego.pixels, stegos[0].pixels)
+        assert extract_image(stego, k5_code) == data
+    # the old one-entry-per-bit payload must not be embedded as bytes
+    for payload in (np.array([1, 0, 1], dtype=np.uint8), np.frombuffer(data, dtype=np.uint8)):
+        with pytest.raises(TypeError, match="ndarray"):
+            embed_image(cover, payload, k5_table)
+
+
 def _outcome(fn, *args):
     """fn's result, or the type of the CapacityError / FrameError it raised."""
     try:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -227,6 +228,22 @@ def test_pgm_resave_canonicalises_the_header(tmp_path):
     assert np.array_equal(load_image(out).pixels, img.pixels)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_image_reads_a_pipe(tmp_path):
+    for name, data in (("img.pgm", small_pgm_bytes()), ("img.bmp", small_bmp_bytes())):
+        path = tmp_path / name
+        path.write_bytes(data)
+        read, write = os.pipe()
+        try:
+            os.write(write, data)
+            os.close(write)
+            piped = load_image(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert np.array_equal(piped.pixels, load_image(path).pixels)
+        assert not piped.pixels.flags.writeable
+
+
 def test_load_image_views_the_file_bytes_unless_rows_are_padded(tmp_path):
     unpadded = tmp_path / "unpadded.bmp"  # 4 pixels = 12 bytes per row
     unpadded.write_bytes(random_bmp_bytes(4, 3, 5))
@@ -240,9 +257,16 @@ def test_load_image_views_the_file_bytes_unless_rows_are_padded(tmp_path):
         owner = img.pixels
         while isinstance(owner, np.ndarray) and owner.base is not None:
             owner = owner.base
-        assert isinstance(owner, bytes) == view, path.name
+        assert isinstance(owner, np.ndarray), path.name
+        if view:  # one buffer holding the whole file
+            assert owner.nbytes == path.stat().st_size, path.name
+        else:  # a copy of the pixels alone, padding stripped
+            assert owner.nbytes == img.pixels.nbytes < path.stat().st_size
+        assert not owner.flags.writeable, path.name
         with pytest.raises(ValueError):
             img.pixels[0] = 0
+        with pytest.raises(ValueError):
+            img.pixels.setflags(write=True)
         out = tmp_path / f"copy-{path.name}"
         save_image(img, out)
         assert np.array_equal(load_image(out).pixels, img.pixels)

@@ -1,10 +1,11 @@
 """The column-syndrome engine against the row-by-row oracle ``helpers.mat_vec_mul``.
 
 ``block_syndromes`` packs each syndrome into the narrowest unsigned
-dtype (several uint64 words above 64 bits); the stream codec walks
-blocks ``CHUNK_BLOCKS`` at a time.  Both are checked here against
-independent computations: ``mat_vec_mul`` per row, ``embed_block`` per
-block.
+dtype (several uint64 words above 64 bits); with packed tables
+``stream_syndromes`` returns the syndromes' own packed bit stream; the
+stream codec walks blocks ``CHUNK_BLOCKS`` at a time.  All are checked
+here against independent computations: ``mat_vec_mul`` per row,
+``embed_block`` per block.
 """
 
 from __future__ import annotations
@@ -17,13 +18,24 @@ from hypothesis import strategies as st
 from graphstego import codec
 from graphstego.codec import (
     embed_block,
+    embed_image,
     embed_stream,
     extract_block,
+    extract_image,
     extract_stream,
     frame_payload,
 )
-from graphstego.gf2 import block_syndromes, column_syndromes, syndrome_bits, syndrome_index
-from graphstego.graphs import build_code
+from graphstego.decoder import build_coset_table_bruteforce
+from graphstego.gf2 import (
+    block_syndromes,
+    column_syndromes,
+    stream_syndromes,
+    syndrome_bits,
+    syndrome_index,
+    syndrome_tables,
+)
+from graphstego.graphs import build_code, complete_graph
+from graphstego.images import CoverImage
 
 from helpers import mat_vec_mul, random_graph
 
@@ -75,6 +87,31 @@ def test_block_syndromes_match_mat_vec_mul(p, n, count, layout, seed):
     assert np.array_equal(syndrome_bits(syn, p), oracle)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from(WIDTHS),
+    n=st.integers(1, 72),
+    count=st.one_of(st.sampled_from([0, 1]), st.integers(2, 70)),
+    extra=st.integers(0, 9),  # rows in the stream past the ``count`` asked for
+    kept=st.integers(0, 100),  # percent of the stream's bytes handed over
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_stream_syndromes_match_mat_vec_mul(p, n, count, extra, kept, seed):
+    # the packed output is the p-bit syndromes back to back, MSB first;
+    # a group spans up to 8 rows, so most counts end inside a group,
+    # rows past ``count`` must not leak into the last byte, and a
+    # stream cut short reads as zero past its end
+    rng = np.random.default_rng(seed)
+    h = rng.integers(0, 2, (p, n), dtype=np.uint8)
+    bits = rng.integers(0, 2, (count + extra) * n, dtype=np.uint8)
+    stream = np.packbits(bits)[: -(-bits.size // 8) * kept // 100]
+    bits[8 * len(stream) :] = 0
+    got = stream_syndromes(stream, count, syndrome_tables(column_syndromes(h), p, packed=True))
+    oracle = [mat_vec_mul(h, row) for row in bits[: count * n].reshape(count, n)]
+    assert got.dtype == np.uint8 and got.ndim == 1
+    assert got.tobytes() == np.packbits(np.concatenate([np.zeros(0, np.uint8), *oracle])).tobytes()
+
+
 def test_column_syndromes_are_single_bit_syndromes():
     rng = np.random.default_rng(5)
     for p in WIDTHS:
@@ -105,6 +142,60 @@ def test_stream_chunking_matches_blockwise_embed(k5_table, k5_code, chunk, paylo
     assert np.array_equal(stego, expect)
     assert (report.total_flips, report.max_flips_per_block) == (sum(flips), max(flips))
     assert np.array_equal(recovered, payload)
+
+
+def _odd_width_codes():
+    """Codes whose packed output repeats only every 8 rows: odd p."""
+    k6 = build_code(complete_graph(6))  # n = 15: rows start at all 8 bit offsets
+    rand = build_code(random_graph(np.random.default_rng(71), 8, 13))  # n = 13, p = 7
+    return [k6, rand]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64])
+def test_extract_roundtrip_with_a_packed_period_of_8(chunk, monkeypatch):
+    monkeypatch.setattr(codec, "CHUNK_BLOCKS", chunk)
+    rng = np.random.default_rng(chunk)
+    for code in _odd_width_codes():
+        n, p = code.n_len, code.n_len - code.k
+        assert p % 2 == 1
+        table = build_coset_table_bruteforce(code)
+        data = rng.integers(0, 256, int(rng.integers(0, 60)), dtype=np.uint8).tobytes()
+        blocks = -(-(32 + 8 * len(data)) // p)
+        pixels = rng.integers(0, 256, n * blocks + int(rng.integers(0, 3 * n)), dtype=np.uint8)
+        cover = CoverImage(width=len(pixels), height=1, channels=1, depth=8, pixels=pixels,
+                           format_tag="pgm")
+        stego, report = embed_image(cover, data, table)
+        assert report.blocks_used == blocks
+        assert np.array_equal(stego.pixels[n * blocks :], pixels[n * blocks :])
+        frame = frame_payload(np.unpackbits(np.frombuffer(data, dtype=np.uint8)), p)
+        for i, m in enumerate(frame.reshape(-1, p)):
+            assert np.array_equal(mat_vec_mul(code.parity_check, stego.pixels[n * i : n * i + n] & 1), m)
+        assert extract_image(stego, code) == data
+        assert np.array_equal(np.packbits(extract_stream(stego.pixels & 1, code)),
+                              np.frombuffer(data, dtype=np.uint8))
+
+
+def test_tables_are_built_once_per_image_call(k5_table, k5_code, monkeypatch):
+    calls = []
+
+    def spy(columns, width, packed=False):
+        calls.append((tuple(columns), packed))
+        return syndrome_tables(columns, width, packed)
+
+    monkeypatch.setattr(codec, "syndrome_tables", spy)
+    monkeypatch.setattr(codec, "CHUNK_BLOCKS", 8)  # 29 chunks each way
+    rng = np.random.default_rng(73)
+    cover = CoverImage(width=50, height=50, channels=1, depth=8,
+                       pixels=rng.integers(0, 256, 2500, dtype=np.uint8), format_tag="pgm")
+    data = rng.integers(0, 256, 112, dtype=np.uint8).tobytes()
+    columns = tuple(column_syndromes(k5_code.parity_check))
+    identity = (8, 4, 2, 1)  # reads each 4-bit message from the frame bytes
+    stego, report = embed_image(cover, data, k5_table)
+    assert report.blocks_used == 232
+    assert sorted(calls) == sorted([(columns, False), (identity, False)])
+    calls.clear()
+    assert extract_image(stego, k5_code) == data
+    assert calls == [(columns, True)]
 
 
 def test_extract_stream_on_a_code_wider_than_64_bits():

@@ -25,10 +25,8 @@ from .gf2 import (
     SyndromeTables,
     _bits_view,
     as_bits,
-    block_syndromes,
     column_syndromes,
     stream_syndromes,
-    syndrome_bits,
     syndrome_index,
     syndrome_tables,
 )
@@ -82,8 +80,7 @@ def embed_block(t, m, table: CosetTable) -> tuple[np.ndarray, int]:
         raise ValueError(f"block must have {code.n_len} bits, got {t.size}")
     if m.size != p:
         raise ValueError(f"message must have {p} bits, got {m.size}")
-    s = block_syndromes(t[None], column_syndromes(code.parity_check), p) ^ syndrome_index(m)
-    leader = table.leaders[int(s[0])]
+    leader = table.leaders[syndrome_index(extract_block(t, code) ^ m)]
     return t ^ leader, int(leader.sum())
 
 
@@ -92,8 +89,7 @@ def extract_block(v, code: GraphicalCode) -> np.ndarray:
     v = as_bits(v)
     if v.size != code.n_len:
         raise ValueError(f"block must have {code.n_len} bits, got {v.size}")
-    p = code.n_len - code.k
-    return syndrome_bits(block_syndromes(v[None, :], column_syndromes(code.parity_check), p), p)[0]
+    return np.unpackbits(_message_bytes(v[None], _code_tables(code)), count=code.n_len - code.k)
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
@@ -214,23 +210,26 @@ def _embed_lsbs(
     blocks = src[:needed].reshape(-1, n)
     out = dst[:needed].reshape(-1, n)
     frame = _packed_frame(packed, bits)
-    tables = syndrome_tables(column_syndromes(code.parity_check), p)
-    # leader index H(t) XOR m: each message read as a syndrome through identity columns
+    tables = _code_tables(code)
+    # leader index H(t) XOR m, packed; each p-bit group read as an integer through identity columns
     identity = syndrome_tables([1 << (p - 1 - i) for i in range(p)], p)
-    counts = np.zeros(len(table.leaders), dtype=np.int64)
+    weights = table.leaders.sum(axis=1, dtype=np.int64)
+    total = most = 0
     for start, stop in _chunks(blocks_used):
         part = blocks[start:stop]
-        idx = stream_syndromes(np.packbits(part & 1), stop - start, tables)
-        idx ^= stream_syndromes(frame[start * p // 8 :], stop - start, identity)
-        np.bitwise_xor(part, np.take(table.leaders, idx, axis=0), out=out[start:stop])
-        counts += np.bincount(idx, minlength=len(counts))
+        syn = _message_bytes(part, tables)
+        message = frame[start * p // 8 : start * p // 8 + len(syn)]
+        syn[: len(message)] ^= message
+        idx = stream_syndromes(syn, stop - start, identity)
+        leaders = np.take(table.leaders, idx, axis=0)
+        np.bitwise_xor(part, leaders, out=out[start:stop])
+        total += int(np.count_nonzero(leaders))
+        most = max(most, int(np.take(weights, idx).max()))
     dst[needed:] = src[needed:]
-    weights = table.leaders.sum(axis=1, dtype=np.int64)
-    total = int(counts @ weights)
     return EmbedReport(
         blocks_used=blocks_used,
         total_flips=total,
-        max_flips_per_block=int(weights[counts > 0].max()),
+        max_flips_per_block=most,
         embedding_rate=p / n,
         theoretical_efficiency=p / table.rho,
         empirical_efficiency=(p * blocks_used / total) if total else float("inf"),
@@ -282,7 +281,7 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray,
             f"stego stream has {carrier.size} bits, header needs {header_blocks * n}"
         )
     blocks = carrier[: carrier.size // n * n].reshape(-1, n)
-    tables = syndrome_tables(column_syndromes(code.parity_check), p, packed=True)
+    tables = _code_tables(code)
     header = _message_bytes(blocks[:header_blocks], tables)
     declared = int.from_bytes(header[:HEADER_BYTES].tobytes(), "big")
     total_blocks = -(-(HEADER_BITS + declared) // p)
@@ -305,6 +304,11 @@ def _chunks(blocks: int):
     """
     step = -(-CHUNK_BLOCKS // 8) * 8
     return ((start, min(start + step, blocks)) for start in range(0, blocks, step))
+
+
+def _code_tables(code: GraphicalCode) -> SyndromeTables:
+    """The code's packed syndrome tables: one form for both directions, built once per call."""
+    return syndrome_tables(column_syndromes(code.parity_check), code.n_len - code.k, packed=True)
 
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:

@@ -76,7 +76,7 @@ def as_bit_matrix(rows) -> np.ndarray:
 
 def gf2_rank(matrix) -> int:
     """Rank of a bit matrix over GF(2), by Gaussian elimination."""
-    work = as_bit_matrix(matrix).copy()
+    work = as_bit_matrix(matrix)  # a fresh array: eliminated in place
     rows, cols = work.shape
     rank = 0
     for col in range(cols):
@@ -108,11 +108,11 @@ def column_syndromes(matrix) -> list[int]:
 
     Column j of a parity check is the syndrome of the word with only
     bit j set, so any word's syndrome is the XOR of the column
-    syndromes of its set bits (see :func:`block_syndromes`).
+    syndromes of its set bits (see :func:`block_syndromes`).  ``matrix``
+    is trusted: a uint8 array of 0/1 entries, validated by the caller.
     """
-    m = as_bit_matrix(matrix)
-    pad = -m.shape[0] % 8
-    return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(m, axis=0).T]
+    pad = -matrix.shape[0] % 8
+    return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(matrix, axis=0).T]
 
 
 def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> np.ndarray:
@@ -129,10 +129,9 @@ def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> n
         width: syndrome length in bits.
 
     Returns:
-        For ``width <= 64``, an (N,) array of the narrowest unsigned
-        dtype holding ``width`` bits; above that, (N, ceil(width/64))
-        uint64 words, most significant word first.  Either way a
-        syndrome reads as :func:`syndrome_index` reads its bits.
+        An (N,) array of the narrowest unsigned dtype holding ``width``
+        bits, which must not exceed 64 (ValueError; wider syndromes come
+        only packed); a syndrome reads as :func:`syndrome_index` reads.
     """
     tables = syndrome_tables(columns, width)
     return stream_syndromes(np.packbits(blocks.reshape(-1)), len(blocks), tables)
@@ -149,29 +148,31 @@ class SyndromeTables:
     """
 
     def __init__(self, rows: int, in_bytes: int, width: int, packed: bool, dtype: np.dtype,
-                 tail: tuple[int, ...], lookups: tuple[tuple[tuple[int, np.ndarray], ...], ...]):
+                 lookups: tuple[tuple[tuple[int, np.ndarray], ...], ...]):
         self.rows = rows
         self.in_bytes = in_bytes
         self.width = width
         self.packed = packed
         self.dtype = dtype
-        self.tail = tail
         self.lookups = lookups
 
 
 def syndrome_tables(columns: Sequence[int], width: int, packed: bool = False) -> SyndromeTables:
     """Tables for :func:`stream_syndromes`, built once per code and output form.
 
-    With ``packed`` false a slot is one row's syndrome, in the dtype of
-    :func:`block_syndromes`.  With ``packed`` true the output is the
-    syndromes' own packed stream, ``width`` bits per row with no gaps,
-    and a slot is a word of up to 8 of its bytes, stored in stream
-    order.  A row's syndrome that spans k output bytes would cost each
-    of its input bytes k lookups into one-byte slots, but only one or
-    two into a word.
+    With ``packed`` false a slot is one row's syndrome, a single word
+    in the dtype of :func:`block_syndromes`, so ``width`` is at most 64.
+    With ``packed`` true the output is the syndromes' own packed stream,
+    ``width`` bits per row with no gaps, for any width, and a slot is a
+    word of up to 8 of its bytes, stored in stream order.  A row's
+    syndrome that spans k output bytes would cost each of its input
+    bytes k lookups into one-byte slots, but only one or two into a word.
 
     A group is the fewest rows whose input (and packed output) fills
     whole bytes: lcm(8/gcd(n, 8), 8/gcd(width, 8)) <= 8 rows.
+
+    Raises:
+        ValueError: if ``width`` exceeds 64 bits without ``packed``.
     """
     n = len(columns)
     rows = 8 // math.gcd(n, 8)
@@ -179,14 +180,14 @@ def syndrome_tables(columns: Sequence[int], width: int, packed: bool = False) ->
         rows = max(rows, 8 // math.gcd(width, 8))  # both are powers of two
         out_bytes = rows * width // 8
         dtype = np.dtype(f"u{min(8, 1 << (out_bytes - 1).bit_length())}")
-        tail, stride = (), width
+        stride = width
         span = -(-out_bytes // dtype.itemsize) * dtype.itemsize * 8
         order = dtype  # bytes in stream order, never read as numbers
     else:
-        words = max(1, -(-width // 64))
-        dtype = np.dtype(np.min_scalar_type((1 << min(width, 64)) - 1))
-        tail = () if width <= 64 else (words,)
-        stride = 8 * dtype.itemsize * words  # a row's slot, syndrome right-aligned
+        if width > 64:
+            raise ValueError(f"a row syndrome holds at most 64 bits, got {width}: use packed")
+        dtype = np.dtype(np.min_scalar_type((1 << width) - 1))
+        stride = 8 * dtype.itemsize  # a row's slot, syndrome right-aligned
         span = rows * stride
         order = dtype.newbyteorder(">")
     size = -(-width // 8)
@@ -199,11 +200,11 @@ def syndrome_tables(columns: Sequence[int], width: int, packed: bool = False) ->
     for r in range(rows):
         effect[r, :, (r + 1) * stride - width : (r + 1) * stride] = col_bits
     contrib = np.packbits(effect.reshape(rows * n, span), axis=1).view(order).astype(dtype)
-    contrib = contrib.reshape((rows * n // 8, 8, -1) + tail)  # input byte, bit (MSB first), slot
-    reached = contrib.reshape(contrib.shape[:3] + (-1,)).any(axis=(1, 3))  # (byte, slot)
+    contrib = contrib.reshape(rows * n // 8, 8, -1)  # input byte, bit (MSB first), slot
+    reached = contrib.any(axis=1)  # (byte, slot)
     inputs, slots = np.nonzero(reached)  # one lookup per (input byte, slot) pair
-    pair_bits = contrib[inputs, :, slots]  # (lookup, bit) + tail
-    table = np.zeros((256,) + pair_bits[:, 0].shape, dtype=dtype)  # (byte value, lookup) + tail
+    pair_bits = contrib[inputs, :, slots]  # (lookup, bit)
+    table = np.zeros((256, len(inputs)), dtype=dtype)  # (byte value, lookup)
     for bit in range(8):  # the values whose top set bit is ``bit``, from those below it
         np.bitwise_xor(table[: 1 << bit], pair_bits[:, 7 - bit], out=table[1 << bit : 2 << bit])
     lookups = [[] for _ in range(reached.shape[1])]
@@ -215,7 +216,6 @@ def syndrome_tables(columns: Sequence[int], width: int, packed: bool = False) ->
         width=width,
         packed=packed,
         dtype=dtype,
-        tail=tail,
         lookups=tuple(map(tuple, lookups)),
     )
 
@@ -238,7 +238,7 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
     P, B = tables.rows, tables.in_bytes
     groups = -(-count // P)
     full = min(count // P, len(packed) // B)
-    out = np.empty((groups, len(tables.lookups)) + tables.tail, dtype=tables.dtype)
+    out = np.empty((groups, len(tables.lookups)), dtype=tables.dtype)
     if full:
         _lookup(packed[: full * B].reshape(full, B), tables, out[:full])
     if groups > full:
@@ -247,7 +247,7 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
         rest[: len(src)] = src
         _lookup(rest.reshape(-1, B), tables, out[full:])
     if not tables.packed:
-        return out.reshape((-1,) + tables.tail)[:count]
+        return out.reshape(-1)[:count]
     bits = count * tables.width
     out = out.view(np.uint8)[:, : P * tables.width // 8].reshape(-1)[: -(-bits // 8)]
     if bits % 8:
@@ -267,10 +267,3 @@ def _lookup(data: np.ndarray, tables: SyndromeTables, out: np.ndarray) -> None:
             acc ^= np.take(table, data[:, b], axis=0)
         out[:, s] = acc
 
-
-def syndrome_bits(syndromes: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of :func:`block_syndromes`' packing: one row of ``width`` bits per syndrome."""
-    big = syndromes.astype(syndromes.dtype.newbyteorder(">"))
-    row_bits = 8 * big.itemsize * math.prod(big.shape[1:])
-    bits = np.unpackbits(big.view(np.uint8).reshape(-1)).reshape(len(big), row_bits)
-    return bits[:, row_bits - width :]

@@ -146,6 +146,8 @@ def test_embed_stream_reports(k5_table):
     payload = rng.integers(0, 2, 256, dtype=np.uint8)
     stego, report = embed_stream(cover, payload, k5_table)
     assert report.blocks_used == 72  # (32 + 256) / 4
+    # plain ints, not numpy scalars: reports are printed and JSON-dumped
+    assert type(report.total_flips) is int and type(report.max_flips_per_block) is int
     assert report.max_flips_per_block <= k5_table.rho == 2
     assert report.embedding_rate == pytest.approx(0.4)
     assert report.theoretical_efficiency == pytest.approx(2.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphstego.codec import extract_block
+from graphstego import graphs
 from graphstego.gf2 import as_bit_matrix, gf2_rank
 from graphstego.graphs import (
     GraphError,
@@ -121,6 +122,26 @@ def test_matrices_orthogonal_on_random_graphs():
             code.parity_check[:, cols],
             np.eye(g.vertex_count - 1, dtype=np.uint8),
         )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: complete_graph(5),
+    lambda: random_graph(np.random.default_rng(65), 70, 84),  # p = 69: packed syndromes only
+], ids=["K5", "random70"])
+def test_build_code_rejects_a_circuit_off_the_cut_sets(make, monkeypatch):
+    # one generator bit flipped on a tree column breaks G H^T = 0 in that row
+    real = graphs._fundamental_matrices
+
+    def broken(g, tree):
+        gen, chk = real(g, tree)
+        gen = gen.copy()
+        gen[0, tree.tree_edges[0] - 1] ^= 1
+        return gen, chk
+
+    g = make()
+    monkeypatch.setattr(graphs, "_fundamental_matrices", broken)
+    with pytest.raises(GraphError, match="orthogonality"):
+        build_code(g)
 
 
 def test_girth():

@@ -219,14 +219,15 @@ def _cmd_table(args) -> int:
             raise CodebookError(f"rows line {lineno}: expected 7 tab-separated fields")
         n_txt, d_txt, family, k_txt, rho_txt, er_txt, ef_txt = fields
         try:
-            n_len, hidden = int(n_txt), int(k_txt)
+            n_len, hidden, er_pub = int(n_txt), int(k_txt), float(er_txt)
         except ValueError:
-            raise CodebookError(f"rows line {lineno}: bad n or K") from None
+            raise CodebookError(f"rows line {lineno}: bad n, K or ER") from None
         rhos = _parse_range(rho_txt, as_int=True)
         efs = _parse_range(ef_txt, as_int=False)
         if len(rhos) != len(efs):
             raise CodebookError(f"rows line {lineno}: rho and ef ranges differ in length")
-        er_pub = float(er_txt)
+        if n_len < 1 or min(rhos) < 1:
+            raise CodebookError(f"rows line {lineno}: n and rho must be positive")
         er_calc = hidden / n_len
         ef_calc = [hidden / r for r in rhos]
         ok = abs(er_calc - er_pub) <= 0.01 + 1e-9 and all(

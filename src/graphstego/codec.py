@@ -25,7 +25,6 @@ from .gf2 import (
     SyndromeTables,
     _bits_view,
     as_bits,
-    column_syndromes,
     stream_syndromes,
     syndrome_index,
     syndrome_tables,
@@ -211,8 +210,10 @@ def _embed_lsbs(
     out = dst[:needed].reshape(-1, n)
     frame = _packed_frame(packed, bits)
     tables = _code_tables(code)
-    # leader index H(t) XOR m, packed; each p-bit group read as an integer through identity columns
-    identity = syndrome_tables([1 << (p - 1 - i) for i in range(p)], p)
+    # leader index H(t) XOR m, packed; each p-bit group read as a big-endian word
+    # through a right-aligned identity
+    word = np.min_scalar_type((1 << p) - 1).itemsize
+    identity = syndrome_tables(np.eye(8 * word, p, p - 8 * word, dtype=np.uint8))
     weights = table.leaders.sum(axis=1, dtype=np.int64)
     total = most = 0
     for start, stop in _chunks(blocks_used):
@@ -220,7 +221,7 @@ def _embed_lsbs(
         syn = _message_bytes(part, tables)
         message = frame[start * p // 8 : start * p // 8 + len(syn)]
         syn[: len(message)] ^= message
-        idx = stream_syndromes(syn, stop - start, identity)
+        idx = stream_syndromes(syn, stop - start, identity).view(f">u{word}")
         leaders = np.take(table.leaders, idx, axis=0)
         np.bitwise_xor(part, leaders, out=out[start:stop])
         total += int(np.count_nonzero(leaders))
@@ -308,7 +309,7 @@ def _chunks(blocks: int):
 
 def _code_tables(code: GraphicalCode) -> SyndromeTables:
     """The code's packed syndrome tables: one form for both directions, built once per call."""
-    return syndrome_tables(column_syndromes(code.parity_check), code.n_len - code.k, packed=True)
+    return syndrome_tables(code.parity_check)
 
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:

@@ -352,7 +352,7 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
         )
     packed = np.frombuffer(body, dtype=np.uint8).reshape(count, bytes_per)
     leaders = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
-    got = block_syndromes(leaders, column_syndromes(code.parity_check), p)
+    got = block_syndromes(leaders, code.parity_check)
     if not np.array_equal(got, np.arange(count)):
         raise TableCacheError("cached table does not match this code")
     dist = _coset_weights(code)

@@ -12,7 +12,7 @@ All operations are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -108,37 +108,43 @@ def column_syndromes(matrix) -> list[int]:
 
     Column j of a parity check is the syndrome of the word with only
     bit j set, so any word's syndrome is the XOR of the column
-    syndromes of its set bits (see :func:`block_syndromes`).  ``matrix``
-    is trusted: a uint8 array of 0/1 entries, validated by the caller.
+    syndromes of its set bits: the coset-table builders' search steps.
+    ``matrix`` is trusted: a uint8 array of 0/1 entries, validated by the caller.
     """
     pad = -matrix.shape[0] % 8
     return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(matrix, axis=0).T]
 
 
-def block_syndromes(blocks: np.ndarray, columns: Sequence[int], width: int) -> np.ndarray:
-    """Syndrome of each row of a block matrix: the XOR of its set columns.
+def block_syndromes(blocks: np.ndarray, check: np.ndarray) -> np.ndarray:
+    """Syndrome of each row of a block matrix under the parity check ``check``.
 
-    The rows are packed as one flat bit stream and handed to
-    :func:`stream_syndromes`.  ``blocks`` is trusted: callers validate
-    at their public entry points.
+    A row word is the packed syndrome stream of ``check`` padded on top
+    with zero rows to 8, 16, 32 or 64 bits, read big-endian.  ``blocks``
+    and ``check`` are trusted: callers validate at their public entry
+    points.
 
     Args:
-        blocks: (N, len(columns)) uint8 array with entries in {0, 1}.
-        columns: one integer per block position, as from
-            :func:`column_syndromes`.
-        width: syndrome length in bits.
+        blocks: (N, n) uint8 array with entries in {0, 1}.
+        check: (width, n) parity-check bit matrix.
 
     Returns:
         An (N,) array of the narrowest unsigned dtype holding ``width``
         bits, which must not exceed 64 (ValueError; wider syndromes come
-        only packed); a syndrome reads as :func:`syndrome_index` reads.
+        only from :func:`stream_syndromes`); a syndrome reads as
+        :func:`syndrome_index` reads.
     """
-    tables = syndrome_tables(columns, width)
-    return stream_syndromes(np.packbits(blocks.reshape(-1)), len(blocks), tables)
+    width, n = check.shape
+    if width > 64:
+        raise ValueError(f"a row syndrome holds at most 64 bits, got {width}: use stream_syndromes")
+    size = np.min_scalar_type((1 << width) - 1).itemsize
+    words = np.zeros((8 * size, n), dtype=np.uint8)
+    words[8 * size - width :] = check
+    out = stream_syndromes(np.packbits(blocks.reshape(-1)), len(blocks), syndrome_tables(words))
+    return out.view(f">u{size}").astype(f"u{size}")
 
 
 class SyndromeTables:
-    """Byte lookup tables of one code's syndromes over a group of rows.
+    """Byte lookup tables of one code's packed syndromes over a group of rows.
 
     A group is ``rows`` consecutive rows of a packed stream, ``in_bytes``
     whole bytes.  Output slot s of a group is the XOR of ``table[v]``
@@ -147,59 +153,38 @@ class SyndromeTables:
     a millisecond to every ``import graphstego``.)
     """
 
-    def __init__(self, rows: int, in_bytes: int, width: int, packed: bool, dtype: np.dtype,
+    def __init__(self, rows: int, in_bytes: int, width: int, dtype: np.dtype,
                  lookups: tuple[tuple[tuple[int, np.ndarray], ...], ...]):
         self.rows = rows
         self.in_bytes = in_bytes
         self.width = width
-        self.packed = packed
         self.dtype = dtype
         self.lookups = lookups
 
 
-def syndrome_tables(columns: Sequence[int], width: int, packed: bool = False) -> SyndromeTables:
-    """Tables for :func:`stream_syndromes`, built once per code and output form.
+def syndrome_tables(check: np.ndarray) -> SyndromeTables:
+    """Tables for :func:`stream_syndromes`, built once per parity check.
 
-    With ``packed`` false a slot is one row's syndrome, a single word
-    in the dtype of :func:`block_syndromes`, so ``width`` is at most 64.
-    With ``packed`` true the output is the syndromes' own packed stream,
-    ``width`` bits per row with no gaps, for any width, and a slot is a
-    word of up to 8 of its bytes, stored in stream order.  A row's
-    syndrome that spans k output bytes would cost each of its input
-    bytes k lookups into one-byte slots, but only one or two into a word.
+    ``check`` is a (width, n) bit matrix, trusted.  The output is the
+    syndromes' own packed stream, ``width`` bits per row with no gaps,
+    for any width, and a slot is a word of up to 8 of its bytes, stored
+    in stream order.  A row's syndrome that spans k output bytes would
+    cost each of its input bytes k lookups into one-byte slots, but
+    only one or two into a word.
 
-    A group is the fewest rows whose input (and packed output) fills
-    whole bytes: lcm(8/gcd(n, 8), 8/gcd(width, 8)) <= 8 rows.
-
-    Raises:
-        ValueError: if ``width`` exceeds 64 bits without ``packed``.
+    A group is the fewest rows whose input and output both fill whole
+    bytes: lcm(8/gcd(n, 8), 8/gcd(width, 8)) <= 8 rows.
     """
-    n = len(columns)
-    rows = 8 // math.gcd(n, 8)
-    if packed:
-        rows = max(rows, 8 // math.gcd(width, 8))  # both are powers of two
-        out_bytes = rows * width // 8
-        dtype = np.dtype(f"u{min(8, 1 << (out_bytes - 1).bit_length())}")
-        stride = width
-        span = -(-out_bytes // dtype.itemsize) * dtype.itemsize * 8
-        order = dtype  # bytes in stream order, never read as numbers
-    else:
-        if width > 64:
-            raise ValueError(f"a row syndrome holds at most 64 bits, got {width}: use packed")
-        dtype = np.dtype(np.min_scalar_type((1 << width) - 1))
-        stride = 8 * dtype.itemsize  # a row's slot, syndrome right-aligned
-        span = rows * stride
-        order = dtype.newbyteorder(">")
-    size = -(-width // 8)
-    col_bits = np.unpackbits(
-        np.frombuffer(b"".join(c.to_bytes(size, "big") for c in columns), np.uint8).reshape(n, size),
-        axis=1,
-    )[:, 8 * size - width :]
+    width, n = check.shape
+    rows = max(8 // math.gcd(n, 8), 8 // math.gcd(width, 8))  # both are powers of two
+    out_bytes = rows * width // 8
+    dtype = np.dtype(f"u{min(8, 1 << (out_bytes - 1).bit_length())}")
+    span = -(-out_bytes // dtype.itemsize) * dtype.itemsize * 8
     # effect[x]: the output bits of a group that input bit x flips
     effect = np.zeros((rows, n, span), dtype=np.uint8)
     for r in range(rows):
-        effect[r, :, (r + 1) * stride - width : (r + 1) * stride] = col_bits
-    contrib = np.packbits(effect.reshape(rows * n, span), axis=1).view(order).astype(dtype)
+        effect[r, :, r * width : (r + 1) * width] = check.T
+    contrib = np.packbits(effect.reshape(rows * n, span), axis=1).view(dtype)
     contrib = contrib.reshape(rows * n // 8, 8, -1)  # input byte, bit (MSB first), slot
     reached = contrib.any(axis=1)  # (byte, slot)
     inputs, slots = np.nonzero(reached)  # one lookup per (input byte, slot) pair
@@ -214,7 +199,6 @@ def syndrome_tables(columns: Sequence[int], width: int, packed: bool = False) ->
         rows=rows,
         in_bytes=rows * n // 8,
         width=width,
-        packed=packed,
         dtype=dtype,
         lookups=tuple(map(tuple, lookups)),
     )
@@ -231,9 +215,8 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
     group first.
 
     Returns:
-        :func:`block_syndromes`' array of ``count`` rows, or with packed
-        tables the ``ceil(count * width / 8)`` bytes of the syndromes'
-        packed stream, the unused bits of the last byte zero.
+        The ``ceil(count * width / 8)`` bytes of the syndromes' packed
+        stream, uint8, the unused bits of the last byte zero.
     """
     P, B = tables.rows, tables.in_bytes
     groups = -(-count // P)
@@ -246,8 +229,6 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
         src = packed[full * B : groups * B]
         rest[: len(src)] = src
         _lookup(rest.reshape(-1, B), tables, out[full:])
-    if not tables.packed:
-        return out.reshape(-1)[:count]
     bits = count * tables.width
     out = out.view(np.uint8)[:, : P * tables.width // 8].reshape(-1)[: -(-bits // 8)]
     if bits % 8:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import column_syndromes, gf2_rank, stream_syndromes, syndrome_tables
+from .gf2 import gf2_rank, stream_syndromes, syndrome_tables
 
 
 class GraphError(ValueError):
@@ -250,8 +250,7 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
     else:
         t = spanning_tree_from_ids(g, tree)
     gen, chk = _fundamental_matrices(g, t)
-    checks = syndrome_tables(column_syndromes(chk), len(chk), packed=True)  # any width
-    if stream_syndromes(np.packbits(gen), len(gen), checks).any():
+    if stream_syndromes(np.packbits(gen), len(gen), syndrome_tables(chk)).any():  # any width
         raise GraphError("orthogonality failure: circuits do not satisfy the cut-set checks")
     if gf2_rank(gen) != k or gf2_rank(chk) != v - 1:
         raise GraphError("rank failure in fundamental matrices")

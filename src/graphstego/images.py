@@ -102,6 +102,8 @@ def _load_bmp(data: np.ndarray) -> CoverImage:
     )
     if header_size != 40:
         raise ImageFormatError(f"unsupported BMP header size {header_size}")
+    if offset < 54:
+        raise ImageFormatError(f"BMP pixel offset {offset} lies inside its headers")
     if bitcount != 24:
         raise ImageFormatError(f"only 24-bit BMP supported, got {bitcount}-bit")
     if compression != 0:

@@ -188,6 +188,11 @@ def wheel_graph() -> Graph:
     return build_graph(6, spokes + rim)
 
 
+def ring_graph(vertices: int) -> Graph:
+    """The cycle on ``vertices`` vertices: its cycle code has n = vertices, p = vertices - 1."""
+    return build_graph(vertices, [(i, i % vertices + 1) for i in range(1, vertices + 1)])
+
+
 def random_graph(rng: np.random.Generator, vertices: int, edges: int) -> Graph:
     """Random connected simple graph with exactly ``edges`` edges.
 

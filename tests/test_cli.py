@@ -287,8 +287,11 @@ def test_table_csv_file_and_doctored_rows(tmp_path, capsys):
 
 def test_table_malformed_rows(tmp_path, capsys):
     rows = tmp_path / "rows.tsv"
-    rows.write_text("15\t3\tB\t4\n")
-    assert main(["table", "--rows", str(rows)]) == 3
+    # too few fields; a bad ER; n or rho of zero, which the rates divide by
+    for row in ("15\t3\tB\t4", "15\t3\tB\t4\t1\tabc\t4", "0\t3\tB\t4\t1\t0.27\t4",
+                "15\t3\tB\t4\t0-1\t0.27\t4-4"):
+        rows.write_text(row + "\n")
+        assert main(["table", "--rows", str(rows)]) == 3
     capsys.readouterr()
 
 

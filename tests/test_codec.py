@@ -40,6 +40,7 @@ from helpers import (
     random_connected_graph,
     random_graph,
     random_pgm_bytes,
+    ring_graph,
 )
 
 
@@ -355,9 +356,16 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+@pytest.fixture(scope="module")
+def ring_tables():
+    """Rings of 18 and 21 vertices: p = 17 and 20 (the table limit), 4-byte leader indices."""
+    return [build_coset_table_bruteforce(build_code(ring_graph(v))) for v in (18, 21)]
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 @pytest.mark.parametrize("kind", sorted(COVERS))
-def test_image_path_matches_the_bit_plane_composition(kind, chunk, tmp_path, monkeypatch, k5_table):
+def test_image_path_matches_the_bit_plane_composition(kind, chunk, tmp_path, monkeypatch, k5_table,
+                                                      ring_tables):
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", chunk)
     path = tmp_path / "cover.img"
     path.write_bytes(COVERS[kind]())
@@ -365,7 +373,7 @@ def test_image_path_matches_the_bit_plane_composition(kind, chunk, tmp_path, mon
     writable = replace(cover, pixels=cover.pixels.copy())
     rng = np.random.default_rng(chunk)
     other = build_coset_table_bruteforce(build_code(random_graph(rng, 7, 11)))
-    for table in (k5_table, other):
+    for table in (k5_table, other, *ring_tables):
         code = table.code
         p = code.n_len - code.k
         room = (cover.capacity // code.n_len * p - 32) // 8

@@ -109,12 +109,18 @@ def test_bmp_rejections(tmp_path):
     truncated = bytes(good[:-4])
     weird_header = bytearray(good)
     weird_header[14] = 12  # BITMAPCOREHEADER size
+    inside_headers = {}
+    for offset in (0, 20, 53):  # bfOffBits below 54 reads header bytes as pixels
+        blob = bytearray(good)
+        blob[10:14] = struct.pack("<I", offset)
+        inside_headers[f"offset{offset}.bmp"] = bytes(blob)
     for name, blob in {
         "compressed.bmp": bytes(compressed),
         "eight.bmp": bytes(eight_bit),
         "topdown.bmp": bytes(topdown),
         "trunc.bmp": truncated,
         "core.bmp": bytes(weird_header),
+        **inside_headers,
     }.items():
         path = tmp_path / name
         path.write_bytes(blob)

@@ -1,11 +1,10 @@
 """The column-syndrome engine against the row-by-row oracle ``helpers.mat_vec_mul``.
 
-``block_syndromes`` packs each syndrome into the narrowest unsigned
-dtype and refuses widths above 64 bits; with packed tables
 ``stream_syndromes`` returns the syndromes' own packed bit stream at any
-width; the
-stream codec walks blocks ``CHUNK_BLOCKS`` at a time.  All are checked
-here against independent computations: ``mat_vec_mul`` per row,
+width; ``block_syndromes`` reads that stream as words of the narrowest
+unsigned dtype and refuses widths above 64 bits; the stream codec
+walks blocks ``CHUNK_BLOCKS`` at a time.  All are checked here against
+independent computations: ``mat_vec_mul`` per row,
 ``embed_block`` per block.
 """
 
@@ -37,7 +36,7 @@ from graphstego.gf2 import (
 from graphstego.graphs import build_code, complete_graph
 from graphstego.images import CoverImage
 
-from helpers import mat_vec_mul, random_graph
+from helpers import mat_vec_mul, random_graph, ring_graph
 
 WIDTHS = [1, 8, 9, 16, 17, 32, 33, 64, 65, 128, 130]
 NARROWEST = {1: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16, 17: np.uint32,
@@ -77,9 +76,9 @@ def test_block_syndromes_match_mat_vec_mul(p, n, count, layout, seed):
     blocks = rng.integers(0, 2, (count, n), dtype=np.uint8)
     if p > 64:  # a row syndrome is one word; wider ones come only packed
         with pytest.raises(ValueError, match="64 bits"):
-            block_syndromes(_layout(blocks, layout), column_syndromes(h), p)
+            block_syndromes(_layout(blocks, layout), h)
         return
-    syn = block_syndromes(_layout(blocks, layout), column_syndromes(h), p)
+    syn = block_syndromes(_layout(blocks, layout), h)
     assert syn.shape == (count,) and syn.dtype == NARROWEST[p]
     assert [int(s) for s in syn] == [syndrome_index(mat_vec_mul(h, row)) for row in blocks]
 
@@ -103,7 +102,7 @@ def test_packed_stream_syndromes_match_mat_vec_mul(p, n, count, extra, kept, see
     bits = rng.integers(0, 2, (count + extra) * n, dtype=np.uint8)
     stream = np.packbits(bits)[: -(-bits.size // 8) * kept // 100]
     bits[8 * len(stream) :] = 0
-    got = stream_syndromes(stream, count, syndrome_tables(column_syndromes(h), p, packed=True))
+    got = stream_syndromes(stream, count, syndrome_tables(h))
     oracle = [mat_vec_mul(h, row) for row in bits[: count * n].reshape(count, n)]
     assert got.dtype == np.uint8 and got.ndim == 1
     assert got.tobytes() == np.packbits(np.concatenate([np.zeros(0, np.uint8), *oracle])).tobytes()
@@ -145,7 +144,7 @@ def _odd_width_codes():
     """Codes whose packed output repeats only every 8 rows: odd p."""
     k6 = build_code(complete_graph(6))  # n = 15: rows start at all 8 bit offsets
     rand = build_code(random_graph(np.random.default_rng(71), 8, 13))  # n = 13, p = 7
-    return [k6, rand]
+    return [k6, rand, build_code(ring_graph(18))]  # p = 17: 4-byte leader indices
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64])
@@ -175,9 +174,9 @@ def test_extract_roundtrip_with_a_packed_period_of_8(chunk, monkeypatch):
 def test_tables_are_built_once_per_image_call(k5_table, k5_code, monkeypatch):
     calls = []
 
-    def spy(columns, width, packed=False):
-        calls.append((tuple(columns), packed))
-        return syndrome_tables(columns, width, packed)
+    def spy(check):
+        calls.append((tuple(column_syndromes(check)), len(check)))
+        return syndrome_tables(check)
 
     monkeypatch.setattr(codec, "syndrome_tables", spy)
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", 8)  # 29 chunks each way
@@ -189,11 +188,11 @@ def test_tables_are_built_once_per_image_call(k5_table, k5_code, monkeypatch):
     identity = (8, 4, 2, 1)  # reads each 4-bit leader index from the packed syndromes
     stego, report = embed_image(cover, data, k5_table)
     assert report.blocks_used == 232
-    # the same packed code table as extract, plus the identity row table
-    assert sorted(calls) == sorted([(columns, True), (identity, False)])
+    # the same code table as extract, plus the identity table: 4 bits right-aligned in a byte
+    assert sorted(calls) == sorted([(columns, 4), (identity, 8)])
     calls.clear()
     assert extract_image(stego, k5_code) == data
-    assert calls == [(columns, True)]
+    assert calls == [(columns, 4)]
 
 
 def test_extract_stream_on_a_code_wider_than_64_bits():

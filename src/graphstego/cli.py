@@ -19,13 +19,21 @@ import argparse
 import csv
 import gc
 import io
+import math
 import re
 import sys
 from importlib import resources
 from pathlib import Path
 
 from .codebook import CodebookError, code_from_codebook, format_codebook
-from .codec import CapacityError, FrameError, check_capacity, embed_image, extract_image
+from .codec import (
+    CapacityError,
+    FrameError,
+    _check_seekable,
+    check_capacity,
+    embed_file,
+    extract_file,
+)
 from .decoder import (
     TableCacheError,
     TableSizeError,
@@ -35,7 +43,7 @@ from .decoder import (
     covering_radius_tjoin,
 )
 from .graphs import GraphError, build_graph, code_report, complete_graph
-from .images import ImageFormatError, _psnr_db, load_image, save_image
+from .images import ImageFormatError, RasterFile, _psnr_db
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,13 +158,13 @@ def _cmd_analyze(args) -> int:
 def _cmd_embed(args) -> int:
     code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
     _check_size(code.n_len - code.k)
-    cover = load_image(args.cover)
+    _check_seekable(args.out)  # chunks are written by position: refuse a pipe before any work
     payload = Path(args.payload).read_bytes()
-    check_capacity(code, 8 * len(payload), cover.capacity)  # before any table work
-    table = build_coset_table_bruteforce(code)
-    stego, report = embed_image(cover, payload, table)
-    save_image(stego, args.out)
-    psnr = _psnr_db(report.total_flips, stego.pixels.size)
+    with RasterFile(args.cover) as cover:
+        pixels = cover.layout.capacity
+        check_capacity(code, 8 * len(payload), pixels)  # before any table work
+        report = embed_file(cover, payload, build_coset_table_bruteforce(code), args.out)
+    psnr = _psnr_db(report.total_flips, pixels)
     psnr_txt = "inf" if psnr is None else f"{psnr:.2f}"
     if args.porcelain:
         print(f"blocks_used={report.blocks_used}")
@@ -178,7 +186,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_extract(args) -> int:
     code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
-    data = extract_image(load_image(args.stego), code)
+    data = extract_file(args.stego, code)
     Path(args.out).write_bytes(data)
     print(f"extracted {len(data)} bytes to {args.out}")
     return EXIT_OK
@@ -226,6 +234,8 @@ def _cmd_table(args) -> int:
         efs = _parse_range(ef_txt, as_int=False)
         if len(rhos) != len(efs):
             raise CodebookError(f"rows line {lineno}: rho and ef ranges differ in length")
+        if not all(map(math.isfinite, [er_pub, *efs])):
+            raise CodebookError(f"rows line {lineno}: ER and EF must be finite numbers")
         if n_len < 1 or min(rhos) < 1:
             raise CodebookError(f"rows line {lineno}: n and rho must be positive")
         er_calc = hidden / n_len

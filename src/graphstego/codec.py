@@ -15,7 +15,12 @@ array entry per bit.
 
 from __future__ import annotations
 
+import errno
+import os
+import stat
 import struct
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +35,7 @@ from .gf2 import (
     syndrome_tables,
 )
 from .graphs import GraphicalCode
-from .images import CoverImage
+from .images import CoverImage, RasterFile, _canonical_header
 
 HEADER_BITS = 32
 HEADER_BYTES = HEADER_BITS // 8
@@ -38,6 +43,10 @@ HEADER_BYTES = HEADER_BITS // 8
 #: Both directions round it up to a multiple of 8 blocks, so that every
 #: chunk starts on a whole frame byte.
 CHUNK_BLOCKS = 1 << 16
+#: Most threads one call runs its chunks on: the caller and one helper.
+#: More would not pay on a two-core host, and each adds a chunk's
+#: working memory.
+MAX_THREADS = 2
 
 
 class CapacityError(ValueError):
@@ -88,7 +97,7 @@ def extract_block(v, code: GraphicalCode) -> np.ndarray:
     v = as_bits(v)
     if v.size != code.n_len:
         raise ValueError(f"block must have {code.n_len} bits, got {v.size}")
-    return np.unpackbits(_message_bytes(v[None], _code_tables(code)), count=code.n_len - code.k)
+    return np.unpackbits(_message_bytes(v[None], code.check_tables), count=code.n_len - code.k)
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
@@ -145,7 +154,8 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
     cover_bits = _bits_view(cover_bits)
     data_bits = _bits_view(data_bits)
     stego = np.empty_like(cover_bits)
-    return stego, _embed_lsbs(cover_bits, stego, np.packbits(data_bits), data_bits.size, table)
+    report = _embed_lsbs(_Arrays(cover_bits, stego), np.packbits(data_bits), data_bits.size, table)
+    return stego, report
 
 
 def embed_image(
@@ -165,14 +175,72 @@ def embed_image(
         CapacityError: if the framed payload needs more blocks than the
             cover has pixels.
     """
-    if isinstance(payload, np.ndarray):
-        raise TypeError("payload must be bytes-like, not an ndarray")
-    packed = np.frombuffer(payload, dtype=np.uint8)
+    packed = _payload_bytes(payload)
     src = cover.pixels.reshape(-1)
     pixels = np.empty_like(src)
-    report = _embed_lsbs(src, pixels, packed, 8 * packed.size, table)
+    report = _embed_lsbs(_Arrays(src, pixels), packed, 8 * packed.size, table)
     pixels.setflags(write=False)
     return replace(cover, pixels=pixels.reshape(cover.pixels.shape)), report
+
+
+def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
+    """Embed the ``payload`` bytes in a cover file and write the stego file.
+
+    Writes the same bytes as
+    ``save_image(embed_image(load_image(cover_path), payload, table)[0], out_path)``
+    and returns the same report, but a chunk at a time: no array holds
+    the whole image.  ``cover_path`` may also be a :class:`RasterFile`
+    the caller opened, and then closes.  A cover that is not a regular
+    file, or that ``out_path`` names, is read into memory first.  The
+    output is written by position, so it must be seekable; it is
+    opened only after the cover's header and the payload's size pass
+    their checks, and removed again if the embedding fails.
+
+    Raises:
+        TypeError: as :func:`embed_image`.
+        OSError: if ``out_path`` is a pipe or a socket, or cannot be
+            read or written.
+        ImageFormatError: if the cover does not parse.
+        CapacityError: if the framed payload needs more blocks than the
+            cover has pixels.
+    """
+    packed = _payload_bytes(payload)
+    _check_seekable(out_path)
+    opened = isinstance(cover_path, RasterFile)
+    with nullcontext(cover_path) if opened else RasterFile(cover_path) as cover:
+        check_capacity(table.code, 8 * packed.size, cover.layout.capacity)
+        cover.detach_from(out_path)
+        lay = cover.layout
+        header = _canonical_header(lay.format_tag, lay.width, lay.height)
+        with open(out_path, "wb") as fh:
+            try:
+                _write_at(fh.fileno(), header, 0)
+                out = _Raster(cover, fh.fileno(), len(header) - lay.offset)
+                return _embed_lsbs(out, packed, 8 * packed.size, table)
+            except BaseException:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.unlink(out_path)
+                raise
+
+
+def _check_seekable(out_path) -> None:
+    """Refuse an output that chunks cannot be written to by position.
+
+    Raises:
+        OSError: if ``out_path`` names a pipe or a socket.
+    """
+    try:
+        mode = os.stat(out_path).st_mode
+    except FileNotFoundError:
+        return
+    if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
+        raise OSError(errno.ESPIPE, "stego output must be seekable, not a pipe", str(out_path))
+
+
+def _payload_bytes(payload) -> np.ndarray:
+    if isinstance(payload, np.ndarray):
+        raise TypeError("payload must be bytes-like, not an ndarray")
+    return np.frombuffer(payload, dtype=np.uint8)
 
 
 def check_capacity(code: GraphicalCode, bits: int, cover_bits: int) -> int:
@@ -190,47 +258,60 @@ def check_capacity(code: GraphicalCode, bits: int, cover_bits: int) -> int:
     return blocks
 
 
-def _embed_lsbs(
-    src: np.ndarray, dst: np.ndarray, packed: np.ndarray, bits: int, table: CosetTable
-) -> EmbedReport:
-    """Write ``src`` with the framed payload embedded in its LSBs to ``dst``.
+def _embed_lsbs(io, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedReport:
+    """Embed the framed payload in the LSBs of ``io``'s chunks.
 
-    ``packed`` holds the ``bits`` payload bits, packed MSB first.
-    ``src`` and ``dst`` are flat integer arrays of one size, of 0/1
-    bits or of pixels: each chunk's syndromes are read from
-    ``part & 1``, and XOR-ing a 0/1 leader into ``part`` flips exactly
-    those LSBs.  Bits past the last block are copied unchanged.
+    ``packed`` holds the ``bits`` payload bits, packed MSB first.  The
+    chunks are of 0/1 bits or of pixels: each chunk's syndromes are
+    read from ``part & 1``, and XOR-ing a 0/1 leader into ``part``
+    flips exactly those LSBs.  Bits past the last block go through the
+    same loop unchanged.
     """
     code = table.code
     n = code.n_len
     p = n - code.k
-    blocks_used = check_capacity(code, bits, src.size)
+    blocks_used = check_capacity(code, bits, io.size)
     needed = blocks_used * n
-    blocks = src[:needed].reshape(-1, n)
-    out = dst[:needed].reshape(-1, n)
     frame = _packed_frame(packed, bits)
-    tables = _code_tables(code)
+    tables = code.check_tables
     # leader index H(t) XOR m, packed; each p-bit group read as a big-endian word
     # through a right-aligned identity
     word = np.min_scalar_type((1 << p) - 1).itemsize
     identity = syndrome_tables(np.eye(8 * word, p, p - 8 * word, dtype=np.uint8))
-    weights = table.leaders.sum(axis=1, dtype=np.int64)
-    total = most = 0
-    for start, stop in _chunks(blocks_used):
-        part = blocks[start:stop]
-        syn = _message_bytes(part, tables)
+    weights = table.leaders.sum(axis=1, dtype=np.uint8)  # at most rho <= p flips
+    step = _step()
+
+    def embed(start: int, blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``blocks ^ leaders`` to ``out``; returns each block's flip count."""
+        syn = _message_bytes(blocks, tables)
         message = frame[start * p // 8 : start * p // 8 + len(syn)]
         syn[: len(message)] ^= message
-        idx = stream_syndromes(syn, stop - start, identity).view(f">u{word}")
-        leaders = np.take(table.leaders, idx, axis=0)
-        np.bitwise_xor(part, leaders, out=out[start:stop])
-        total += int(np.count_nonzero(leaders))
-        most = max(most, int(np.take(weights, idx).max()))
-    dst[needed:] = src[needed:]
+        idx = stream_syndromes(syn, len(blocks), identity).view(f">u{word}").astype(np.intp)
+        np.bitwise_xor(blocks, np.take(table.leaders, idx, axis=0), out=out)
+        return np.take(weights, idx)
+
+    def run(claims) -> tuple[int, int]:
+        scratch = io.scratch(step * n)
+        total = most = 0
+        for start in claims:
+            lo, hi = start * n, min((start + step) * n, io.size)
+            part, out = io.read(lo, hi, scratch)
+            used = max(min(hi, needed) - lo, 0)
+            if used:
+                flips = embed(start, part[:used].reshape(-1, n), out[:used].reshape(-1, n))
+                total += int(flips.sum())
+                most = max(most, int(flips.max()))
+            if out is not part:
+                out[used:] = part[used:]
+            io.write(lo, hi, scratch)
+        return total, most
+
+    results = _run_chunks(range(0, -(-io.size // n), step), run)  # every pixel
+    total = sum(t for t, _ in results)
     return EmbedReport(
         blocks_used=blocks_used,
         total_flips=total,
-        max_flips_per_block=most,
+        max_flips_per_block=max(m for _, m in results),
         embedding_rate=p / n,
         theoretical_efficiency=p / table.rho,
         empirical_efficiency=(p * blocks_used / total) if total else float("inf"),
@@ -247,7 +328,7 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
         FrameError: if the stream is too short for the header or for
             the length the header declares.
     """
-    frame, declared = _extract_lsbs(_bits_view(stego_bits), code)
+    frame, declared = _extract_lsbs(_Arrays(_bits_view(stego_bits)), code)
     return np.unpackbits(frame[HEADER_BYTES:], count=declared)
 
 
@@ -261,14 +342,33 @@ def extract_image(img: CoverImage, code: GraphicalCode) -> bytes:
         FrameError: as :func:`extract_stream`, or if the declared length
             is not a whole number of bytes.
     """
-    frame, declared = _extract_lsbs(img.pixels.reshape(-1), code)
+    return _payload_of(*_extract_lsbs(_Arrays(img.pixels.reshape(-1)), code))
+
+
+def extract_file(stego_path, code: GraphicalCode) -> bytes:
+    """Recover the payload bytes from a stego image file, a chunk at a time.
+
+    Equal to ``extract_image(load_image(stego_path), code)`` without
+    holding the whole image: each chunk of blocks is one positional
+    read.  A file that is not regular, such as a pipe, is read into
+    memory first.
+
+    Raises:
+        ImageFormatError: if the file does not parse.
+        FrameError: as :func:`extract_image`.
+    """
+    with RasterFile(stego_path) as stego:
+        return _payload_of(*_extract_lsbs(_Raster(stego), code))
+
+
+def _payload_of(frame: np.ndarray, declared: int) -> bytes:
     if declared % 8:
         raise FrameError(f"recovered {declared} bits, not a whole number of bytes")
     return frame[HEADER_BYTES : HEADER_BYTES + declared // 8].tobytes()
 
 
-def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray, int]:
-    """Packed frame from the LSBs of a flat array of bits or pixels.
+def _extract_lsbs(io, code: GraphicalCode) -> tuple[np.ndarray, int]:
+    """Packed frame from the LSBs of ``io``'s chunks, of bits or of pixels.
 
     Returns:
         (frame, declared): the frame's bytes, header first, and the
@@ -277,39 +377,182 @@ def _extract_lsbs(carrier: np.ndarray, code: GraphicalCode) -> tuple[np.ndarray,
     n = code.n_len
     p = n - code.k
     header_blocks = -(-HEADER_BITS // p)
-    if carrier.size < header_blocks * n:
+    if io.size < header_blocks * n:
         raise FrameError(
-            f"stego stream has {carrier.size} bits, header needs {header_blocks * n}"
+            f"stego stream has {io.size} bits, header needs {header_blocks * n}"
         )
-    blocks = carrier[: carrier.size // n * n].reshape(-1, n)
-    tables = _code_tables(code)
-    header = _message_bytes(blocks[:header_blocks], tables)
+    tables = code.check_tables
+    part, _ = io.read(0, header_blocks * n, io.scratch(header_blocks * n))
+    header = _message_bytes(part.reshape(-1, n), tables)
     declared = int.from_bytes(header[:HEADER_BYTES].tobytes(), "big")
     total_blocks = -(-(HEADER_BITS + declared) // p)
-    if total_blocks > len(blocks):
+    if total_blocks > io.size // n:
         raise FrameError(
             f"header declares {declared} payload bits needing {total_blocks * n} "
-            f"stego bits, only {carrier.size} present"
+            f"stego bits, only {io.size} present"
         )
     frame = np.empty(-(-total_blocks * p // 8), dtype=np.uint8)
-    for start, stop in _chunks(total_blocks):
-        part = _message_bytes(blocks[start:stop], tables)
-        frame[start * p // 8 : start * p // 8 + len(part)] = part
+    step = _step()
+
+    def run(starts) -> None:
+        scratch = io.scratch(step * n)
+        for start in starts:
+            stop = min(start + step, total_blocks)
+            part, _ = io.read(start * n, stop * n, scratch)
+            syn = _message_bytes(part.reshape(-1, n), tables)
+            frame[start * p // 8 : start * p // 8 + len(syn)] = syn
+
+    _run_chunks(range(0, total_blocks, step), run)
     return frame, declared
 
 
-def _chunks(blocks: int):
-    """(start, stop) of each chunk: :data:`CHUNK_BLOCKS` rounded up to a multiple of 8.
+def _step() -> int:
+    """Blocks per chunk: :data:`CHUNK_BLOCKS` rounded up to a multiple of 8.
 
-    So ``start * p`` is a whole number of bytes of the packed frame.
+    So a chunk's first block starts a whole byte of the packed frame.
     """
-    step = -(-CHUNK_BLOCKS // 8) * 8
-    return ((start, min(start + step, blocks)) for start in range(0, blocks, step))
+    return -(-CHUNK_BLOCKS // 8) * 8
 
 
-def _code_tables(code: GraphicalCode) -> SyndromeTables:
-    """The code's packed syndrome tables: one form for both directions, built once per call."""
-    return syndrome_tables(code.parity_check)
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(starts: range, run) -> list:
+    """Share the chunks beginning at ``starts`` between the caller and its helper threads.
+
+    At most MAX_THREADS threads in all, the caller included, and no
+    more than there are usable CPUs or chunks.  Each thread calls
+    ``run(claims)`` once, with an iterator that hands it one unclaimed
+    chunk start at a time, and the results of these calls are
+    returned.  An exception in any thread stops the others before
+    their next chunk; every helper is joined before this returns or
+    raises, and a helper's exception is raised here.
+    """
+    todo = iter(starts)
+    lock = threading.Lock()
+    failed, results = [], []
+
+    def claims():
+        while not failed:
+            with lock:
+                start = next(todo, None)
+            if start is None:
+                return
+            yield start
+
+    def helper():
+        try:
+            results.append(run(claims()))
+        except BaseException as exc:  # handed to the caller below
+            failed.append(exc)
+
+    workers = min(MAX_THREADS, _usable_cpus(), len(starts))
+    helpers = [threading.Thread(target=helper) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        results.append(run(claims()))
+    except BaseException as exc:
+        failed.append(exc)
+        raise
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
+class _Arrays:
+    """Chunks of a flat array, embedded into the same range of ``dst``."""
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray | None = None):
+        self.src, self.dst, self.size = src, dst, src.size
+
+    def scratch(self, size: int) -> None:
+        return None
+
+    def read(self, lo: int, hi: int, scratch):
+        """(the chunk's bits or pixels, where their embedded values go)."""
+        return self.src[lo:hi], None if self.dst is None else self.dst[lo:hi]
+
+    def write(self, lo: int, hi: int, scratch) -> None:
+        pass
+
+
+class _Raster:
+    """Chunks of an image file's pixels, each read into a buffer of its thread.
+
+    A chunk of pixels ``lo .. hi`` is the file's bytes from pixel lo up
+    to pixel hi, so a row's padding goes with the chunk that holds the
+    row's last pixel.  Embedded chunks are written back to the same
+    bytes, ``shift`` bytes on, of the file ``out_fd``, with zeros for
+    padding.
+    """
+
+    def __init__(self, raster: RasterFile, out_fd: int | None = None, shift: int = 0):
+        self.raster, self.out_fd, self.shift, self.layout = raster, out_fd, shift, raster.layout
+        self.size = self.layout.capacity
+
+    def _pos(self, i: int) -> int:
+        lay = self.layout
+        return lay.offset + i // lay.row_bytes * lay.stride + i % lay.row_bytes
+
+    def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(file rows, pixel rows) for chunks of up to ``size`` pixels.
+
+        One buffer serves both when rows carry no padding.
+        """
+        lay = self.layout
+        rows = -(-size // lay.row_bytes) + 1
+        raw = np.empty(rows * lay.stride, dtype=np.uint8)
+        if lay.stride == lay.row_bytes:
+            return raw, raw
+        return raw, np.empty(rows * lay.row_bytes, dtype=np.uint8)
+
+    def _rows(self, lo: int, hi: int, scratch) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that pixels ``lo .. hi`` touch, in both buffers.
+
+        Pixel lo sits at column ``lo % row_bytes`` of the first row.
+        """
+        lay = self.layout
+        raw, pixels = scratch
+        rows = -(-(lo % lay.row_bytes + hi - lo) // lay.row_bytes)
+        return (raw[: rows * lay.stride].reshape(rows, lay.stride)[:, : lay.row_bytes],
+                pixels[: rows * lay.row_bytes].reshape(rows, lay.row_bytes))
+
+    def read(self, lo: int, hi: int, scratch) -> tuple[np.ndarray, np.ndarray]:
+        raw, pixels = scratch
+        col = lo % self.layout.row_bytes
+        self.raster.read_into(raw[col : col + self._pos(hi) - self._pos(lo)], self._pos(lo))
+        if pixels is not raw:  # strip the padding
+            file_rows, pixel_rows = self._rows(lo, hi, scratch)
+            np.copyto(pixel_rows, file_rows)
+        part = pixels[col : col + hi - lo]
+        return part, part
+
+    def write(self, lo: int, hi: int, scratch) -> None:
+        raw, pixels = scratch
+        col = lo % self.layout.row_bytes
+        if pixels is not raw:
+            file_rows, pixel_rows = self._rows(lo, hi, scratch)
+            np.copyto(file_rows, pixel_rows)
+            raw.reshape(-1, self.layout.stride)[:, self.layout.row_bytes :] = 0
+        first = self._pos(lo)
+        _write_at(self.out_fd, raw[col : col + self._pos(hi) - first], first + self.shift)
+
+
+def _write_at(fd: int, data, pos: int) -> None:
+    """Write all of ``data`` at byte ``pos`` of ``fd``."""
+    view = memoryview(data)
+    while view:
+        done = os.pwrite(fd, view, pos)
+        view, pos = view[done:], pos + done
 
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:

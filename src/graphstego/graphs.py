@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gf2 import gf2_rank, stream_syndromes, syndrome_tables
+from .gf2 import SyndromeTables, gf2_rank, stream_syndromes, syndrome_tables
 
 
 class GraphError(ValueError):
@@ -73,6 +74,11 @@ class GraphicalCode:
     n_len: int
     k: int
     d: int
+
+    @cached_property
+    def check_tables(self) -> SyndromeTables:
+        """The parity check's packed syndrome tables, built on first use and kept."""
+        return syndrome_tables(self.parity_check)
 
 
 @dataclass(frozen=True)
@@ -250,17 +256,17 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
     else:
         t = spanning_tree_from_ids(g, tree)
     gen, chk = _fundamental_matrices(g, t)
-    if stream_syndromes(np.packbits(gen), len(gen), syndrome_tables(chk)).any():  # any width
-        raise GraphError("orthogonality failure: circuits do not satisfy the cut-set checks")
     if gf2_rank(gen) != k or gf2_rank(chk) != v - 1:
         raise GraphError("rank failure in fundamental matrices")
     d = girth(g)
     assert d is not None  # k >= 1 guarantees a cycle
     gen.setflags(write=False)
     chk.setflags(write=False)
-    return GraphicalCode(
-        graph=g, tree=t, generator=gen, parity_check=chk, n_len=m, k=k, d=d
-    )
+    code = GraphicalCode(graph=g, tree=t, generator=gen, parity_check=chk, n_len=m, k=k, d=d)
+    # the check's tables, built here once for the code's lifetime, read any width
+    if stream_syndromes(np.packbits(gen), len(gen), code.check_tables).any():
+        raise GraphError("orthogonality failure: circuits do not satisfy the cut-set checks")
+    return code
 
 
 def code_report(code: GraphicalCode, rho: int) -> CodeReport:

@@ -152,11 +152,13 @@ def test_table_size_exit(tmp_path, capsys):
     cover = write_pgm(tmp_path / "cover.pgm")
     payload = tmp_path / "secret.bin"
     payload.write_bytes(b"x")
+    out = tmp_path / "x.pgm"
     assert main([
         "embed", "--codebook", str(big), "--cover", str(cover),
-        "--payload", str(payload), "--out", str(tmp_path / "x.pgm"),
+        "--payload", str(payload), "--out", str(out),
     ]) == 6
     assert "table limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_bad_codebook(tmp_path, capsys):
@@ -195,11 +197,13 @@ def test_embed_capacity_exit(tmp_path, k5_codebook_file, capsys):
     cover = write_pgm(tmp_path / "tiny.pgm", side=4)  # 16 pixels
     payload = tmp_path / "big.bin"
     payload.write_bytes(bytes(1000))
+    out = tmp_path / "x.pgm"
     assert main([
         "embed", "--codebook", str(k5_codebook_file), "--cover", str(cover),
-        "--payload", str(payload), "--out", str(tmp_path / "x.pgm"),
+        "--payload", str(payload), "--out", str(out),
     ]) == 4
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_embed_checks_capacity_before_building_the_table(tmp_path, k5_codebook_file, monkeypatch,
@@ -293,6 +297,17 @@ def test_table_malformed_rows(tmp_path, capsys):
         rows.write_text(row + "\n")
         assert main(["table", "--rows", str(rows)]) == 3
     capsys.readouterr()
+
+
+def test_table_rejects_non_finite_figures(tmp_path, capsys):
+    # float() parses nan and inf, which no comparison can match
+    rows = tmp_path / "rows.tsv"
+    for row in ("15\t3\tB\t4\t1\tnan\tinf", "15\t3\tB\t4\t1\t-inf\t4",
+                "15\t3\tB\t4\t1-2\t0.27\t4-inf"):
+        rows.write_text(row + "\n")
+        assert main(["table", "--rows", str(rows)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "MISMATCH" not in captured.out + captured.err
 
 
 def test_usage_exit_for_unknown_subcommand(capsys):
@@ -503,9 +518,13 @@ def test_process_entry_flushes_and_closes_everything(tmp_path, k5_codebook_file,
     assert (run.returncode, run.stdout) == (4, "") and run.stderr.startswith("error:")
 
 
-def test_cli_embed_peak_memory_stays_below_3x_the_pixels(tmp_path, k5_codebook_file, capsys):
-    # unpacking the payload to one byte per bit, only to pack it back
-    # into the frame, put the embed command's peak at 3.14x
+def test_cli_embed_peak_memory_stays_below_3x_the_pixels(tmp_path, k5_codebook_file, monkeypatch,
+                                                         capsys):
+    # the command streams the cover: at two threads it peaked at 1.05x
+    # the pixel bytes (0.63x at one), the 0.19x payload and its frame
+    # copy plus each thread's chunk buffers; the whole-image path took
+    # 2.44x.  The bound leaves 0.25x (1 MB) for allocator noise.
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(47)
     pixels = rng.integers(0, 256, 1 << 22, dtype=np.uint8)
     payload_bits = rng.integers(0, 2, int(0.95 * 0.4 * pixels.size), dtype=np.uint8)
@@ -522,7 +541,7 @@ def test_cli_embed_peak_memory_stays_below_3x_the_pixels(tmp_path, k5_codebook_f
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    assert rc == 0 and peak < 3.0 * pixels.nbytes
+    assert rc == 0 and peak < 1.3 * pixels.nbytes
 
 
 def test_only_the_process_entry_freezes_the_heap(tmp_path, k5_codebook_file, monkeypatch, capsys):

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstego import codec
+from graphstego import codec, graphs
+from graphstego.codebook import bundled_codebook_text, code_from_codebook
 from graphstego.codec import (
     embed_block,
+    embed_file,
     embed_image,
     embed_stream,
     extract_block,
+    extract_file,
     extract_image,
     extract_stream,
     frame_payload,
@@ -171,28 +174,38 @@ def test_extract_roundtrip_with_a_packed_period_of_8(chunk, monkeypatch):
                               np.frombuffer(data, dtype=np.uint8))
 
 
-def test_tables_are_built_once_per_image_call(k5_table, k5_code, monkeypatch):
+def test_tables_are_built_once_per_image_call(tmp_path, monkeypatch):
+    # the code's table is a cached attribute of the code, built once in
+    # build_code; each embed call adds only its identity table
     calls = []
 
     def spy(check):
         calls.append((tuple(column_syndromes(check)), len(check)))
         return syndrome_tables(check)
 
+    monkeypatch.setattr(graphs, "syndrome_tables", spy)
     monkeypatch.setattr(codec, "syndrome_tables", spy)
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", 8)  # 29 chunks each way
-    rng = np.random.default_rng(73)
-    cover = CoverImage(width=50, height=50, channels=1, depth=8,
-                       pixels=rng.integers(0, 256, 2500, dtype=np.uint8), format_tag="pgm")
-    data = rng.integers(0, 256, 112, dtype=np.uint8).tobytes()
-    columns = tuple(column_syndromes(k5_code.parity_check))
+    code = code_from_codebook(bundled_codebook_text("k5"))
+    table = build_coset_table_bruteforce(code)
+    columns = tuple(column_syndromes(code.parity_check))
     identity = (8, 4, 2, 1)  # reads each 4-bit leader index from the packed syndromes
-    stego, report = embed_image(cover, data, k5_table)
-    assert report.blocks_used == 232
-    # the same code table as extract, plus the identity table: 4 bits right-aligned in a byte
-    assert sorted(calls) == sorted([(columns, 4), (identity, 8)])
-    calls.clear()
-    assert extract_image(stego, k5_code) == data
     assert calls == [(columns, 4)]
+    calls.clear()
+    rng = np.random.default_rng(73)
+    pixels = rng.integers(0, 256, 2500, dtype=np.uint8)
+    cover = CoverImage(width=50, height=50, channels=1, depth=8, pixels=pixels, format_tag="pgm")
+    data = rng.integers(0, 256, 112, dtype=np.uint8).tobytes()
+    stego, report = embed_image(cover, data, table)
+    assert report.blocks_used == 232
+    assert extract_image(stego, code) == data
+    cover_path, stego_path = tmp_path / "cover.pgm", tmp_path / "stego.pgm"
+    cover_path.write_bytes(b"P5\n50 50\n255\n" + pixels.tobytes())
+    assert embed_file(cover_path, data, table, stego_path) == report
+    assert extract_file(stego_path, code) == data
+    for block in stego.pixels[:1000].reshape(100, 10) & 1:
+        extract_block(block, code)
+    assert calls == [(identity, 8)] * 2
 
 
 def test_extract_stream_on_a_code_wider_than_64_bits():

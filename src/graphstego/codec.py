@@ -11,6 +11,11 @@ multiple of p.  Both directions carry the frame packed, eight bits to a
 byte: the header's 4 bytes, then the payload bytes.  The image level
 takes and returns those bytes; the stream level unpacks them to one
 array entry per bit.
+
+The file level runs the same chunk loop on a cover file: each chunk
+of pixels is read through :class:`~graphstego.images.RasterFile` and
+written where :func:`~graphstego.images.save_image` would put it, so
+where a file keeps its pixels is known to the ``images`` module alone.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .gf2 import (
     syndrome_tables,
 )
 from .graphs import GraphicalCode
-from .images import CoverImage, RasterFile, _canonical_header
+from .images import CoverImage, RasterFile
 
 HEADER_BITS = 32
 HEADER_BYTES = HEADER_BITS // 8
@@ -210,13 +215,9 @@ def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
     with nullcontext(cover_path) if opened else RasterFile(cover_path) as cover:
         check_capacity(table.code, 8 * packed.size, cover.layout.capacity)
         cover.detach_from(out_path)
-        lay = cover.layout
-        header = _canonical_header(lay.format_tag, lay.width, lay.height)
         with open(out_path, "wb") as fh:
             try:
-                _write_at(fh.fileno(), header, 0)
-                out = _Raster(cover, fh.fileno(), len(header) - lay.offset)
-                return _embed_lsbs(out, packed, 8 * packed.size, table)
+                return _embed_lsbs(_Raster(cover, fh.fileno()), packed, 8 * packed.size, table)
             except BaseException:
                 if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                     os.unlink(out_path)
@@ -488,71 +489,23 @@ class _Arrays:
 class _Raster:
     """Chunks of an image file's pixels, each read into a buffer of its thread.
 
-    A chunk of pixels ``lo .. hi`` is the file's bytes from pixel lo up
-    to pixel hi, so a row's padding goes with the chunk that holds the
-    row's last pixel.  Embedded chunks are written back to the same
-    bytes, ``shift`` bytes on, of the file ``out_fd``, with zeros for
-    padding.
+    Embedded chunks are written to the file ``out_fd`` where
+    :func:`~graphstego.images.save_image` puts them.
     """
 
-    def __init__(self, raster: RasterFile, out_fd: int | None = None, shift: int = 0):
-        self.raster, self.out_fd, self.shift, self.layout = raster, out_fd, shift, raster.layout
+    def __init__(self, raster: RasterFile, out_fd: int | None = None):
+        self.raster, self.out_fd, self.layout = raster, out_fd, raster.layout
         self.size = self.layout.capacity
 
-    def _pos(self, i: int) -> int:
-        lay = self.layout
-        return lay.offset + i // lay.row_bytes * lay.stride + i % lay.row_bytes
-
     def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """(file rows, pixel rows) for chunks of up to ``size`` pixels.
-
-        One buffer serves both when rows carry no padding.
-        """
-        lay = self.layout
-        rows = -(-size // lay.row_bytes) + 1
-        raw = np.empty(rows * lay.stride, dtype=np.uint8)
-        if lay.stride == lay.row_bytes:
-            return raw, raw
-        return raw, np.empty(rows * lay.row_bytes, dtype=np.uint8)
-
-    def _rows(self, lo: int, hi: int, scratch) -> tuple[np.ndarray, np.ndarray]:
-        """The rows that pixels ``lo .. hi`` touch, in both buffers.
-
-        Pixel lo sits at column ``lo % row_bytes`` of the first row.
-        """
-        lay = self.layout
-        raw, pixels = scratch
-        rows = -(-(lo % lay.row_bytes + hi - lo) // lay.row_bytes)
-        return (raw[: rows * lay.stride].reshape(rows, lay.stride)[:, : lay.row_bytes],
-                pixels[: rows * lay.row_bytes].reshape(rows, lay.row_bytes))
+        return self.layout.scratch(size)
 
     def read(self, lo: int, hi: int, scratch) -> tuple[np.ndarray, np.ndarray]:
-        raw, pixels = scratch
-        col = lo % self.layout.row_bytes
-        self.raster.read_into(raw[col : col + self._pos(hi) - self._pos(lo)], self._pos(lo))
-        if pixels is not raw:  # strip the padding
-            file_rows, pixel_rows = self._rows(lo, hi, scratch)
-            np.copyto(pixel_rows, file_rows)
-        part = pixels[col : col + hi - lo]
+        part = self.raster.read(lo, hi, scratch)
         return part, part
 
     def write(self, lo: int, hi: int, scratch) -> None:
-        raw, pixels = scratch
-        col = lo % self.layout.row_bytes
-        if pixels is not raw:
-            file_rows, pixel_rows = self._rows(lo, hi, scratch)
-            np.copyto(file_rows, pixel_rows)
-            raw.reshape(-1, self.layout.stride)[:, self.layout.row_bytes :] = 0
-        first = self._pos(lo)
-        _write_at(self.out_fd, raw[col : col + self._pos(hi) - first], first + self.shift)
-
-
-def _write_at(fd: int, data, pos: int) -> None:
-    """Write all of ``data`` at byte ``pos`` of ``fd``."""
-    view = memoryview(data)
-    while view:
-        done = os.pwrite(fd, view, pos)
-        view, pos = view[done:], pos + done
+        self.layout.write(self.out_fd, lo, hi, scratch)
 
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:

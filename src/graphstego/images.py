@@ -5,6 +5,10 @@ in file order (BMP rows therefore bottom-up, padding stripped) — so a
 load/save roundtrip keeps every pixel and LSB positions are stable.
 Saving writes a canonical header: PGM comments, trailing bytes and
 non-default BMP header fields are not kept.
+
+:class:`RasterLayout` alone knows where a file keeps its pixels and what
+the canonical header is: :func:`load_image`, :func:`save_image` and the
+file codec read and write pixel ranges through it.
 """
 
 from __future__ import annotations
@@ -57,20 +61,77 @@ class RasterLayout:
 
     ``height`` rows of ``row_bytes`` pixel bytes each start ``stride``
     bytes apart from byte ``offset``; the bytes between rows are
-    padding.  Pixel i, counted in file order with the padding left
-    out, is byte ``offset + i // row_bytes * stride + i % row_bytes``.
+    padding, since BMP pads its rows to a multiple of 4 bytes.
     """
 
-    def __init__(self, format_tag: str, width: int, height: int, channels: int, offset: int,
-                 stride: int):
-        self.format_tag = format_tag
-        self.width = width
-        self.height = height
-        self.channels = channels
-        self.offset = offset
-        self.row_bytes = channels * width
-        self.stride = stride
+    def __init__(self, format_tag: str, width: int, height: int, offset: int):
+        self.format_tag, self.width, self.height, self.offset = format_tag, width, height, offset
+        self.channels = 3 if format_tag == "bmp" else 1
+        self.row_bytes = self.channels * width
+        self.stride = (self.row_bytes + 3) // 4 * 4 if format_tag == "bmp" else self.row_bytes
         self.capacity = self.row_bytes * height
+
+    def pos(self, i: int) -> int:
+        """The file byte of pixel i, counted in file order with the padding left out."""
+        return self.offset + i // self.row_bytes * self.stride + i % self.row_bytes
+
+    def header(self) -> bytes:
+        """The canonical header that :meth:`write` puts before the raster."""
+        if self.format_tag == "pgm":
+            return b"P5\n%d %d\n255\n" % (self.width, self.height)
+        size = self.stride * self.height
+        return struct.pack("<2sIHHI", b"BM", 54 + size, 0, 0, 54) + struct.pack(
+            "<IiiHHIIiiII", 40, self.width, self.height, 1, 24, 0, size, 2835, 2835, 0, 0
+        )
+
+    def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(file rows, pixel rows) for any range of up to ``size`` pixels.
+
+        One buffer serves both when rows carry no padding.  A range that
+        starts mid-row takes one row more, but never more than the image.
+        """
+        rows = min(-(-size // self.row_bytes) + 1, self.height)
+        raw = np.empty(rows * self.stride, dtype=np.uint8)
+        if self.stride == self.row_bytes:
+            return raw, raw
+        return raw, np.empty(rows * self.row_bytes, dtype=np.uint8)
+
+    def rows(self, lo: int, hi: int, scratch) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that pixels ``lo .. hi`` touch, in both buffers.
+
+        Pixel lo sits at column ``lo % row_bytes`` of the first row.
+        """
+        raw, pixels = scratch
+        rows = -(-(lo % self.row_bytes + hi - lo) // self.row_bytes)
+        return (raw[: rows * self.stride].reshape(rows, self.stride)[:, : self.row_bytes],
+                pixels[: rows * self.row_bytes].reshape(rows, self.row_bytes))
+
+    def write(self, fd: int, lo: int, hi: int, scratch) -> None:
+        """Write pixels ``lo .. hi`` of ``scratch`` into ``fd`` where :func:`save_image` puts them.
+
+        The pixels sit in the scratch's pixel rows as
+        :meth:`RasterFile.read` leaves them.  Padding is written as
+        zeros, and the range that starts at pixel 0 writes the
+        canonical header too.
+        """
+        raw, pixels = scratch
+        if pixels is not raw:
+            file_rows, pixel_rows = self.rows(lo, hi, scratch)
+            np.copyto(file_rows, pixel_rows)
+            raw.reshape(-1, self.stride)[:, self.row_bytes :] = 0
+        header = self.header()
+        if lo == 0:
+            _write_at(fd, header, 0)
+        col, first = lo % self.row_bytes, self.pos(lo)
+        _write_at(fd, raw[col : col + self.pos(hi) - first], first - self.offset + len(header))
+
+
+def _write_at(fd: int, data, pos: int) -> None:
+    """Write all of ``data`` at byte ``pos`` of ``fd``."""
+    view = memoryview(data)
+    while view:
+        done = os.pwrite(fd, view, pos)
+        view, pos = view[done:], pos + done
 
 
 def _next_pgm_token(data, pos: int, size: int) -> tuple[bytes, int]:
@@ -100,20 +161,23 @@ def _parse_pgm(data, size: int) -> RasterLayout:
     for _ in range(3):
         token, pos = _next_pgm_token(data, pos, size)
         try:
+            if not token.isdigit():  # ASCII decimal only: int() also takes "+4" and "4_0"
+                raise ValueError
             fields.append(int(token))
-        except ValueError:
+        except ValueError:  # or too many digits to convert
             raise ImageFormatError(f"bad PGM header token {token!r}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise ImageFormatError(f"bad PGM dimensions {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"only maxval 255 PGM supported, got {maxval}")
-    pos += 1  # exactly one whitespace byte separates header from raster
-    if size - pos < width * height:
+    # exactly one whitespace byte separates header from raster
+    lay = RasterLayout("pgm", width, height, pos + 1)
+    if size < lay.pos(lay.capacity):
         raise ImageFormatError(
-            f"PGM raster truncated: {max(size - pos, 0)} of {width * height} bytes"
+            f"PGM raster truncated: {max(size - lay.offset, 0)} of {lay.capacity} bytes"
         )
-    return RasterLayout("pgm", width, height, 1, pos, width)
+    return lay
 
 
 def _parse_bmp(data, size: int) -> RasterLayout:
@@ -136,11 +200,10 @@ def _parse_bmp(data, size: int) -> RasterLayout:
     if height < 1:
         # negative height would mean top-down rows
         raise ImageFormatError(f"unsupported BMP height {height}")
-    stride = _bmp_stride(width)
-    need = offset + stride * height
-    if size < need:
-        raise ImageFormatError(f"BMP raster truncated: {size} of {need} bytes")
-    return RasterLayout("bmp", width, height, 3, offset, stride)
+    lay = RasterLayout("bmp", width, height, offset)
+    if size < lay.pos(lay.capacity):
+        raise ImageFormatError(f"BMP raster truncated: {size} of {lay.pos(lay.capacity)} bytes")
+    return lay
 
 
 def _parse_layout(data, size: int) -> RasterLayout:
@@ -160,46 +223,26 @@ def _parse_layout(data, size: int) -> RasterLayout:
     raise ImageFormatError(f"unsupported image format (magic {magic!r})")
 
 
-def _bmp_stride(width: int) -> int:
-    """BMP rows are padded to a multiple of 4 bytes."""
-    return (3 * width + 3) // 4 * 4
-
-
 def load_image(path) -> CoverImage:
     """Load a binary PGM (P5, maxval 255) or uncompressed 24-bit BMP.
 
-    A regular file is read into one numpy buffer (a pipe into a bytes
-    object), which is then made read-only.  The pixels are a view of
-    it, unless BMP rows carry padding: then they view a read-only copy
-    with the padding stripped.
+    The file is opened as a :class:`RasterFile` and its pixels read in
+    one range into a read-only buffer of their own, with the padding
+    stripped: it holds no header, padding or trailing bytes.
 
     Raises:
         ImageFormatError: for any other format or a malformed file.
     """
-    with open(path, "rb") as fh:
-        data = _read_all(fh)
-    lay = _parse_layout(data, len(data))
-    rows = data[lay.offset : lay.offset + lay.stride * lay.height].reshape(lay.height, lay.stride)
-    if lay.stride == lay.row_bytes:
-        pixels = rows.reshape(-1)  # a view of the file bytes
-    else:  # padding stripped into a read-only copy that the pixels view
-        copy = np.ascontiguousarray(rows[:, : lay.row_bytes])
-        copy.setflags(write=False)
-        pixels = copy.reshape(-1)
+    with RasterFile(path) as raster:
+        lay = raster.layout
+        raw, pixels = lay.scratch(lay.capacity)
+        raster.read(0, lay.capacity, (raw, pixels))
+    pixels.setflags(write=False)
+    pixels = pixels[:]  # a view of a read-only buffer cannot be made writeable again
     return CoverImage(
         width=lay.width, height=lay.height, channels=lay.channels, depth=8, pixels=pixels,
         format_tag=lay.format_tag,
     )
-
-
-def _read_all(fh) -> np.ndarray:
-    """The rest of an open file's bytes in a read-only numpy buffer."""
-    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        data = np.fromfile(fh, dtype=np.uint8)
-        data.setflags(write=False)
-        return data
-    # a pipe has no size to read into: take its bytes as they come
-    return np.frombuffer(fh.read(), dtype=np.uint8)
 
 
 def _read_layout(fd: int, size: int) -> RasterLayout:
@@ -216,7 +259,7 @@ def _read_layout(fd: int, size: int) -> RasterLayout:
 
 
 class RasterFile:
-    """An image file opened for reading its raster a byte range at a time.
+    """An image file opened for reading its pixels a range at a time.
 
     A regular file is parsed from its header alone, and each read is
     one positional read of the file.  Anything else, such as a pipe,
@@ -243,7 +286,7 @@ class RasterFile:
     def _load(self) -> None:
         fh, self._file = self._file, None
         with fh:
-            self._data = _read_all(fh)
+            self._data = np.frombuffer(fh.read(), dtype=np.uint8)
         self.layout = _parse_layout(self._data, len(self._data))
 
     def detach_from(self, path) -> None:
@@ -275,6 +318,22 @@ class RasterFile:
         if got != len(buf):
             raise ImageFormatError(f"image file ends early: {got} of {len(buf)} bytes at {pos}")
 
+    def read(self, lo: int, hi: int, scratch) -> np.ndarray:
+        """Pixels ``lo .. hi``, read into ``scratch`` from :meth:`RasterLayout.scratch`.
+
+        One positional read takes the file's bytes from pixel lo up to
+        pixel hi, so a row's padding goes with the range that holds the
+        row's last pixel; the padding is then stripped.
+        """
+        lay = self.layout
+        raw, pixels = scratch
+        col = lo % lay.row_bytes
+        self.read_into(raw[col : col + lay.pos(hi) - lay.pos(lo)], lay.pos(lo))
+        if pixels is not raw:
+            file_rows, pixel_rows = lay.rows(lo, hi, scratch)
+            np.copyto(pixel_rows, file_rows)
+        return pixels[col : col + hi - lo]
+
     def close(self) -> None:
         if self._file is not None:
             self._file.close()
@@ -287,36 +346,18 @@ class RasterFile:
         self.close()
 
 
-def _canonical_header(format_tag: str, width: int, height: int) -> bytes:
-    """The header :func:`save_image` writes; the raster follows it, BMP rows padded."""
-    if format_tag == "pgm":
-        return b"P5\n%d %d\n255\n" % (width, height)
-    if format_tag == "bmp":
-        size = _bmp_stride(width) * height
-        return struct.pack("<2sIHHI", b"BM", 54 + size, 0, 0, 54) + struct.pack(
-            "<IiiHHIIiiII", 40, width, height, 1, 24, 0, size, 2835, 2835, 0, 0
-        )
-    raise ImageFormatError(f"unknown format tag {format_tag!r}")
-
-
 def save_image(img: CoverImage, path) -> None:
     """Write the image in its own format, with a canonical header."""
-    pixels = np.ascontiguousarray(img.pixels, dtype=np.uint8)
-    if img.format_tag == "pgm":
-        if img.channels != 1 or pixels.size != img.width * img.height:
-            raise ImageFormatError("inconsistent PGM image record")
-    elif img.format_tag == "bmp":
-        if img.channels != 3 or pixels.size != 3 * img.width * img.height:
-            raise ImageFormatError("inconsistent BMP image record")
-        stride = _bmp_stride(img.width)
-        if stride != 3 * img.width:
-            rows = np.zeros((img.height, stride), dtype=np.uint8)
-            rows[:, : 3 * img.width] = pixels.reshape(img.height, 3 * img.width)
-            pixels = rows
-    header = _canonical_header(img.format_tag, img.width, img.height)
+    if img.format_tag not in ("pgm", "bmp"):
+        raise ImageFormatError(f"unknown format tag {img.format_tag!r}")
+    lay = RasterLayout(img.format_tag, img.width, img.height, 0)
+    pixels = np.ascontiguousarray(img.pixels, dtype=np.uint8).reshape(-1)
+    if (img.channels != lay.channels or pixels.size != lay.capacity
+            or min(img.width, img.height) < 1):
+        raise ImageFormatError(f"inconsistent {img.format_tag.upper()} image record")
+    raw = pixels if lay.stride == lay.row_bytes else np.empty(lay.height * lay.stride, np.uint8)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.data)
+        lay.write(fh.fileno(), 0, lay.capacity, (raw, pixels))
 
 
 def lsb_extract(img: CoverImage) -> np.ndarray:

@@ -20,14 +20,17 @@ from graphstego.images import RasterFile, load_image, save_image
 from helpers import random_bmp_bytes, ring_graph
 
 
-def commented_pgm_bytes(width: int, height: int, seed: int) -> bytes:
+def commented_pgm_bytes(width: int, height: int, seed: int, comment: bytes = b"made by hand"
+                        ) -> bytes:
     """A PGM whose header carries a comment and whose raster is followed by trailing bytes."""
     pixels = np.random.default_rng(seed).integers(0, 256, width * height, dtype=np.uint8)
-    return b"P5\n# made by hand\n%d %d\n255\n" % (width, height) + pixels.tobytes() + b"trailer"
+    return b"P5\n# %s\n%d %d\n255\n" % (comment, width, height) + pixels.tobytes() + b"trailer"
 
 
 COVERS = {
     "pgm_comment_trailer": lambda: commented_pgm_bytes(50, 41, 3),
+    # a header past the first 4 KiB read, and much longer than the canonical one
+    "pgm_long_header": lambda: commented_pgm_bytes(53, 40, 4, b"x" * 5000),
     "bmp_unpadded": lambda: random_bmp_bytes(40, 20, 5),  # 120-byte rows
     "bmp_padded": lambda: random_bmp_bytes(37, 23, 7),  # 111-byte rows, padded to 112
 }

@@ -3,14 +3,19 @@ from __future__ import annotations
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphstego.gf2 import as_bits
 from graphstego.images import (
     CoverImage,
     ImageFormatError,
+    _parse_layout,
+    _read_layout,
     load_image,
     lsb_extract,
     lsb_inject,
@@ -56,6 +61,10 @@ def test_pgm_rejections(tmp_path):
         "dims.pgm": b"P5\n0 4\n255\n",
         "header.pgm": b"P5\n4\n",
         "junk.pgm": b"GIF89a",
+        # Netpbm header numbers are ASCII decimal digits: no sign, no digit separator
+        "sign.pgm": b"P5\n+4 4\n255\n" + bytes(16),
+        "separator.pgm": b"P5\n4_0 1\n255\n" + bytes(40),
+        "long.pgm": b"P5\n" + b"1" * 5000 + b" 1\n255\n",  # more digits than int() converts
     }
     for name, blob in cases.items():
         path = tmp_path / name
@@ -234,9 +243,24 @@ def test_pgm_resave_canonicalises_the_header(tmp_path):
     assert np.array_equal(load_image(out).pixels, img.pixels)
 
 
+def _assert_pixels_own_one_read_only_buffer(img, name):
+    """The pixels are one read-only buffer of their own: no header, padding or trailer bytes."""
+    owner = img.pixels
+    while isinstance(owner, np.ndarray) and owner.base is not None:
+        owner = owner.base
+    assert isinstance(owner, np.ndarray), name
+    assert owner.nbytes == img.pixels.nbytes == img.capacity, name
+    assert not owner.flags.writeable, name
+    with pytest.raises(ValueError):
+        img.pixels[0] = 0
+    with pytest.raises(ValueError):
+        img.pixels.setflags(write=True)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_load_image_reads_a_pipe(tmp_path):
-    for name, data in (("img.pgm", small_pgm_bytes()), ("img.bmp", small_bmp_bytes())):
+    pgm = small_pgm_bytes() + b"trailer"
+    for name, data in (("img.pgm", pgm), ("img.bmp", small_bmp_bytes())):
         path = tmp_path / name
         path.write_bytes(data)
         read, write = os.pipe()
@@ -247,32 +271,97 @@ def test_load_image_reads_a_pipe(tmp_path):
         finally:
             os.close(read)
         assert np.array_equal(piped.pixels, load_image(path).pixels)
-        assert not piped.pixels.flags.writeable
+        _assert_pixels_own_one_read_only_buffer(piped, name)
 
 
-def test_load_image_views_the_file_bytes_unless_rows_are_padded(tmp_path):
+def test_load_image_pixels_own_one_read_only_buffer(tmp_path):
     unpadded = tmp_path / "unpadded.bmp"  # 4 pixels = 12 bytes per row
     unpadded.write_bytes(random_bmp_bytes(4, 3, 5))
     pgm = tmp_path / "img.pgm"
-    pgm.write_bytes(small_pgm_bytes())
+    pgm.write_bytes(small_pgm_bytes() + b"trailing tag")
     padded = tmp_path / "padded.bmp"
     padded.write_bytes(small_bmp_bytes())
-    for path, view in ((unpadded, True), (pgm, True), (padded, False)):
+    for path in (unpadded, pgm, padded):
         img = load_image(path)
-        assert not img.pixels.flags.writeable
-        owner = img.pixels
-        while isinstance(owner, np.ndarray) and owner.base is not None:
-            owner = owner.base
-        assert isinstance(owner, np.ndarray), path.name
-        if view:  # one buffer holding the whole file
-            assert owner.nbytes == path.stat().st_size, path.name
-        else:  # a copy of the pixels alone, padding stripped
-            assert owner.nbytes == img.pixels.nbytes < path.stat().st_size
-        assert not owner.flags.writeable, path.name
-        with pytest.raises(ValueError):
-            img.pixels[0] = 0
-        with pytest.raises(ValueError):
-            img.pixels.setflags(write=True)
+        assert img.pixels.nbytes < path.stat().st_size, path.name
+        _assert_pixels_own_one_read_only_buffer(img, path.name)
         out = tmp_path / f"copy-{path.name}"
         save_image(img, out)
         assert np.array_equal(load_image(out).pixels, img.pixels)
+
+
+def _layout_or_error(parse):
+    try:
+        return vars(parse())
+    except ImageFormatError as exc:
+        return ImageFormatError, str(exc)
+
+
+def _assert_both_parses_agree(data: bytes) -> None:
+    """The header-only parse of a regular file and the whole-buffer parse of a pipe agree.
+
+    Both give the same layout or raise ImageFormatError, with the same
+    message; no other exception escapes either.
+    """
+    whole = _layout_or_error(lambda: _parse_layout(np.frombuffer(data, np.uint8), len(data)))
+    with tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.flush()
+        head = _layout_or_error(lambda: _read_layout(fh.fileno(), len(data)))
+    assert head == whole
+
+
+_PGM_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"  \n"])
+# a comment is '#' to the end of the line; some run past the first 4 KiB read
+_PGM_COMMENT = st.builds(
+    lambda text, filler, end: b"#" + text + b"x" * filler + end,
+    st.binary(max_size=8).map(lambda b: b.replace(b"\n", b"")),
+    st.one_of(st.integers(0, 40), st.integers(4000, 20000)),
+    st.sampled_from([b"\n", b"\n", b"\r\n", b""]),  # b"": the comment swallows what follows
+)
+# whitespace first: a '#' right after a token is part of that token here
+_PGM_GAP = st.tuples(_PGM_SPACE, st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), max_size=3)).map(
+    lambda gap: gap[0] + b"".join(gap[1])
+)
+_PGM_ODD_TOKEN = st.one_of(
+    st.sampled_from([b"0", b"+4", b"-4", b"4_0", b"0x4", b"04", b"4.0", b"\xd9\xa3", b"65535"]),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gaps=st.tuples(_PGM_GAP, _PGM_GAP, _PGM_GAP),
+    sizes=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    odd=st.one_of(st.none(), st.none(), st.tuples(st.integers(0, 2), _PGM_ODD_TOKEN)),
+    fields=st.sampled_from([3, 3, 3, 2, 1, 0]),
+    raster=st.integers(-3, 3),
+)
+def test_pgm_header_parses_agree(gaps, sizes, odd, fields, raster):
+    tokens = [b"%d" % sizes[0], b"%d" % sizes[1], b"255"]
+    if odd is not None:
+        tokens[odd[0]] = odd[1]
+    header = b"P5" + b"".join(gap + token for gap, token in zip(gaps, tokens[:fields]))
+    if fields == 3:
+        header += b"\n"  # the one whitespace byte before the raster
+    _assert_both_parses_agree(header + b"\xc8" * max(sizes[0] * sizes[1] + raster, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 9),
+    height=st.integers(1, 9),
+    mutations=st.lists(st.tuples(st.integers(0, 53), st.integers(0, 255)), max_size=6),
+    # (byte, size) of bfOffBits, biSize, biWidth, biHeight, biBitCount, biCompression
+    field=st.sampled_from([None, (10, 4), (14, 4), (18, 4), (22, 4), (28, 2), (30, 4)]),
+    value=st.one_of(st.integers(0, 64), st.integers(0, 2**32 - 1)),
+    cut=st.integers(-8, 8),
+)
+def test_bmp_header_parses_agree(width, height, mutations, field, value, cut):
+    data = bytearray(random_bmp_bytes(width, height, width * height))
+    for pos, byte in mutations:
+        data[pos] = byte
+    if field is not None:
+        pos, size = field
+        data[pos : pos + size] = value.to_bytes(4, "little")[:size]
+    _assert_both_parses_agree(bytes(data[: len(data) + cut] if cut < 0 else data + bytes(cut)))

@@ -158,7 +158,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_embed(args) -> int:
     code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
     _check_size(code.n_len - code.k)
-    _check_seekable(args.out)  # chunks are written by position: refuse a pipe before any work
+    _check_seekable(args.out)  # refuse a pipe, device or directory before any work
     payload = Path(args.payload).read_bytes()
     with RasterFile(args.cover) as cover:
         pixels = cover.layout.capacity

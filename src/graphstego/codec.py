@@ -196,46 +196,54 @@ def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
     and returns the same report, but a chunk at a time: no array holds
     the whole image.  ``cover_path`` may also be a :class:`RasterFile`
     the caller opened, and then closes.  A cover that is not a regular
-    file, or that ``out_path`` names, is read into memory first.  The
-    output is written by position, so it must be seekable; it is
-    opened only after the cover's header and the payload's size pass
-    their checks, and removed again if the embedding fails.
+    file is read into memory first.  The chunks are written into a new
+    ``*.tmp`` file beside ``out_path``'s target, renamed onto it with
+    an existing file's permission bits once the last chunk is written.
+    So a failed embedding leaves ``out_path`` as it was, ``out_path``
+    may name the cover, hard links to an old ``out_path`` keep the old
+    bytes, and ``out_path``'s directory must be writable.
 
     Raises:
         TypeError: as :func:`embed_image`.
-        OSError: if ``out_path`` is a pipe or a socket, or cannot be
-            read or written.
+        OSError: if ``out_path`` exists but is not a regular file, or
+            cannot be read or written.
         ImageFormatError: if the cover does not parse.
         CapacityError: if the framed payload needs more blocks than the
             cover has pixels.
     """
     packed = _payload_bytes(payload)
-    _check_seekable(out_path)
+    existing = _check_seekable(out_path)
     opened = isinstance(cover_path, RasterFile)
     with nullcontext(cover_path) if opened else RasterFile(cover_path) as cover:
         check_capacity(table.code, 8 * packed.size, cover.layout.capacity)
-        cover.detach_from(out_path)
-        with open(out_path, "wb") as fh:
+        target = os.path.realpath(out_path)
+        tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+        with open(tmp, "xb") as fh:
             try:
-                return _embed_lsbs(_Raster(cover, fh.fileno()), packed, 8 * packed.size, table)
+                if existing is not None:
+                    os.fchmod(fh.fileno(), stat.S_IMODE(existing.st_mode))
+                report = _embed_lsbs(_Raster(cover, fh.fileno()), packed, 8 * packed.size, table)
+                os.replace(tmp, target)
             except BaseException:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    os.unlink(out_path)
+                os.unlink(tmp)
                 raise
+    return report
 
 
-def _check_seekable(out_path) -> None:
-    """Refuse an output that chunks cannot be written to by position.
+def _check_seekable(out_path) -> os.stat_result | None:
+    """``out_path``'s own status, or None if it does not exist.
 
     Raises:
-        OSError: if ``out_path`` names a pipe or a socket.
+        OSError: if it is there but is not a regular file, such as a
+            pipe, a device or a directory, which the stego file would replace.
     """
     try:
-        mode = os.stat(out_path).st_mode
+        st = os.stat(out_path)
     except FileNotFoundError:
-        return
-    if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
-        raise OSError(errno.ESPIPE, "stego output must be seekable, not a pipe", str(out_path))
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        raise OSError(errno.EINVAL, "stego output must be a seekable regular file", str(out_path))
+    return st
 
 
 def _payload_bytes(payload) -> np.ndarray:

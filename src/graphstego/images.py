@@ -49,7 +49,8 @@ class CoverImage:
         return int(self.pixels.size)
 
 
-_WHITESPACE = frozenset(b" \t\n\r\v\f")
+#: Bytes that end a PGM header token: whitespace, and the "#" that starts a comment.
+_PGM_BREAKS = frozenset(b" \t\n\r\v\f#")
 
 
 class _ShortHeader(Exception):
@@ -134,19 +135,22 @@ def _write_at(fd: int, data, pos: int) -> None:
         view, pos = view[done:], pos + done
 
 
+def _pgm_comment_end(data, pos: int, size: int) -> int:
+    """The position of the newline that ends the '#' comment at ``pos``."""
+    while pos < len(data) and data[pos] != ord("\n"):
+        pos += 1
+    if pos == len(data) < size:
+        raise _ShortHeader
+    return pos
+
+
 def _next_pgm_token(data, pos: int, size: int) -> tuple[bytes, int]:
-    # whitespace and '#'-to-end-of-line comments may precede any token
-    while pos < len(data):
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            while pos < len(data) and data[pos] != ord("\n"):
-                pos += 1
-        else:
-            break
+    # whitespace and '#'-to-end-of-line comments may precede any token, and
+    # a comment may follow one directly, as in Netpbm
+    while pos < len(data) and data[pos] in _PGM_BREAKS:
+        pos = _pgm_comment_end(data, pos, size) if data[pos] == ord("#") else pos + 1
     start = pos
-    while pos < len(data) and data[pos] not in _WHITESPACE:
+    while pos < len(data) and data[pos] not in _PGM_BREAKS:
         pos += 1
     if pos == len(data) < size:
         raise _ShortHeader
@@ -171,7 +175,9 @@ def _parse_pgm(data, size: int) -> RasterLayout:
         raise ImageFormatError(f"bad PGM dimensions {width}x{height}")
     if maxval != 255:
         raise ImageFormatError(f"only maxval 255 PGM supported, got {maxval}")
-    # exactly one whitespace byte separates header from raster
+    # exactly one whitespace byte, or a comment up to its newline, separates header from raster
+    if pos < len(data) and data[pos] == ord("#"):
+        pos = _pgm_comment_end(data, pos, size)
     lay = RasterLayout("pgm", width, height, pos + 1)
     if size < lay.pos(lay.capacity):
         raise ImageFormatError(
@@ -278,30 +284,12 @@ class RasterFile:
             if stat.S_ISREG(st.st_mode):
                 self.layout = _read_layout(self._file.fileno(), st.st_size)
             else:
-                self._load()
+                self._data = np.frombuffer(self._file.read(), dtype=np.uint8)
+                self.close()
+                self.layout = _parse_layout(self._data, len(self._data))
         except BaseException:
             self.close()
             raise
-
-    def _load(self) -> None:
-        fh, self._file = self._file, None
-        with fh:
-            self._data = np.frombuffer(fh.read(), dtype=np.uint8)
-        self.layout = _parse_layout(self._data, len(self._data))
-
-    def detach_from(self, path) -> None:
-        """Read the whole file into memory if ``path`` names it.
-
-        Then writing ``path`` cannot change what this file reads.
-        """
-        if self._file is None:
-            return
-        try:
-            same = os.path.samestat(os.fstat(self._file.fileno()), os.stat(path))
-        except FileNotFoundError:
-            return
-        if same:
-            self._load()
 
     def read_into(self, buf: np.ndarray, pos: int) -> None:
         """Fill ``buf`` with the file's bytes from byte ``pos`` on.

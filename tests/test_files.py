@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import itertools
 import os
 import threading
 import tracemalloc
@@ -143,44 +145,100 @@ def test_a_pipe_out_is_refused_before_any_work(tmp_path, k5_files, tables, monke
     codebook, payload = k5_files
     cover = tmp_path / "cover.bmp"
     cover.write_bytes(COVERS["bmp_padded"]())
+
+    def assert_refused(out):
+        assert _cli_embed(codebook, cover, payload, out) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "seekable" in captured.err
+
     read, write = os.pipe()
     try:
-        assert _cli_embed(codebook, cover, payload, f"/dev/fd/{write}") == 3
+        assert_refused(f"/dev/fd/{write}")
         with pytest.raises(OSError, match="seekable"):
             embed_file(cover, b"", tables[0], f"/dev/fd/{write}")
         os.close(write)
         assert os.read(read, 1) == b""  # nothing was written
     finally:
         os.close(read)
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert "seekable" in captured.err
+    # the stego file would replace a character device or a directory, not go into it
+    assert_refused(os.devnull)
+    assert_refused(tmp_path)
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cover.bmp", "k5.gc", "secret.bin"]
+
+
+def _listing(directory) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_failed_chunk_read_leaves_no_file_and_no_thread(cpus, tmp_path, monkeypatch, k5_files,
                                                           capsys):
+    """A failed chunk read, or a chunk write to a full disk, leaves ``--out`` as it was.
+
+    ``--out`` is absent, another file or the cover itself; no temp file
+    or thread is left behind either.
+    """
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", 7)
     monkeypatch.setattr(codec, "_usable_cpus", lambda: cpus)
     codebook, payload = k5_files
-    cover, out = tmp_path / "cover.bmp", tmp_path / "stego.bmp"
+    cover, other = tmp_path / "cover.bmp", tmp_path / "other.bmp"
     cover.write_bytes(COVERS["bmp_padded"]())
-    real = RasterFile.read_into
-    reads = []
+    other.write_bytes(b"an older stego file")
+    failures = {  # the third call fails
+        "read": (RasterFile, "read_into", errno.EIO, "injected read error"),
+        "write": (images, "_write_at", errno.ENOSPC, "injected write error"),
+    }
+    for failure, (owner, name, code, message) in failures.items():
+        real = getattr(owner, name)
+        for out in (tmp_path / "stego.bmp", other, cover):
+            calls = itertools.count(1)
 
-    def failing(self, buf, pos):
-        reads.append(pos)
-        if len(reads) == 3:
-            raise OSError(5, "injected read error")
-        return real(self, buf, pos)
+            def failing(*args):
+                if next(calls) == 3:
+                    raise OSError(code, message)
+                return real(*args)
 
-    monkeypatch.setattr(RasterFile, "read_into", failing)
-    before = threading.active_count()
-    assert _cli_embed(codebook, cover, payload, out) == 3
-    assert threading.active_count() == before
-    assert "injected read error" in capsys.readouterr().err
-    assert not out.exists()
+            listing = _listing(tmp_path)
+            before = threading.active_count()
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, failing)
+                assert _cli_embed(codebook, cover, payload, out) == 3, (failure, out.name)
+            assert threading.active_count() == before
+            assert message in capsys.readouterr().err
+            assert _listing(tmp_path) == listing, (failure, out.name)
+
+
+def test_an_existing_out_keeps_its_mode(tmp_path, k5_files, capsys):
+    codebook, payload = k5_files
+    cover, out, fresh = tmp_path / "cover.bmp", tmp_path / "stego.bmp", tmp_path / "fresh.bmp"
+    cover.write_bytes(COVERS["bmp_padded"]())
+    out.write_bytes(b"an older stego file")
+    out.chmod(0o600)
+    assert _cli_embed(codebook, cover, payload, out) == 0
+    assert _cli_embed(codebook, cover, payload, fresh) == 0
+    assert out.stat().st_mode & 0o7777 == 0o600
+    assert out.read_bytes() == fresh.read_bytes()
+    umask = os.umask(0o22)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o7777 == 0o666 & ~umask  # as open(out, "wb") made it
+
+
+def test_a_symlinked_out_stays_a_link(tmp_path, k5_files, capsys):
+    codebook, payload = k5_files
+    cover, want = tmp_path / "cover.bmp", tmp_path / "want.bmp"
+    cover.write_bytes(COVERS["bmp_padded"]())
+    (tmp_path / "stego").mkdir()
+    target, link = tmp_path / "stego" / "target.bmp", tmp_path / "link.bmp"
+    target.write_bytes(b"an older stego file")
+    link.symlink_to(target)
+    assert _cli_embed(codebook, cover, payload, want) == 0
+    assert _cli_embed(codebook, cover, payload, link) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == want.read_bytes()
+    assert sorted(p.name for p in target.parent.iterdir()) == ["target.bmp"]
 
 
 def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
@@ -219,8 +277,9 @@ def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
         assert extract_file(out, tables[0].code) == data
 
 
-def _embed_file_peak(tmp_path, side: int, payload: bytes, table) -> int:
-    cover, out = tmp_path / f"cover{side}.pgm", tmp_path / f"stego{side}.pgm"
+def _embed_file_peak(tmp_path, side: int, payload: bytes, table, in_place: bool = False) -> int:
+    cover = tmp_path / f"cover{side}.pgm"
+    out = cover if in_place else tmp_path / f"stego{side}.pgm"
     pixels = np.random.default_rng(side).integers(0, 256, side * side, dtype=np.uint8)
     cover.write_bytes(b"P5\n%d %d\n255\n" % (side, side) + pixels.tobytes())
     del pixels
@@ -231,13 +290,21 @@ def _embed_file_peak(tmp_path, side: int, payload: bytes, table) -> int:
     finally:
         tracemalloc.stop()
         cover.unlink()
-        out.unlink()
+        out.unlink(missing_ok=True)
 
 
 def test_embed_file_memory_does_not_grow_with_the_cover(tmp_path, tables):
     payload = np.random.default_rng(17).integers(0, 256, 10_000, dtype=np.uint8).tobytes()
     small = _embed_file_peak(tmp_path, 2048, payload, tables[0])  # 4 Mpx
     large = _embed_file_peak(tmp_path, 4096, payload, tables[0])  # 16 Mpx
+    assert large < 1.1 * small
+
+
+def test_in_place_embed_memory_does_not_grow_with_the_cover(tmp_path, tables):
+    # --out naming the cover: the cover is still read a chunk at a time
+    payload = np.random.default_rng(17).integers(0, 256, 10_000, dtype=np.uint8).tobytes()
+    small = _embed_file_peak(tmp_path, 2048, payload, tables[0], in_place=True)
+    large = _embed_file_peak(tmp_path, 4096, payload, tables[0], in_place=True)
     assert large < 1.1 * small
 
 

@@ -51,6 +51,12 @@ def test_load_pgm(tmp_path):
     assert img.format_tag == "pgm"
     assert img.capacity == 16
     assert img.pixels.tolist() == list(range(16))
+    # a '#' ends the token it follows, as in Netpbm; after the maxval, the
+    # comment's newline is the byte before the raster
+    for header in (b"P5\n4#c\n4\n255\n", b"P5\n4 4\n255#c\n", b"P5#c\n4 4#\n255#c 1\n"):
+        path.write_bytes(header + bytes(range(16)))
+        img = load_image(path)
+        assert (img.width, img.height, img.pixels.tolist()) == (4, 4, list(range(16))), header
 
 
 def test_pgm_rejections(tmp_path):
@@ -319,10 +325,7 @@ _PGM_COMMENT = st.builds(
     st.one_of(st.integers(0, 40), st.integers(4000, 20000)),
     st.sampled_from([b"\n", b"\n", b"\r\n", b""]),  # b"": the comment swallows what follows
 )
-# whitespace first: a '#' right after a token is part of that token here
-_PGM_GAP = st.tuples(_PGM_SPACE, st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), max_size=3)).map(
-    lambda gap: gap[0] + b"".join(gap[1])
-)
+_PGM_GAP = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), min_size=1, max_size=4).map(b"".join)
 _PGM_ODD_TOKEN = st.one_of(
     st.sampled_from([b"0", b"+4", b"-4", b"4_0", b"0x4", b"04", b"4.0", b"\xd9\xa3", b"65535"]),
     st.binary(min_size=1, max_size=4),
@@ -335,15 +338,17 @@ _PGM_ODD_TOKEN = st.one_of(
     sizes=st.tuples(st.integers(1, 9), st.integers(1, 9)),
     odd=st.one_of(st.none(), st.none(), st.tuples(st.integers(0, 2), _PGM_ODD_TOKEN)),
     fields=st.sampled_from([3, 3, 3, 2, 1, 0]),
+    # the one whitespace byte, or a comment to its newline, before the raster
+    end=st.one_of(st.just(b"\n"), _PGM_COMMENT),
     raster=st.integers(-3, 3),
 )
-def test_pgm_header_parses_agree(gaps, sizes, odd, fields, raster):
+def test_pgm_header_parses_agree(gaps, sizes, odd, fields, end, raster):
     tokens = [b"%d" % sizes[0], b"%d" % sizes[1], b"255"]
     if odd is not None:
         tokens[odd[0]] = odd[1]
     header = b"P5" + b"".join(gap + token for gap, token in zip(gaps, tokens[:fields]))
     if fields == 3:
-        header += b"\n"  # the one whitespace byte before the raster
+        header += end
     _assert_both_parses_agree(header + b"\xc8" * max(sizes[0] * sizes[1] + raster, 0))
 
 

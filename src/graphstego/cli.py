@@ -25,7 +25,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .codebook import CodebookError, code_from_codebook, format_codebook
+from .codebook import CodebookError, _decimal, code_from_codebook, format_codebook
 from .codec import (
     CapacityError,
     FrameError,
@@ -88,11 +88,8 @@ def _parse_graph_spec(spec: str):
             ln = ln.split("#", 1)[0].strip()
             if not ln:
                 continue
-            fields = ln.split()
-            if len(fields) != 2:
-                raise CodebookError(f"{path}:{lineno}: expected 'u v', got {ln!r}")
             try:
-                u, v = int(fields[0]), int(fields[1])
+                u, v = map(_decimal, ln.split())
             except ValueError:
                 raise CodebookError(f"{path}:{lineno}: expected 'u v', got {ln!r}") from None
             pairs.append((u, v))

@@ -32,6 +32,13 @@ class CodebookError(ValueError):
     """Raised for text that is not a well-formed codebook."""
 
 
+def _decimal(field: str) -> int:
+    """ASCII decimal digits alone as a number: ``int`` also reads ``+1``, ``1_0`` and ``\u0663``."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"not a decimal number: {field!r}")
+    return int(field)
+
+
 def parse_codebook(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     """Parse codebook text into a validated graph and optional tree ids.
 
@@ -47,8 +54,8 @@ def parse_codebook(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     if len(lines) < 2 or not lines[1].startswith("vertices "):
         raise CodebookError("expected 'vertices <N>' on the second line")
     try:
-        vertex_count = int(lines[1].split()[1])
-    except (IndexError, ValueError):
+        (vertex_count,) = map(_decimal, lines[1].split()[1:])
+    except ValueError:
         raise CodebookError(f"bad vertices line: {lines[1]!r}") from None
 
     edges: list[tuple[int, int]] = []
@@ -58,10 +65,8 @@ def parse_codebook(text: str) -> tuple[Graph, tuple[int, ...] | None]:
         if fields[0] == "edge":
             if tree_ids is not None:
                 raise CodebookError("edge line after tree line")
-            if len(fields) != 4:
-                raise CodebookError(f"bad edge line: {ln!r}")
             try:
-                eid, u, v = (int(f) for f in fields[1:])
+                eid, u, v = map(_decimal, fields[1:])
             except ValueError:
                 raise CodebookError(f"bad edge line: {ln!r}") from None
             if eid != len(edges) + 1:
@@ -73,7 +78,7 @@ def parse_codebook(text: str) -> tuple[Graph, tuple[int, ...] | None]:
             if tree_ids is not None:
                 raise CodebookError("duplicate tree line")
             try:
-                tree_ids = tuple(int(f) for f in fields[1:])
+                tree_ids = tuple(map(_decimal, fields[1:]))
             except ValueError:
                 raise CodebookError(f"bad tree line: {ln!r}") from None
             if not tree_ids:

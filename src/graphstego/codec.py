@@ -37,7 +37,7 @@ from .gf2 import (
     as_bits,
     stream_syndromes,
     syndrome_index,
-    syndrome_tables,
+    syndrome_words,
 )
 from .graphs import GraphicalCode
 from .images import CoverImage, RasterFile
@@ -197,11 +197,12 @@ def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
     the whole image.  ``cover_path`` may also be a :class:`RasterFile`
     the caller opened, and then closes.  A cover that is not a regular
     file is read into memory first.  The chunks are written into a new
-    ``*.tmp`` file beside ``out_path``'s target, renamed onto it with
-    an existing file's permission bits once the last chunk is written.
-    So a failed embedding leaves ``out_path`` as it was, ``out_path``
-    may name the cover, hard links to an old ``out_path`` keep the old
-    bytes, and ``out_path``'s directory must be writable.
+    ``graphstego-<16 hex>.tmp`` file beside ``out_path``'s target (a
+    fixed-length name, whatever ``out_path``'s length), renamed onto it
+    with an existing file's permission bits once the last chunk is
+    written.  So a failed embedding leaves ``out_path`` as it was,
+    ``out_path`` may name the cover, hard links to an old ``out_path``
+    keep the old bytes, and ``out_path``'s directory must be writable.
 
     Raises:
         TypeError: as :func:`embed_image`.
@@ -217,7 +218,7 @@ def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
     with nullcontext(cover_path) if opened else RasterFile(cover_path) as cover:
         check_capacity(table.code, 8 * packed.size, cover.layout.capacity)
         target = os.path.realpath(out_path)
-        tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+        tmp = os.path.join(os.path.dirname(target), f"graphstego-{os.urandom(8).hex()}.tmp")
         with open(tmp, "xb") as fh:
             try:
                 if existing is not None:
@@ -283,10 +284,6 @@ def _embed_lsbs(io, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedRe
     needed = blocks_used * n
     frame = _packed_frame(packed, bits)
     tables = code.check_tables
-    # leader index H(t) XOR m, packed; each p-bit group read as a big-endian word
-    # through a right-aligned identity
-    word = np.min_scalar_type((1 << p) - 1).itemsize
-    identity = syndrome_tables(np.eye(8 * word, p, p - 8 * word, dtype=np.uint8))
     weights = table.leaders.sum(axis=1, dtype=np.uint8)  # at most rho <= p flips
     step = _step()
 
@@ -294,8 +291,8 @@ def _embed_lsbs(io, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedRe
         """Write ``blocks ^ leaders`` to ``out``; returns each block's flip count."""
         syn = _message_bytes(blocks, tables)
         message = frame[start * p // 8 : start * p // 8 + len(syn)]
-        syn[: len(message)] ^= message
-        idx = stream_syndromes(syn, len(blocks), identity).view(f">u{word}").astype(np.intp)
+        syn[: len(message)] ^= message  # the leader indices H(t) XOR m, packed
+        idx = syndrome_words(syn, len(blocks), p).astype(np.intp)  # cast once for both takes
         np.bitwise_xor(blocks, np.take(table.leaders, idx, axis=0), out=out)
         return np.take(weights, idx)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import as_bits, block_syndromes, column_syndromes, syndrome_index
+from .gf2 import as_bits, stream_syndromes, syndrome_index, syndrome_words
 from .graphs import Graph, GraphicalCode, _bfs
 
 #: Most syndrome bits p = n - k that the builders and
@@ -84,6 +84,12 @@ class CosetTable:
         return self.leaders[idx].copy()
 
 
+def _column_words(check: np.ndarray) -> np.ndarray:
+    """Each check column as a word: the syndrome of its bit alone, a builder's search step."""
+    width, n = check.shape
+    return syndrome_words(np.packbits(check.T), n, width)
+
+
 def _coset_weights(code: GraphicalCode) -> np.ndarray:
     """Minimum coset weight of every syndrome.
 
@@ -92,7 +98,7 @@ def _coset_weights(code: GraphicalCode) -> np.ndarray:
     column syndrome onto layer w-1, so ``dist[s]`` is the fewest columns
     summing to s.  Unreachable syndromes stay at -1.
     """
-    columns = np.array(column_syndromes(code.parity_check), dtype=np.uint32)
+    columns = _column_words(code.parity_check)
     dist = np.full(1 << (code.n_len - code.k), -1, dtype=np.int8)
     dist[0] = 0
     frontier = np.zeros(1, dtype=np.uint32)
@@ -120,7 +126,7 @@ def _table_from_weights(code: GraphicalCode, dist: np.ndarray) -> CosetTable:
     every leader lies in its coset and has minimum weight.
     """
     n = code.n_len
-    columns = np.array(column_syndromes(code.parity_check), dtype=np.uint32)
+    columns = _column_words(code.parity_check)
     if dist[0] != 0 or (dist[1:] < 1).any():
         raise AssertionError("coset weights inconsistent with parity check")
     rho = int(dist.max())
@@ -352,7 +358,7 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
         )
     packed = np.frombuffer(body, dtype=np.uint8).reshape(count, bytes_per)
     leaders = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
-    got = block_syndromes(leaders, code.parity_check)
+    got = syndrome_words(stream_syndromes(np.packbits(leaders), count, code.check_tables), count, p)
     if not np.array_equal(got, np.arange(count)):
         raise TableCacheError("cached table does not match this code")
     dist = _coset_weights(code)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from functools import cache
 
 import numpy as np
 
@@ -98,49 +99,13 @@ def syndrome_index(bits) -> int:
     """Read a bit vector as an integer, bit 0 most significant.
 
     ``"1100"`` -> 12, so printed syndromes index tables in the order a
-    human would write them down.
+    human would write them down.  Plain Python, one bit at a time: an
+    oracle that shares no code with :func:`stream_syndromes`.
     """
-    return column_syndromes(as_bits(bits)[:, None])[0]
-
-
-def column_syndromes(matrix) -> list[int]:
-    """Each column of a bit matrix read as an integer, row 0 most significant.
-
-    Column j of a parity check is the syndrome of the word with only
-    bit j set, so any word's syndrome is the XOR of the column
-    syndromes of its set bits: the coset-table builders' search steps.
-    ``matrix`` is trusted: a uint8 array of 0/1 entries, validated by the caller.
-    """
-    pad = -matrix.shape[0] % 8
-    return [int.from_bytes(col.tobytes(), "big") >> pad for col in np.packbits(matrix, axis=0).T]
-
-
-def block_syndromes(blocks: np.ndarray, check: np.ndarray) -> np.ndarray:
-    """Syndrome of each row of a block matrix under the parity check ``check``.
-
-    A row word is the packed syndrome stream of ``check`` padded on top
-    with zero rows to 8, 16, 32 or 64 bits, read big-endian.  ``blocks``
-    and ``check`` are trusted: callers validate at their public entry
-    points.
-
-    Args:
-        blocks: (N, n) uint8 array with entries in {0, 1}.
-        check: (width, n) parity-check bit matrix.
-
-    Returns:
-        An (N,) array of the narrowest unsigned dtype holding ``width``
-        bits, which must not exceed 64 (ValueError; wider syndromes come
-        only from :func:`stream_syndromes`); a syndrome reads as
-        :func:`syndrome_index` reads.
-    """
-    width, n = check.shape
-    if width > 64:
-        raise ValueError(f"a row syndrome holds at most 64 bits, got {width}: use stream_syndromes")
-    size = np.min_scalar_type((1 << width) - 1).itemsize
-    words = np.zeros((8 * size, n), dtype=np.uint8)
-    words[8 * size - width :] = check
-    out = stream_syndromes(np.packbits(blocks.reshape(-1)), len(blocks), syndrome_tables(words))
-    return out.view(f">u{size}").astype(f"u{size}")
+    index = 0
+    for bit in as_bits(bits).tolist():
+        index = index << 1 | bit
+    return index
 
 
 class SyndromeTables:
@@ -236,6 +201,30 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
     return out
 
 
+def syndrome_words(packed: np.ndarray, count: int, width: int) -> np.ndarray:
+    """The first ``count`` ``width``-bit groups of a packed stream, each read as a word.
+
+    ``packed`` holds the groups back to back, MSB first, as
+    :func:`stream_syndromes` returns them.  A word reads its group as
+    :func:`syndrome_index` does, in the narrowest unsigned dtype; a
+    ``width`` above 64 raises ValueError.  It is the stream's syndrome
+    under a right-aligned identity check, whose tables are built once
+    per width.
+    """
+    if width > 64:
+        raise ValueError(f"a word holds at most 64 bits, got {width}")
+    tables = _identity_tables(width)
+    size = tables.width // 8
+    return stream_syndromes(packed, count, tables).view(f">u{size}").astype(f"u{size}")
+
+
+@cache
+def _identity_tables(width: int) -> SyndromeTables:
+    """Tables of the identity check on ``width`` bits, padded on top to a whole word."""
+    bits = 8 * np.min_scalar_type((1 << width) - 1).itemsize
+    return syndrome_tables(np.eye(bits, width, width - bits, dtype=np.uint8))
+
+
 def _lookup(data: np.ndarray, tables: SyndromeTables, out: np.ndarray) -> None:
     """Fill ``out[g, s]`` for the (G, in_bytes) groups ``data``: one table per input byte."""
     for s, pairs in enumerate(tables.lookups):
@@ -247,4 +236,3 @@ def _lookup(data: np.ndarray, tables: SyndromeTables, out: np.ndarray) -> None:
         for b, table in rest:
             acc ^= np.take(table, data[:, b], axis=0)
         out[:, s] = acc
-

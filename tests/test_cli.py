@@ -80,6 +80,11 @@ def test_codebook_usage_errors(tmp_path, capsys):
     assert main(["codebook", "--spec", "K2", "--out", str(tmp_path / "x")]) == 2
     assert main(["codebook", "--spec", "Q5", "--out", str(tmp_path / "x")]) == 2
     assert main(["codebook", "--spec", "file:/no/such/file", "--out", str(tmp_path / "x")]) == 3
+    edges = tmp_path / "edges.txt"
+    for bad in ("1 +2", "1 2_0", "\u0661 2"):  # an edge list's numbers are ASCII decimal too
+        edges.write_text(f"{bad}\n2 3\n3 1\n", "utf-8")
+        assert main(["codebook", "--spec", f"file:{edges}", "--out", str(tmp_path / "x")]) == 3
+    assert not (tmp_path / "x").exists()
     capsys.readouterr()
 
 
@@ -163,9 +168,14 @@ def test_table_size_exit(tmp_path, capsys):
 
 def test_analyze_bad_codebook(tmp_path, capsys):
     path = tmp_path / "junk.gc"
-    path.write_text("not a codebook\n")
-    assert main(["analyze", "--codebook", str(path)]) == 3
-    assert "error:" in capsys.readouterr().err
+    edges = "edge 1 1 2\nedge 2 2 3\nedge 3 1 3\n"
+    # a number is ASCII decimal digits alone, and the vertices line holds one
+    for text in ("not a codebook\n", f"graphcode v1\nvertices 3 junk\n{edges}",
+                 f"graphcode v1\nvertices 1_0\n{edges}", f"graphcode v1\nvertices \u0663\n{edges}",
+                 "graphcode v1\nvertices 3\nedge 1 +1 2\nedge 2 2 3\nedge 3 1 3\n"):
+        path.write_text(text, "utf-8")
+        assert main(["analyze", "--codebook", str(path)]) == 3, text
+        assert "error:" in capsys.readouterr().err
 
 
 def test_embed_extract_roundtrip(tmp_path, k5_codebook_file, capsys):

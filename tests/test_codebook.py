@@ -45,6 +45,10 @@ def test_parse_rejects_bad_header():
         parse_codebook("")
     with pytest.raises(CodebookError):
         parse_codebook("graphcode v1\nedge 1 1 2\n")
+    # one number of ASCII decimal digits: int() also reads "1_0" and "\u0663" (3)
+    for vertices in ("3 junk", "3 4", "1_0", "+3", "\u0663", "\u00b2"):
+        with pytest.raises(CodebookError, match="bad vertices line"):
+            parse_codebook(f"graphcode v1\nvertices {vertices}\nedge 1 1 2\n")
 
 
 def test_parse_rejects_bad_edge_lines():
@@ -59,6 +63,9 @@ def test_parse_rejects_bad_edge_lines():
         parse_codebook(head + "edge 1 1 2\nvertex 9\n")  # junk line
     with pytest.raises(CodebookError):
         parse_codebook(head)  # no edges at all
+    for edge in ("edge 1 +1 2", "edge 1 1 2_0", "edge \u0661 1 2", "edge 1 -1 2"):
+        with pytest.raises(CodebookError, match="bad edge line"):
+            parse_codebook(head + edge + "\n")
 
 
 def test_parse_rejects_bad_tree_lines():
@@ -69,6 +76,8 @@ def test_parse_rejects_bad_tree_lines():
         parse_codebook(text + "tree 1 2\ntree 1 2\n")
     with pytest.raises(CodebookError):
         parse_codebook(text + "tree 1 2\nedge 4 1 3\n")  # edge after tree
+    with pytest.raises(CodebookError, match="bad tree line"):
+        parse_codebook(text + "tree 1 +2\n")
     # syntactically fine but not a spanning tree -> graph-level error
     with pytest.raises(GraphError):
         code_from_codebook(text + "tree 1\n")

@@ -241,6 +241,18 @@ def test_a_symlinked_out_stays_a_link(tmp_path, k5_files, capsys):
     assert sorted(p.name for p in target.parent.iterdir()) == ["target.bmp"]
 
 
+def test_a_longest_out_name_embeds(tmp_path, k5_files, capsys):
+    # a basename near the 255-byte limit has no room for a suffix, so the temp
+    # file must not be named after it
+    codebook, payload = k5_files
+    cover, short, long = tmp_path / "cover.bmp", tmp_path / "s.bmp", tmp_path / ("s" * 246 + ".bmp")
+    cover.write_bytes(COVERS["bmp_padded"]())
+    assert _cli_embed(codebook, cover, payload, short) == 0
+    assert _cli_embed(codebook, cover, payload, long) == 0
+    assert len(long.name) == 250 and long.read_bytes() == short.read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", 7)
     started, busy, seen = [], set(), []

@@ -1,11 +1,11 @@
-"""The column-syndrome engine against the row-by-row oracle ``helpers.mat_vec_mul``.
+"""The syndrome engine against the row-by-row oracle ``helpers.mat_vec_mul``.
 
 ``stream_syndromes`` returns the syndromes' own packed bit stream at any
-width; ``block_syndromes`` reads that stream as words of the narrowest
+width; ``syndrome_words`` reads that stream as words of the narrowest
 unsigned dtype and refuses widths above 64 bits; the stream codec
 walks blocks ``CHUNK_BLOCKS`` at a time.  All are checked here against
-independent computations: ``mat_vec_mul`` per row,
-``embed_block`` per block.
+independent computations: ``mat_vec_mul`` per row, ``syndrome_index``
+(plain Python, one bit at a time) per word, ``embed_block`` per block.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstego import codec, graphs
+from graphstego import codec, gf2, graphs
 from graphstego.codebook import bundled_codebook_text, code_from_codebook
 from graphstego.codec import (
     embed_block,
@@ -28,14 +28,8 @@ from graphstego.codec import (
     extract_stream,
     frame_payload,
 )
-from graphstego.decoder import build_coset_table_bruteforce
-from graphstego.gf2 import (
-    block_syndromes,
-    column_syndromes,
-    stream_syndromes,
-    syndrome_index,
-    syndrome_tables,
-)
+from graphstego.decoder import _column_words, build_coset_table_bruteforce
+from graphstego.gf2 import stream_syndromes, syndrome_index, syndrome_tables, syndrome_words
 from graphstego.graphs import build_code, complete_graph
 from graphstego.images import CoverImage
 
@@ -71,17 +65,19 @@ def _layout(bits: np.ndarray, how: str) -> np.ndarray:
     layout=st.sampled_from(["contiguous", "pixel rows", "strided", "fortran"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_block_syndromes_match_mat_vec_mul(p, n, count, layout, seed):
+def test_syndrome_words_match_mat_vec_mul(p, n, count, layout, seed):
     # counts are drawn freely, so most are not a multiple of the
     # 8 / gcd(n, 8) rows after which the row bit offsets repeat
     rng = np.random.default_rng(seed)
     h = rng.integers(0, 2, (p, n), dtype=np.uint8)
     blocks = rng.integers(0, 2, (count, n), dtype=np.uint8)
-    if p > 64:  # a row syndrome is one word; wider ones come only packed
+    packed = stream_syndromes(np.packbits(_layout(blocks, layout).reshape(-1)), count,
+                              syndrome_tables(h))
+    if p > 64:  # a word holds one row syndrome; wider ones come only packed
         with pytest.raises(ValueError, match="64 bits"):
-            block_syndromes(_layout(blocks, layout), h)
+            syndrome_words(packed, count, p)
         return
-    syn = block_syndromes(_layout(blocks, layout), h)
+    syn = syndrome_words(packed, count, p)
     assert syn.shape == (count,) and syn.dtype == NARROWEST[p]
     assert [int(s) for s in syn] == [syndrome_index(mat_vec_mul(h, row)) for row in blocks]
 
@@ -111,11 +107,16 @@ def test_packed_stream_syndromes_match_mat_vec_mul(p, n, count, extra, kept, see
     assert got.tobytes() == np.packbits(np.concatenate([np.zeros(0, np.uint8), *oracle])).tobytes()
 
 
-def test_column_syndromes_are_single_bit_syndromes():
+def test_column_words_are_single_bit_syndromes():
+    # the coset-table builders' search steps: column j is the syndrome of bit j alone
     rng = np.random.default_rng(5)
     for p in WIDTHS:
         h = rng.integers(0, 2, (p, 12), dtype=np.uint8)
-        assert column_syndromes(h) == [syndrome_index(h[:, j]) for j in range(12)]
+        if p > 64:
+            with pytest.raises(ValueError, match="64 bits"):
+                _column_words(h)
+            continue
+        assert _column_words(h).tolist() == [syndrome_index(h[:, j]) for j in range(12)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,21 +177,24 @@ def test_extract_roundtrip_with_a_packed_period_of_8(chunk, monkeypatch):
 
 def test_tables_are_built_once_per_image_call(tmp_path, monkeypatch):
     # the code's table is a cached attribute of the code, built once in
-    # build_code; each embed call adds only its identity table
+    # build_code; the word reader builds its identity table once per width
+    # and keeps it, here first for the coset-table builder's column words,
+    # so no embed or extract call and no chunk builds another
     calls = []
 
     def spy(check):
-        calls.append((tuple(column_syndromes(check)), len(check)))
+        calls.append(check.copy())
         return syndrome_tables(check)
 
     monkeypatch.setattr(graphs, "syndrome_tables", spy)
-    monkeypatch.setattr(codec, "syndrome_tables", spy)
+    monkeypatch.setattr(gf2, "syndrome_tables", spy)
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", 8)  # 29 chunks each way
+    gf2._identity_tables.cache_clear()
     code = code_from_codebook(bundled_codebook_text("k5"))
+    assert len(calls) == 1 and np.array_equal(calls[0], code.parity_check)
     table = build_coset_table_bruteforce(code)
-    columns = tuple(column_syndromes(code.parity_check))
-    identity = (8, 4, 2, 1)  # reads each 4-bit leader index from the packed syndromes
-    assert calls == [(columns, 4)]
+    identity = np.eye(8, 4, -4, dtype=np.uint8)  # reads each 4-bit word of a packed stream
+    assert len(calls) == 2 and np.array_equal(calls[1], identity)
     calls.clear()
     rng = np.random.default_rng(73)
     pixels = rng.integers(0, 256, 2500, dtype=np.uint8)
@@ -205,7 +209,7 @@ def test_tables_are_built_once_per_image_call(tmp_path, monkeypatch):
     assert extract_file(stego_path, code) == data
     for block in stego.pixels[:1000].reshape(100, 10) & 1:
         extract_block(block, code)
-    assert calls == [(identity, 8)] * 2
+    assert calls == []
 
 
 def test_extract_stream_on_a_code_wider_than_64_bits():

@@ -35,7 +35,6 @@ from .codec import (
     extract_file,
 )
 from .decoder import (
-    TableCacheError,
     TableSizeError,
     _check_size,
     build_coset_table_bruteforce,
@@ -62,7 +61,7 @@ _EXIT_CODES = (
     (_UsageError, EXIT_USAGE),
     (CapacityError, EXIT_CAPACITY),
     (TableSizeError, EXIT_TABLE_SIZE),
-    ((CodebookError, GraphError, ImageFormatError, FrameError, TableCacheError), EXIT_FORMAT),
+    ((CodebookError, GraphError, ImageFormatError, FrameError), EXIT_FORMAT),
     (OSError, EXIT_FORMAT),
     (ValueError, EXIT_USAGE),
 )
@@ -75,6 +74,7 @@ def _parse_graph_spec(spec: str):
         q = int(m.group(1))
         if q < 3:
             raise _UsageError(f"K{q} has no cycles; need n >= 3")
+        _check_size(q - 1)  # p = v - 1: refuse an oversize graph before building it
         return complete_graph(q), f"K{q}"
     if spec.startswith("file:"):
         path = Path(spec[5:])
@@ -96,6 +96,7 @@ def _parse_graph_spec(spec: str):
             top = max(top, u, v)
         if not pairs:
             raise CodebookError(f"{path}: edge list is empty")
+        _check_size(top - 1)
         return build_graph(top, pairs), path.name
     raise _UsageError(f"graph spec must be K<n> or file:<path>, got {spec!r}")
 
@@ -110,7 +111,6 @@ def _cmd_codebook(args) -> int:
             raise _UsageError(f"--tree wants comma-separated edge ids, got {args.tree!r}") from None
     text = format_codebook(graph, tree_ids)
     code = code_from_codebook(text)  # reject trees / bad tree ids before writing
-    _check_size(code.n_len - code.k)  # and codes no table can serve
     Path(args.out).write_text(text, "utf-8")
     print(
         f"wrote {args.out}: {label}, n={code.n_len} k={code.k} d={code.d}"

@@ -1,10 +1,12 @@
-"""Dense GF(2) bit-vector and bit-matrix arithmetic.
+"""GF(2) bit vectors and the packed syndrome engine.
 
-Bit vectors are 1-D numpy arrays of dtype uint8 with values in {0, 1};
-bit matrices are the 2-D counterpart.  Index 0 holds the leftmost
-printed symbol, so the string ``"1101"`` and ``[1, 1, 0, 1]`` denote
-the same vector.  When a bit vector is read as a table index, bit 0 is
-the most significant bit: ``"1100"`` indexes slot 12.
+Bit vectors are 1-D numpy arrays of dtype uint8 with values in {0, 1}.
+Index 0 holds the leftmost printed symbol, so the string ``"1101"`` and
+``[1, 1, 0, 1]`` denote the same vector.  When a bit vector is read as
+a table index, bit 0 is the most significant bit: ``"1100"`` indexes
+slot 12.  A parity check enters only as the trusted (p, n) bit matrix
+that :func:`syndrome_tables` turns into byte lookup tables; there is no
+other bit-matrix arithmetic here.
 
 All operations are pure and never mutate their arguments.
 """
@@ -18,7 +20,7 @@ from functools import cache
 import numpy as np
 
 
-def _require_binary(arr: np.ndarray, what: str) -> None:
+def _require_binary(arr: np.ndarray) -> None:
     """Raise ValueError unless every entry of ``arr`` is 0 or 1."""
     if not arr.size:
         return
@@ -27,7 +29,7 @@ def _require_binary(arr: np.ndarray, what: str) -> None:
     else:
         ok = np.isin(arr, (0, 1)).all()
     if not ok:
-        raise ValueError(f"{what} entries must be 0 or 1")
+        raise ValueError("bit vector entries must be 0 or 1")
 
 
 def as_bits(values: Iterable[int] | str) -> np.ndarray:
@@ -51,48 +53,16 @@ def as_bits(values: Iterable[int] | str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D bit vector, got shape {arr.shape}")
-    _require_binary(arr, "bit vector")
+    _require_binary(arr)
     return arr.astype(np.uint8)
 
 
 def _bits_view(values) -> np.ndarray:
     """:func:`as_bits` for input that is only read: a 1-D uint8 array is checked, not copied."""
     if isinstance(values, np.ndarray) and values.dtype == np.uint8 and values.ndim == 1:
-        _require_binary(values, "bit vector")
+        _require_binary(values)
         return values
     return as_bits(values)
-
-
-def as_bit_matrix(rows) -> np.ndarray:
-    """Coerce nested 0/1 rows (or bit strings) to a 2-D uint8 matrix."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        arr = rows
-    else:
-        arr = np.asarray([as_bits(r) for r in rows])
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D bit matrix, got shape {arr.shape}")
-    _require_binary(arr, "bit matrix")
-    return arr.astype(np.uint8)
-
-
-def gf2_rank(matrix) -> int:
-    """Rank of a bit matrix over GF(2), by Gaussian elimination."""
-    work = as_bit_matrix(matrix)  # a fresh array: eliminated in place
-    rows, cols = work.shape
-    rank = 0
-    for col in range(cols):
-        pivots = np.nonzero(work[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        pivot = rank + int(pivots[0])
-        if pivot != rank:
-            work[[rank, pivot]] = work[[pivot, rank]]
-        below = np.nonzero(work[rank + 1 :, col])[0] + rank + 1
-        work[below] ^= work[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def syndrome_index(bits) -> int:

@@ -11,8 +11,10 @@ column j belongs to edge j+1.  The spanning tree fixes the row orders:
 circuit rows follow the chords in ascending id order, cut-set rows
 follow the tree edges in the order the tree lists them (an explicitly
 supplied tree keeps its given order; the default tree is sorted).
-Restricted to the tree columns, the cut-set matrix is the identity in
-row order, which makes syndrome bit i answer for tree edge i.
+On the tree columns the cut-set matrix is the identity in row order,
+which makes syndrome bit i answer for tree edge i; on the chord columns
+the circuit matrix is.  :func:`build_code` checks both identity blocks
+(so both ranks are full) before it checks G H^T = 0.
 
 Both matrices are read off one array: row e is the tree path between
 edge e's endpoints, on the tree columns.  Its transpose is the cut-set
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import SyndromeTables, gf2_rank, stream_syndromes, syndrome_tables
+from .gf2 import SyndromeTables, stream_syndromes, syndrome_tables
 
 
 class GraphError(ValueError):
@@ -243,7 +245,7 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
 
     Raises:
         GraphError: if the graph is acyclic, or the constructed
-            matrices fail the orthogonality / rank invariants.
+            matrices fail the identity / orthogonality invariants.
     """
     m, v = g.edge_count, g.vertex_count
     k = m - v + 1
@@ -256,8 +258,9 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
     else:
         t = spanning_tree_from_ids(g, tree)
     gen, chk = _fundamental_matrices(g, t)
-    if gf2_rank(gen) != k or gf2_rank(chk) != v - 1:
-        raise GraphError("rank failure in fundamental matrices")
+    for matrix, ids, name in ((gen, t.chords, "chord"), (chk, t.tree_edges, "tree")):
+        if not np.array_equal(matrix[:, np.array(ids) - 1], np.eye(len(ids), dtype=np.uint8)):
+            raise GraphError(f"identity failure: {name} columns are not the identity in row order")
     d = girth(g)
     assert d is not None  # k >= 1 guarantees a cycle
     gen.setflags(write=False)

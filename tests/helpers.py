@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from graphstego.gf2 import as_bit_matrix, as_bits, syndrome_index
+from graphstego.gf2 import as_bits, syndrome_index
 from graphstego.graphs import Graph, build_graph
 
 # Generator of the K5 reference code: one row per chord (ascending:
@@ -78,13 +78,21 @@ K5_EXAMPLE_KEEP = ("1100", "1101111011", 0)  # message already carried
 K5_EXAMPLE_FLIP = ("1010", "1101101011", 1)  # syndrome 0110 -> flip edge 6
 
 
+def bit_matrix(rows) -> np.ndarray:
+    """Bit strings or 0/1 rows (a 2-D array too) as a 2-D uint8 matrix."""
+    m = np.array([as_bits(r) for r in rows], dtype=np.uint8)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D bit matrix, got shape {m.shape}")
+    return m
+
+
 def mat_vec_mul(matrix, x) -> np.ndarray:
     """Multiply a bit matrix by a bit vector over GF(2), one row at a time.
 
     Row i of the result is the parity of ``matrix[i] & x``: the oracle
     for the library's column-syndrome engine.
     """
-    m = as_bit_matrix(matrix)
+    m = bit_matrix(matrix)
     x = as_bits(x)
     if m.shape[1] != x.size:
         raise ValueError(f"dimension mismatch: matrix is {m.shape}, vector has {x.size}")

@@ -22,7 +22,7 @@ from graphstego.decoder import (
     covering_radius_bruteforce,
     covering_radius_tjoin,
 )
-from graphstego.gf2 import as_bit_matrix, as_bits
+from graphstego.gf2 import as_bits
 from graphstego.graphs import build_code, complete_graph
 from graphstego.images import CoverImage, lsb_extract, lsb_inject, peak_signal_noise
 
@@ -35,6 +35,7 @@ from helpers import (
     K5_GENERATOR_ROWS,
     K5_PARITY_ROWS,
     K5_SINGLE_EDGE_LEADERS,
+    bit_matrix,
     coset_members,
     min_weights_by_syndrome,
     random_connected_graph,
@@ -47,8 +48,8 @@ def test_criterion_1_reference_code_reconstruction():
     code = code_from_codebook(bundled_codebook_text("k5"))
     assert (code.n_len, code.k, code.d) == (10, 6, 3)
     assert code.tree.tree_edges == (1, 5, 10, 7)
-    assert np.array_equal(code.generator, as_bit_matrix(K5_GENERATOR_ROWS))
-    assert np.array_equal(code.parity_check, as_bit_matrix(K5_PARITY_ROWS))
+    assert np.array_equal(code.generator, bit_matrix(K5_GENERATOR_ROWS))
+    assert np.array_equal(code.parity_check, bit_matrix(K5_PARITY_ROWS))
     rho = covering_radius_bruteforce(build_coset_table_bruteforce(code))
     assert rho == 2
     elapsed = time.perf_counter() - started

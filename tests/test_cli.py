@@ -144,12 +144,22 @@ def test_cli_roundtrip_above_the_old_size_limits(tmp_path, capsys):
     assert (record["n"], record["p"], record["rho"]) == ("17", "16", "8")
 
 
-def test_table_size_exit(tmp_path, capsys):
+def test_table_size_exit(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("codebook built a graph above the table limit")
+
+    # the spec's size is checked before its graph is built
+    monkeypatch.setattr(cli, "complete_graph", refuse)
+    monkeypatch.setattr(cli, "build_graph", refuse)
     big = tmp_path / "ring22.gc"  # p = 21, one over the table limit
     edges = write_ring(tmp_path / "ring22.txt", 22)
     assert main(["codebook", "--spec", f"file:{edges}", "--out", str(big)]) == 6
     assert "table limit" in capsys.readouterr().err
     assert not big.exists()
+    k150 = tmp_path / "k150.gc"
+    assert main(["codebook", "--spec", "K150", "--out", str(k150)]) == 6
+    assert "table limit" in capsys.readouterr().err
+    assert not k150.exists()
     ring = [(i, i % 22 + 1) for i in range(1, 23)]
     big.write_text(format_codebook(build_graph(22, ring)))
     assert main(["analyze", "--codebook", str(big)]) == 6

@@ -290,19 +290,24 @@ def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
 
 
 def _embed_file_peak(tmp_path, side: int, payload: bytes, table, in_place: bool = False) -> int:
+    """The largest tracemalloc peak of 3 embeds: one run can miss the chunk buffers' overlap."""
     cover = tmp_path / f"cover{side}.pgm"
     out = cover if in_place else tmp_path / f"stego{side}.pgm"
     pixels = np.random.default_rng(side).integers(0, 256, side * side, dtype=np.uint8)
-    cover.write_bytes(b"P5\n%d %d\n255\n" % (side, side) + pixels.tobytes())
+    data = b"P5\n%d %d\n255\n" % (side, side) + pixels.tobytes()
     del pixels
-    tracemalloc.start()
-    try:
-        embed_file(cover, payload, table, out)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        cover.unlink()
-        out.unlink(missing_ok=True)
+    peak = 0
+    for _ in range(3):
+        cover.write_bytes(data)
+        tracemalloc.start()
+        try:
+            embed_file(cover, payload, table, out)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            cover.unlink()
+            out.unlink(missing_ok=True)
+    return peak
 
 
 def test_embed_file_memory_does_not_grow_with_the_cover(tmp_path, tables):

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphstego.gf2 import as_bit_matrix, as_bits, gf2_rank, syndrome_index
+from graphstego.gf2 import as_bits, syndrome_index
 
-from helpers import K5_PARITY_ROWS, mat_vec_mul
+from helpers import K5_PARITY_ROWS, bit_matrix, mat_vec_mul
 
 
 def test_as_bits_accepts_strings_and_sequences():
@@ -31,8 +31,6 @@ def test_as_bits_rejects_non_binary_uint8(bad):
     arr = np.array([0, 1, bad, 0], dtype=np.uint8)
     with pytest.raises(ValueError, match="bit vector entries must be 0 or 1"):
         as_bits(arr)
-    with pytest.raises(ValueError, match="bit matrix entries must be 0 or 1"):
-        as_bit_matrix(arr.reshape(2, 2))
     # other dtypes keep their behaviour: 0/1 values pass, others fail
     assert as_bits(np.array([True, False])).tolist() == [1, 0]
     assert as_bits(np.array([1.0, 0.0])).tolist() == [1, 0]
@@ -45,7 +43,7 @@ def test_as_bits_rejects_non_binary_uint8(bad):
 
 def test_mat_vec_mul_reference_syndrome():
     # H(carrier) for the K5 reference code reads 1100
-    h = as_bit_matrix(K5_PARITY_ROWS)
+    h = bit_matrix(K5_PARITY_ROWS)
     assert np.array_equal(mat_vec_mul(h, "1101111011"), as_bits("1100"))
 
 
@@ -71,27 +69,6 @@ def test_mat_vec_mul_is_linear():
 def test_mat_vec_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         mat_vec_mul(np.eye(3, dtype=np.uint8), "01")
-
-
-def test_rank_of_reference_parity_check_is_full():
-    assert gf2_rank(as_bit_matrix(K5_PARITY_ROWS)) == 4
-
-
-def test_rank_basics():
-    assert gf2_rank(np.eye(6, dtype=np.uint8)) == 6
-    assert gf2_rank(np.zeros((3, 4), dtype=np.uint8)) == 0
-    # duplicate rows collapse
-    assert gf2_rank(as_bit_matrix(["101", "101", "011"])) == 2
-
-
-def test_rank_invariant_under_row_shuffle():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        rows, cols = int(rng.integers(1, 10)), int(rng.integers(1, 10))
-        m = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
-        r = gf2_rank(m)
-        assert r <= min(rows, cols)
-        assert gf2_rank(m[rng.permutation(rows)]) == r
 
 
 def test_syndrome_index_reads_bit0_as_msb():

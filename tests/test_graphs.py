@@ -7,7 +7,6 @@ import pytest
 
 from graphstego.codec import extract_block
 from graphstego import graphs
-from graphstego.gf2 import as_bit_matrix, gf2_rank
 from graphstego.graphs import (
     GraphError,
     build_code,
@@ -23,6 +22,7 @@ from helpers import (
     K5_GENERATOR_ROWS,
     K5_PARITY_ROWS,
     all_words,
+    bit_matrix,
     boundary_of,
     random_connected_graph,
     random_graph,
@@ -98,8 +98,8 @@ def test_triangle_fundamental_matrices():
 
 
 def test_reference_matrices_bit_exact(k5_code):
-    assert np.array_equal(k5_code.generator, as_bit_matrix(K5_GENERATOR_ROWS))
-    assert np.array_equal(k5_code.parity_check, as_bit_matrix(K5_PARITY_ROWS))
+    assert np.array_equal(k5_code.generator, bit_matrix(K5_GENERATOR_ROWS))
+    assert np.array_equal(k5_code.parity_check, bit_matrix(K5_PARITY_ROWS))
 
 
 def test_circuit_rows_are_even_degree_everywhere(k5_code):
@@ -115,8 +115,9 @@ def test_matrices_orthogonal_on_random_graphs():
         code = build_code(g)
         prod = (code.generator.astype(int) @ code.parity_check.T.astype(int)) % 2
         assert not prod.any()
-        assert gf2_rank(code.generator) == code.k
-        assert gf2_rank(code.parity_check) == g.vertex_count - 1
+        # identity blocks in row order: full rank, and syndrome bit i is tree edge i
+        chords = [eid - 1 for eid in code.tree.chords]
+        assert np.array_equal(code.generator[:, chords], np.eye(code.k, dtype=np.uint8))
         cols = [eid - 1 for eid in code.tree.tree_edges]
         assert np.array_equal(
             code.parity_check[:, cols],
@@ -129,19 +130,31 @@ def test_matrices_orthogonal_on_random_graphs():
     lambda: random_graph(np.random.default_rng(65), 70, 84),  # p = 69: packed syndromes only
 ], ids=["K5", "random70"])
 def test_build_code_rejects_a_circuit_off_the_cut_sets(make, monkeypatch):
-    # one generator bit flipped on a tree column breaks G H^T = 0 in that row
     real = graphs._fundamental_matrices
 
-    def broken(g, tree):
+    def flip_a_tree_bit(g, tree):
+        # one generator bit flipped on a tree column breaks G H^T = 0 in that row
         gen, chk = real(g, tree)
         gen = gen.copy()
         gen[0, tree.tree_edges[0] - 1] ^= 1
         return gen, chk
 
+    def swap_check_rows(g, tree):
+        # the same code and ranks, but syndrome bits 0 and 1 no longer follow the tree order
+        gen, chk = real(g, tree)
+        return gen, chk[[1, 0, *range(2, len(chk))]]
+
+    def swap_circuit_rows(g, tree):
+        # the same code and ranks, but circuits 0 and 1 no longer follow the chord order
+        gen, chk = real(g, tree)
+        return gen[[1, 0, *range(2, len(gen))]], chk
+
     g = make()
-    monkeypatch.setattr(graphs, "_fundamental_matrices", broken)
-    with pytest.raises(GraphError, match="orthogonality"):
-        build_code(g)
+    for broken, message in ((flip_a_tree_bit, "orthogonality"), (swap_check_rows, "tree columns"),
+                            (swap_circuit_rows, "chord columns")):
+        monkeypatch.setattr(graphs, "_fundamental_matrices", broken)
+        with pytest.raises(GraphError, match=message):
+            build_code(g)
 
 
 def test_girth():

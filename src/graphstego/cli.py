@@ -7,9 +7,12 @@ figures).  Exit codes: 0 success, 2 usage, 3 format/parse error,
 4 capacity exceeded, 5 invariant violation, 6 code too large for a
 coset table (more than MAX_SYNDROME_BITS syndrome bits).
 
-The process entry, :func:`run`, freezes the heap left by the imports
-before it dispatches, so the collection at interpreter exit skips
-numpy's import-time objects; :func:`main` leaves the GC alone for
+No module imports numpy when it loads: the pixel and table functions
+import it when they first run, so ``embed`` and ``extract`` load it,
+and ``codebook``, ``analyze`` and ``table`` never do.  The process
+entry, :func:`run`, freezes the heap once the command is done, so the
+collection at interpreter exit skips every object still alive, numpy's
+import-time ones included; :func:`main` leaves the GC alone for
 callers that run it in process.
 """
 
@@ -25,6 +28,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from . import codebook
 from .codebook import CodebookError, _decimal, code_from_codebook, format_codebook
 from .codec import (
     CapacityError,
@@ -137,8 +141,15 @@ def _metric_lines(code, rho: int, porcelain: bool) -> list[str]:
     ]
 
 
+def _sized_code(path: str):
+    """The codebook's code; TableSizeError before any build if its p = v - 1 is too large."""
+    graph, tree_ids = codebook.parse_codebook(Path(path).read_text("utf-8"))
+    _check_size(graph.vertex_count - 1)
+    return codebook.build_code(graph, tree_ids)
+
+
 def _cmd_analyze(args) -> int:
-    code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
+    code = _sized_code(args.codebook)
     rho = covering_radius_bruteforce(code)
     rho_join = covering_radius_tjoin(code.graph)
     if rho != rho_join:
@@ -153,8 +164,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
-    _check_size(code.n_len - code.k)
+    code = _sized_code(args.codebook)
     _check_seekable(args.out)  # refuse a pipe, device or directory before any work
     payload = Path(args.payload).read_bytes()
     with RasterFile(args.cover) as cover:
@@ -313,8 +323,10 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """Process entry of ``python -m graphstego.cli`` and the ``graphstego`` script."""
-    gc.freeze()
-    return main()
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

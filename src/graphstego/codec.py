@@ -27,8 +27,7 @@ import struct
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .decoder import CosetTable
 from .gf2 import (
@@ -41,6 +40,9 @@ from .gf2 import (
 )
 from .graphs import GraphicalCode
 from .images import CoverImage, RasterFile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HEADER_BITS = 32
 HEADER_BYTES = HEADER_BITS // 8
@@ -99,6 +101,8 @@ def embed_block(t, m, table: CosetTable) -> tuple[np.ndarray, int]:
 
 def extract_block(v, code: GraphicalCode) -> np.ndarray:
     """Recover the p message bits of one block: m = H(v)."""
+    import numpy as np
+
     v = as_bits(v)
     if v.size != code.n_len:
         raise ValueError(f"block must have {code.n_len} bits, got {v.size}")
@@ -107,11 +111,15 @@ def extract_block(v, code: GraphicalCode) -> np.ndarray:
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
     """Bytes -> bit vector, MSB first within each byte."""
+    import numpy as np
+
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
 def bits_to_bytes(bits) -> bytes:
     """Inverse of :func:`bytes_to_bits`; length must be a multiple of 8."""
+    import numpy as np
+
     bits = _bits_view(bits)
     if bits.size % 8:
         raise ValueError(f"bit length {bits.size} is not a multiple of 8")
@@ -123,6 +131,8 @@ def frame_payload(data_bits, p: int) -> np.ndarray:
 
     The unpacked view of the frame that embedding carries packed.
     """
+    import numpy as np
+
     if p < 1:
         raise ValueError(f"block message size must be positive, got {p}")
     data_bits = _bits_view(data_bits)
@@ -138,6 +148,8 @@ def _packed_frame(packed: np.ndarray, bits: int) -> np.ndarray:
     with zeros, which are the frame's padding; bits read past the end
     are zero as well.
     """
+    import numpy as np
+
     if bits >= 1 << HEADER_BITS:
         raise ValueError("payload too long for a 32-bit length header")
     header = np.frombuffer(struct.pack(">I", bits), dtype=np.uint8)
@@ -156,6 +168,8 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
         CapacityError: if the framed payload needs more blocks than the
             cover holds.
     """
+    import numpy as np
+
     cover_bits = _bits_view(cover_bits)
     data_bits = _bits_view(data_bits)
     stego = np.empty_like(cover_bits)
@@ -180,6 +194,8 @@ def embed_image(
         CapacityError: if the framed payload needs more blocks than the
             cover has pixels.
     """
+    import numpy as np
+
     packed = _payload_bytes(payload)
     src = cover.pixels.reshape(-1)
     pixels = np.empty_like(src)
@@ -248,6 +264,8 @@ def _check_seekable(out_path) -> os.stat_result | None:
 
 
 def _payload_bytes(payload) -> np.ndarray:
+    import numpy as np
+
     if isinstance(payload, np.ndarray):
         raise TypeError("payload must be bytes-like, not an ndarray")
     return np.frombuffer(payload, dtype=np.uint8)
@@ -277,6 +295,8 @@ def _embed_lsbs(io, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedRe
     flips exactly those LSBs.  Bits past the last block go through the
     same loop unchanged.
     """
+    import numpy as np
+
     code = table.code
     n = code.n_len
     p = n - code.k
@@ -334,6 +354,8 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
         FrameError: if the stream is too short for the header or for
             the length the header declares.
     """
+    import numpy as np
+
     frame, declared = _extract_lsbs(_Arrays(_bits_view(stego_bits)), code)
     return np.unpackbits(frame[HEADER_BYTES:], count=declared)
 
@@ -380,6 +402,8 @@ def _extract_lsbs(io, code: GraphicalCode) -> tuple[np.ndarray, int]:
         (frame, declared): the frame's bytes, header first, and the
         payload length in bits that the header declares.
     """
+    import numpy as np
+
     n = code.n_len
     p = n - code.k
     header_blocks = -(-HEADER_BITS // p)
@@ -515,4 +539,6 @@ class _Raster:
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:
     """The message bits H(v) of each block, packed MSB first with no gaps."""
+    import numpy as np
+
     return stream_syndromes(np.packbits(blocks & 1), len(blocks), tables)

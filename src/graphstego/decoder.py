@@ -1,14 +1,14 @@
 """Syndrome -> minimum-flip lookup tables for cycle codes.
 
-Two independent builders compute the minimum coset weight of every
-syndrome, each as whole-array numpy passes:
+Two independent searches compute the minimum coset weight of every
+syndrome, in plain Python on int bitsets (a set of syndromes or of
+vertices is one int, a bit per member).  Each returns its weight
+layers, layer w the set of members of minimum weight w:
 
-* exhaustive coset search, a breadth-first search over the 2^p
-  syndromes that uses only the parity check: layer w XORs every column
-  syndrome onto layer w-1, and
-* combinatorial optimisation, one minimum T-join per syndrome, read
-  off a subset dynamic program over the vertex sets that is
-  vectorised by popcount layer.
+* exhaustive coset search (:func:`_coset_layers`), a breadth-first
+  search over the 2^p syndromes that uses only the parity check, and
+* combinatorial optimisation (:func:`_tjoin_layers`), one minimum
+  T-join per even vertex set, from a dynamic program over the sets.
 
 The bridge between them: under the cut-set parity check, the syndrome
 of a word marks a subset of tree edges, and the vertices touched an
@@ -17,23 +17,30 @@ producing syndrome s are exactly the edge sets whose odd-degree
 vertices are T, so the coset leader is a minimum T-join — found by
 minimum-weight perfect matching of the terminals under shortest-path
 distance.  The covering radius is the largest leader weight, i.e. the
-largest minimum T-join over all even vertex sets T.
+largest minimum T-join over all even vertex sets T: either search's
+last layer.
 
-Tie rule.  Both builders hand their weights to one fill, which picks
-the lexicographically smallest minimum-weight pattern (by edge-id
-set), so they return byte-identical tables.  The fill checks the
-weights first, so a wrong weight cannot yield a wrong leader.
+Tie rule.  Both table builders hand their weights to one fill, which
+picks the lexicographically smallest minimum-weight pattern (by
+edge-id set), so they return byte-identical tables.  The fill checks
+the weights first, so a wrong weight cannot yield a wrong leader.
+
+Only the tables are numpy arrays: the builders, the fill, the cache
+and :func:`minimum_t_join` import numpy when they run, and the
+searches, the covering radii and the size limit never do.
 """
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .gf2 import as_bits, stream_syndromes, syndrome_index, syndrome_words
 from .graphs import Graph, GraphicalCode, _bfs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Most syndrome bits p = n - k that the builders and
 #: covering_radius_tjoin accept; each costs about n * 2^p.
@@ -71,8 +78,10 @@ class CosetTable:
 
     def leader(self, syndrome) -> np.ndarray:
         """Leader for a syndrome given as bits or as a table index."""
+        from .gf2 import as_bits, syndrome_index
+
         p = self.code.n_len - self.code.k
-        if isinstance(syndrome, (int, np.integer)):
+        if isinstance(syndrome, numbers.Integral):
             idx = int(syndrome)
             if not 0 <= idx < len(self.leaders):
                 raise ValueError(f"syndrome index {idx} out of range")
@@ -84,31 +93,124 @@ class CosetTable:
         return self.leaders[idx].copy()
 
 
-def _column_words(check: np.ndarray) -> np.ndarray:
-    """Each check column as a word: the syndrome of its bit alone, a builder's search step."""
-    width, n = check.shape
-    return syndrome_words(np.packbits(check.T), n, width)
+def _column_words(rows, n: int) -> list[int]:
+    """Each check column as a word: the syndrome of its bit alone, a search step.
+
+    ``rows`` are the check's rows as int bitsets, bit j for column j;
+    row i is bit p-1-i of a word, so a word reads its column as
+    :func:`~graphstego.gf2.syndrome_index` does.
+    """
+    words = [0] * n
+    for i, row in enumerate(reversed(rows)):
+        for j in range(n):
+            if row >> j & 1:
+                words[j] |= 1 << i
+    return words
 
 
-def _coset_weights(code: GraphicalCode) -> np.ndarray:
-    """Minimum coset weight of every syndrome.
+def _clear_masks(bits: int) -> list[int]:
+    """``masks[j]`` marks, in a set of the 2^bits indices, those whose bit j is clear."""
+    masks = []
+    for j in range(bits):
+        mask, width = (1 << (1 << j)) - 1, 2 << j  # one period: 2^j set, 2^j clear
+        while width < 1 << bits:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask)
+    return masks
+
+
+def _coset_layers(code: GraphicalCode) -> list[int]:
+    """Syndromes by minimum coset weight: layer w is a set of syndrome indices.
 
     A breadth-first search in syndrome space that uses only the parity
-    check: layer w holds the syndromes first reached by XOR-ing one more
-    column syndrome onto layer w-1, so ``dist[s]`` is the fewest columns
-    summing to s.  Unreachable syndromes stay at -1.
+    check.  XOR-ing a set by a column word is one swap per set bit j of
+    the word: the members with bit j clear move up 2^j places and those
+    with it set move down.  Layer w is the union of layer w-1 XORed by
+    every column, less every syndrome already reached; the search stops
+    at the first empty layer.
     """
-    columns = _column_words(code.parity_check)
-    dist = np.full(1 << (code.n_len - code.k), -1, dtype=np.int8)
-    dist[0] = 0
-    frontier = np.zeros(1, dtype=np.uint32)
-    w = 0
-    while frontier.size:
-        w += 1
-        for col in columns:
-            step = frontier ^ col
-            dist[step[dist[step] < 0]] = w
-        frontier = np.flatnonzero(dist == w).astype(np.uint32)
+    p = code.n_len - code.k
+    masks = _clear_masks(p)
+    columns = [word for word in _column_words(code.check_rows, code.n_len) if word]
+
+    def swap(members: int, j: int) -> int:
+        mask, shift = masks[j], 1 << j
+        return (members & mask) << shift | (members >> shift) & mask
+
+    layers, reached = [1], 1
+    while True:
+        # a column starts from the frontier already swapped on its lowest bit
+        single = [swap(layers[-1], j) for j in range(p)]
+        layer = 0
+        for word in columns:
+            j = (word & -word).bit_length() - 1
+            moved = single[j]
+            word >>= j + 1
+            while word:
+                j += 1
+                if word & 1:
+                    moved = swap(moved, j)
+                word >>= 1
+            layer |= moved
+        layer &= ~reached
+        if not layer:
+            return layers
+        reached |= layer
+        layers.append(layer)
+
+
+def _tjoin_layers(dist: list[list[int]]) -> list[int]:
+    """Even subsets of t terminals by minimum perfect matching cost.
+
+    ``dist`` is the t x t shortest-path matrix of the terminals; bit i
+    of a subset stands for terminal i.  A minimum matching of T pairs
+    its highest terminal a with some b and matches the rest minimally,
+    so layer w is the union, over pairs b < a, of the sets of layer
+    w - dist[a][b] below a that lack b, with a and b added, less every
+    set already reached.  The sets below a are the first 2^a indices,
+    so this work shrinks with a.  Dropping one edge from a minimum
+    T-join leaves one for a set of the layer below, so no layer is
+    empty before the last.
+    """
+    t = len(dist)
+    masks = _clear_masks(t)
+    partners = [{} for _ in range(t)]  # partners[a][d]: the b < a at distance d
+    for a in range(t):
+        for b in range(a):
+            partners[a].setdefault(dist[a][b], []).append(b)
+    layers, reached = [1], 1
+    while True:
+        w, layer = len(layers), 0
+        for a in range(1, t):
+            below, paired = (1 << (1 << a)) - 1, 0
+            for d, bs in partners[a].items():
+                if d <= w:
+                    sets = layers[w - d] & below
+                    for b in bs:
+                        paired |= (sets & masks[b]) << (1 << b)
+            layer |= paired << (1 << a)
+        layer &= ~reached
+        if not layer:
+            return layers
+        reached |= layer
+        layers.append(layer)
+
+
+def _all_pairs(g: Graph) -> list[list[int]]:
+    """Hop counts between every two vertices, one BFS per vertex."""
+    return [_bfs(g, source)[0] for source in range(1, g.vertex_count + 1)]
+
+
+def _weights(layers: list[int], bits: int) -> np.ndarray:
+    """Layers over the 2^bits indices as one int8 weight per index, -1 for none."""
+    import numpy as np
+
+    size = 1 << bits
+    dist = np.full(size, -1, dtype=np.int8)
+    for w, layer in enumerate(layers):
+        raw = np.frombuffer(layer.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        dist[np.unpackbits(raw, count=size, bitorder="little").view(bool)] = w
     return dist
 
 
@@ -125,8 +227,10 @@ def _table_from_weights(code: GraphicalCode, dist: np.ndarray) -> CosetTable:
     below.  That proves ``dist`` holds the minimum coset weights, so
     every leader lies in its coset and has minimum weight.
     """
+    import numpy as np
+
     n = code.n_len
-    columns = _column_words(code.parity_check)
+    columns = np.array(_column_words(code.check_rows, n), dtype=np.uint32)
     if dist[0] != 0 or (dist[1:] < 1).any():
         raise AssertionError("coset weights inconsistent with parity check")
     rho = int(dist.max())
@@ -156,17 +260,18 @@ def build_coset_table_bruteforce(code: GraphicalCode) -> CosetTable:
     Raises:
         TableSizeError: if p exceeds :data:`MAX_SYNDROME_BITS`.
     """
-    _check_size(code.n_len - code.k)
-    return _table_from_weights(code, _coset_weights(code))
+    p = code.n_len - code.k
+    _check_size(p)
+    return _table_from_weights(code, _weights(_coset_layers(code), p))
 
 
 def covering_radius_bruteforce(source: CosetTable | GraphicalCode) -> int:
     """Largest leader weight of a complete table, or of a code's table.
 
-    Given a code, no table is built: the radius is the largest minimum
-    coset weight from the syndrome-space BFS that
-    :func:`build_coset_table_bruteforce` starts with, 2^p bytes of work
-    space instead of n * 2^p.
+    Given a code, no table is built: the radius is the last weight
+    layer of the syndrome-space BFS that
+    :func:`build_coset_table_bruteforce` starts with, a few 2^p-bit
+    sets of work space instead of n * 2^p bytes.
 
     Raises:
         TableSizeError: for a code whose p exceeds :data:`MAX_SYNDROME_BITS`.
@@ -174,7 +279,7 @@ def covering_radius_bruteforce(source: CosetTable | GraphicalCode) -> int:
     if isinstance(source, CosetTable):
         return int(source.leaders.sum(axis=1).max())
     _check_size(source.n_len - source.k)
-    return int(_coset_weights(source).max())
+    return len(_coset_layers(source)) - 1
 
 
 def syndrome_to_terminals(code: GraphicalCode, syndrome) -> frozenset[int]:
@@ -183,6 +288,8 @@ def syndrome_to_terminals(code: GraphicalCode, syndrome) -> frozenset[int]:
     Syndrome bit i selects the i-th tree edge in the code's row order;
     the returned set is always even-sized.
     """
+    from .gf2 import as_bits
+
     s = as_bits(syndrome)
     p = code.n_len - code.k
     if s.size != p:
@@ -200,81 +307,39 @@ def _ends(g: Graph, eid: int) -> int:
     return (1 << (a - 1)) ^ (1 << (b - 1))
 
 
-def _shortest_paths(g: Graph, sources) -> tuple[np.ndarray, np.ndarray]:
-    """BFS distances and paths from each source (vertex ids are 1-based).
-
-    Row r describes ``sources[r]``: ``dist[r, u-1]`` is its hop count to
-    vertex u and ``paths[r, u-1]`` the edge indicator of the path to u
-    in its BFS tree, neighbours taken in ascending edge-id order.
-    """
-    dist = np.full((len(sources), g.vertex_count), -1, dtype=np.int32)
-    paths = np.zeros((len(sources), g.vertex_count, g.edge_count), dtype=np.uint8)
-    for r, source in enumerate(sources):
-        dist[r], paths[r] = _bfs(g, source)
-    return dist, paths
-
-
-def _tjoin_dp(dist: np.ndarray) -> np.ndarray:
-    """Minimum perfect matching cost of every even subset of t terminals.
-
-    ``dist`` is the t x t shortest-path matrix of the terminals; subset
-    bit i stands for terminal i.  ``dp[T]`` pairs T's lowest terminal a
-    with the partner b minimising ``dist[a, b] + dp[T - {a, b}]``, one
-    popcount layer at a time.  Odd subsets keep ``dp == -1``.
-    """
-    t = len(dist)
-    pop = np.zeros(1, dtype=np.int8)
-    low = np.zeros(1, dtype=np.int8)
-    for k in range(t):
-        pop = np.concatenate([pop, pop + 1])
-        low = np.concatenate([low, low])
-        low[1 << k] = k
-    bits = 1 << np.arange(t)
-    dp = np.full(1 << t, -1, dtype=np.int32)
-    dp[0] = 0
-    for size in range(2, t + 1, 2):
-        layer = np.flatnonzero(pop == size)
-        a = low[layer]
-        rest = layer ^ bits[a]
-        best = np.full(layer.size, np.iinfo(np.int32).max, dtype=np.int32)
-        for b in range(1, t):
-            cost = dist[a, b] + dp[rest ^ bits[b]]
-            np.minimum(best, cost, out=best, where=(rest & bits[b]) != 0)
-        dp[layer] = best
-    return dp
-
-
 def minimum_t_join(g: Graph, terminals) -> np.ndarray:
     """Minimum-cardinality edge set with odd degree exactly at ``terminals``.
 
     Pairs the terminals by minimum-weight perfect matching under
-    shortest-path distance (:func:`_tjoin_dp`) and XORs the matched
+    shortest-path distance (:func:`_tjoin_layers`) and XORs the matched
     shortest paths; the result's weight equals the matching cost.
 
     Raises:
         ValueError: if ``terminals`` is odd-sized or out of range.
     """
+    import numpy as np
+
     t_set = sorted({int(t) for t in terminals})
     if len(t_set) % 2:
         raise ValueError(f"terminal set must be even-sized, got {len(t_set)}")
     for t in t_set:
         if not 1 <= t <= g.vertex_count:
             raise ValueError(f"terminal {t} out of range")
-    dist, paths = _shortest_paths(g, t_set)
-    cols = [t - 1 for t in t_set]
-    dp = _tjoin_dp(dist[:, cols])
-    join = np.zeros(g.edge_count, dtype=np.uint8)
+    searches = [_bfs(g, a) for a in t_set]
+    dist = [[hops[b - 1] for b in t_set] for hops, _ in searches]
+    dp = _weights(_tjoin_layers(dist), len(t_set)).tolist()
+    join = 0
     mask = (1 << len(t_set)) - 1
     while mask:
         # the lowest terminal a and the smallest partner b attaining dp[mask]
         a = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << a)
         b = a + 1
-        while not (rest >> b & 1 and dist[a, cols[b]] + dp[rest ^ (1 << b)] == dp[mask]):
+        while not (rest >> b & 1 and dist[a][b] + dp[rest ^ (1 << b)] == dp[mask]):
             b += 1
-        join ^= paths[a, cols[b]]
+        join ^= searches[a][1][t_set[b] - 1]
         mask = rest ^ (1 << b)
-    return join
+    return np.array([join >> e & 1 for e in range(g.edge_count)], dtype=np.uint8)
 
 
 def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
@@ -282,7 +347,7 @@ def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
 
     Syndrome s maps to its terminal mask (the XOR of its tree edges'
     endpoint masks), one to one onto the even vertex subsets.  One
-    :func:`_tjoin_dp` over all vertices gives each mask's minimum
+    :func:`_tjoin_layers` over all vertices gives each mask's minimum
     T-join size, the coset weight of s, and :func:`_table_from_weights`
     fills the leaders from those weights.  Costs a 2^v = 2^(p+1)
     subset DP instead of enumerating 2^n error patterns.
@@ -290,13 +355,15 @@ def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
     Raises:
         TableSizeError: if p exceeds :data:`MAX_SYNDROME_BITS`.
     """
+    import numpy as np
+
     g = code.graph
     _check_size(code.n_len - code.k)
     terminal_mask = np.zeros(1, dtype=np.int32)  # v = p + 1 <= 21 bits
     for eid in reversed(code.tree.tree_edges):  # last tree edge = index bit 0
         terminal_mask = np.concatenate([terminal_mask, terminal_mask ^ _ends(g, eid)])
-    dist, _ = _shortest_paths(g, range(1, g.vertex_count + 1))
-    return _table_from_weights(code, _tjoin_dp(dist)[terminal_mask])
+    weights = _weights(_tjoin_layers(_all_pairs(g)), g.vertex_count)
+    return _table_from_weights(code, weights[terminal_mask])
 
 
 def covering_radius_tjoin(g: Graph) -> int:
@@ -306,16 +373,16 @@ def covering_radius_tjoin(g: Graph) -> int:
         TableSizeError: if p = v - 1 exceeds :data:`MAX_SYNDROME_BITS`
             (the enumeration is exponential in the vertex count).
     """
-    v = g.vertex_count
-    _check_size(v - 1)
-    dist, _ = _shortest_paths(g, range(1, v + 1))
-    return int(_tjoin_dp(dist).max())
+    _check_size(g.vertex_count - 1)
+    return len(_tjoin_layers(_all_pairs(g))) - 1
 
 
 def save_table(table: CosetTable, path) -> None:
     """Write a table cache: ``GCTABLE1`` magic, big-endian u32 syndrome
     count, then one leader per syndrome as ceil(n/8) packed bytes (bit 0
     of byte 0 = edge 1)."""
+    import numpy as np
+
     n = table.code.n_len
     packed = np.packbits(table.leaders, axis=1, bitorder="little")
     assert packed.shape == (len(table.leaders), (n + 7) // 8)
@@ -337,6 +404,10 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
         TableCacheError: on bad magic, wrong syndrome count, truncation,
             a syndrome mismatch, or a leader that is not minimal.
     """
+    import numpy as np
+
+    from .gf2 import stream_syndromes, syndrome_words
+
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
@@ -361,7 +432,7 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
     got = syndrome_words(stream_syndromes(np.packbits(leaders), count, code.check_tables), count, p)
     if not np.array_equal(got, np.arange(count)):
         raise TableCacheError("cached table does not match this code")
-    dist = _coset_weights(code)
+    dist = _weights(_coset_layers(code), p)
     if not np.array_equal(leaders.sum(axis=1), dist):
         raise TableCacheError("cached table holds a leader of more than minimum weight")
     leaders.setflags(write=False)

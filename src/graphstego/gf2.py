@@ -8,7 +8,9 @@ slot 12.  A parity check enters only as the trusted (p, n) bit matrix
 that :func:`syndrome_tables` turns into byte lookup tables; there is no
 other bit-matrix arithmetic here.
 
-All operations are pure and never mutate their arguments.
+All operations are pure and never mutate their arguments.  Each
+function imports numpy when it runs, so loading this module (or the
+codec and image modules that build on it) does not load numpy.
 """
 
 from __future__ import annotations
@@ -16,12 +18,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from functools import cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _require_binary(arr: np.ndarray) -> None:
     """Raise ValueError unless every entry of ``arr`` is 0 or 1."""
+    import numpy as np
+
     if not arr.size:
         return
     if arr.dtype == np.uint8:
@@ -45,6 +51,8 @@ def as_bits(values: Iterable[int] | str) -> np.ndarray:
     Raises:
         ValueError: if any element is not 0 or 1, or the input is not 1-D.
     """
+    import numpy as np
+
     if isinstance(values, str):
         try:
             values = [int(c) for c in values]
@@ -59,6 +67,8 @@ def as_bits(values: Iterable[int] | str) -> np.ndarray:
 
 def _bits_view(values) -> np.ndarray:
     """:func:`as_bits` for input that is only read: a 1-D uint8 array is checked, not copied."""
+    import numpy as np
+
     if isinstance(values, np.ndarray) and values.dtype == np.uint8 and values.ndim == 1:
         _require_binary(values)
         return values
@@ -110,6 +120,8 @@ def syndrome_tables(check: np.ndarray) -> SyndromeTables:
     A group is the fewest rows whose input and output both fill whole
     bytes: lcm(8/gcd(n, 8), 8/gcd(width, 8)) <= 8 rows.
     """
+    import numpy as np
+
     width, n = check.shape
     rows = max(8 // math.gcd(n, 8), 8 // math.gcd(width, 8))  # both are powers of two
     out_bytes = rows * width // 8
@@ -153,6 +165,8 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
         The ``ceil(count * width / 8)`` bytes of the syndromes' packed
         stream, uint8, the unused bits of the last byte zero.
     """
+    import numpy as np
+
     P, B = tables.rows, tables.in_bytes
     groups = -(-count // P)
     full = min(count // P, len(packed) // B)
@@ -191,12 +205,16 @@ def syndrome_words(packed: np.ndarray, count: int, width: int) -> np.ndarray:
 @cache
 def _identity_tables(width: int) -> SyndromeTables:
     """Tables of the identity check on ``width`` bits, padded on top to a whole word."""
+    import numpy as np
+
     bits = 8 * np.min_scalar_type((1 << width) - 1).itemsize
     return syndrome_tables(np.eye(bits, width, width - bits, dtype=np.uint8))
 
 
 def _lookup(data: np.ndarray, tables: SyndromeTables, out: np.ndarray) -> None:
     """Fill ``out[g, s]`` for the (G, in_bytes) groups ``data``: one table per input byte."""
+    import numpy as np
+
     for s, pairs in enumerate(tables.lookups):
         if not pairs:
             out[:, s] = 0

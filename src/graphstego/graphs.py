@@ -16,22 +16,32 @@ which makes syndrome bit i answer for tree edge i; on the chord columns
 the circuit matrix is.  :func:`build_code` checks both identity blocks
 (so both ranks are full) before it checks G H^T = 0.
 
-Both matrices are read off one array: row e is the tree path between
-edge e's endpoints, on the tree columns.  Its transpose is the cut-set
-matrix (tree edge t is on e's path exactly when e crosses t's cut), and
-a chord's row plus the chord bit is its circuit.  Every traversal here
-and in the decoder is one breadth-first search, :func:`_bfs`.
+Everything here is plain Python on int bitsets: an edge set is an int
+with bit e-1 for edge e, and a matrix row is an int with bit j for
+column j.  The codec's numpy arrays, ``generator``, ``parity_check``
+and ``check_tables``, are built from those rows on first use, so
+building and analysing a code never imports numpy.
+
+Both matrices are read off one list: entry e is the tree path between
+edge e's endpoints, as an edge set.  Tree edge t lies on that path
+exactly when e crosses t's cut, so the cut-set rows are the list
+transposed, and a chord's path plus the chord is its circuit.  Every
+traversal here and in the decoder is one breadth-first search,
+:func:`_bfs`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .gf2 import SyndromeTables, stream_syndromes, syndrome_tables
+    from .gf2 import SyndromeTables
 
 
 class GraphError(ValueError):
@@ -67,20 +77,47 @@ class SpanningTree:
 
 @dataclass(frozen=True, eq=False)
 class GraphicalCode:
-    """A cycle code together with the graph and tree that produced it."""
+    """A cycle code together with the graph and tree that produced it.
+
+    ``generator_rows`` and ``check_rows`` are the circuit and cut-set
+    rows as int bitsets, bit j for column j.
+    """
 
     graph: Graph
     tree: SpanningTree
-    generator: np.ndarray
-    parity_check: np.ndarray
+    generator_rows: tuple[int, ...]
+    check_rows: tuple[int, ...]
     n_len: int
     k: int
     d: int
 
     @cached_property
+    def generator(self) -> np.ndarray:
+        """The circuit rows as a read-only (k, n) uint8 matrix, built on first use."""
+        return _bit_matrix(self.generator_rows, self.n_len)
+
+    @cached_property
+    def parity_check(self) -> np.ndarray:
+        """The cut-set rows as a read-only (p, n) uint8 matrix, built on first use."""
+        return _bit_matrix(self.check_rows, self.n_len)
+
+    @cached_property
     def check_tables(self) -> SyndromeTables:
         """The parity check's packed syndrome tables, built on first use and kept."""
+        from .gf2 import syndrome_tables
+
         return syndrome_tables(self.parity_check)
+
+
+def _bit_matrix(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """Int rows (bit j = column j) as a read-only uint8 matrix of n columns."""
+    import numpy as np
+
+    size = (n + 7) // 8
+    raw = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
+    matrix = np.unpackbits(raw.reshape(len(rows), size), axis=1, count=n, bitorder="little")
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -122,7 +159,7 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
         seen.add(key)
         edges.append((pos, u, v))
     g = Graph(vertex_count=vertex_count, edges=tuple(edges))
-    if (_bfs(g, 1)[0] < 0).any():
+    if -1 in _bfs(g, 1)[0]:
         raise GraphError("graph is not connected")
     return g
 
@@ -134,29 +171,29 @@ def complete_graph(q: int) -> Graph:
     return build_graph(q, [(i, j) for i in range(1, q + 1) for j in range(i + 1, q + 1)])
 
 
-def _bfs(g: Graph, source: int, edge_ids=None) -> tuple[np.ndarray, np.ndarray]:
+def _bfs(g: Graph, source: int, edge_ids=None) -> tuple[list[int], list[int]]:
     """Breadth-first search from ``source`` over ``edge_ids`` (default:
     every edge), neighbours taken in ascending edge-id order.
 
     ``dist[u-1]`` is the hop count to vertex u (-1 if unreached) and
-    ``paths[u-1]`` the edge indicator of the BFS-tree path to u.
+    ``paths[u-1]`` the edge set of the BFS-tree path to u.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count + 1)]
     for eid in range(1, g.edge_count + 1) if edge_ids is None else sorted(edge_ids):
         _, u, v = g.edges[eid - 1]
         adj[u].append((eid, v))
         adj[v].append((eid, u))
-    dist = np.full(g.vertex_count, -1, dtype=np.int32)
-    paths = np.zeros((g.vertex_count, g.edge_count), dtype=np.uint8)
+    dist = [-1] * g.vertex_count
+    paths = [0] * g.vertex_count
     dist[source - 1] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
+        hops, path = dist[u - 1] + 1, paths[u - 1]
         for eid, w in adj[u]:
             if dist[w - 1] < 0:
-                dist[w - 1] = dist[u - 1] + 1
-                paths[w - 1] = paths[u - 1]
-                paths[w - 1, eid - 1] = 1
+                dist[w - 1] = hops
+                paths[w - 1] = path | 1 << (eid - 1)
                 queue.append(w)
     return dist, paths
 
@@ -164,9 +201,9 @@ def _bfs(g: Graph, source: int, edge_ids=None) -> tuple[np.ndarray, np.ndarray]:
 def spanning_tree(g: Graph) -> SpanningTree:
     """Deterministic default tree: BFS from vertex 1, neighbors in
     ascending edge-id order, tree edges reported in ascending id order."""
-    in_tree = _bfs(g, 1)[1].any(axis=0)
-    tree_ids = tuple(int(e) + 1 for e in np.flatnonzero(in_tree))
-    chords = tuple(int(e) + 1 for e in np.flatnonzero(~in_tree))
+    in_tree = reduce(or_, _bfs(g, 1)[1])  # a BFS tree is the union of its paths
+    tree_ids = tuple(eid for eid, _, _ in g.edges if in_tree >> (eid - 1) & 1)
+    chords = tuple(eid for eid, _, _ in g.edges if not in_tree >> (eid - 1) & 1)
     return SpanningTree(tree_edges=tree_ids, chords=chords)
 
 
@@ -188,32 +225,32 @@ def spanning_tree_from_ids(g: Graph, edge_ids) -> SpanningTree:
         if not 1 <= eid <= g.edge_count:
             raise GraphError(f"unknown edge id {eid}")
     # v-1 edges reaching all v vertices <=> spanning tree
-    if (_bfs(g, 1, ids)[0] < 0).any():
+    if -1 in _bfs(g, 1, ids)[0]:
         raise GraphError("edge ids do not form a spanning tree")
     tree_set = set(ids)
     chords = tuple(eid for eid, _, _ in g.edges if eid not in tree_set)
     return SpanningTree(tree_edges=tuple(ids), chords=chords)
 
 
-def _fundamental_matrices(g: Graph, tree: SpanningTree) -> tuple[np.ndarray, np.ndarray]:
-    """Circuit and cut-set matrices from one tree-path array.
+def _fundamental_matrices(g: Graph, tree: SpanningTree) -> tuple[list[int], list[int]]:
+    """Circuit and cut-set rows from one list of tree paths.
 
-    ``root[u-1]`` is the tree path from vertex 1 to u on the tree
-    columns (in tree order), so row e of ``root[u_e] ^ root[v_e]`` is
-    the tree path between edge e's endpoints.  Tree edge t lies on
-    that path exactly when e crosses t's fundamental cut, so the
-    cut-set matrix is the array transposed; a chord's circuit is its
-    path plus the chord.
+    ``root[u-1]`` is the tree path from vertex 1 to u, so entry e of
+    ``between`` is the tree path between edge e's endpoints.  Tree
+    edge t lies on that path exactly when e crosses t's fundamental
+    cut, so t's cut-set row holds bit e-1 for every such e; a chord's
+    circuit is its path plus the chord.
     """
-    tree_cols = np.array(tree.tree_edges, dtype=np.intp) - 1
-    chords = np.array(tree.chords, dtype=np.intp) - 1
-    root = _bfs(g, 1, tree.tree_edges)[1][:, tree_cols]
-    ends = np.array([(u, v) for _, u, v in g.edges], dtype=np.intp).reshape(-1, 2) - 1
-    between = root[ends[:, 0]] ^ root[ends[:, 1]]
-    circuits = np.zeros((len(chords), g.edge_count), dtype=np.uint8)
-    circuits[:, tree_cols] = between[chords]
-    circuits[np.arange(len(chords)), chords] = 1
-    return circuits, between.T.copy()
+    root = _bfs(g, 1, tree.tree_edges)[1]
+    between = [root[u - 1] ^ root[v - 1] for _, u, v in g.edges]
+    circuits = [between[c - 1] | 1 << (c - 1) for c in tree.chords]
+    cuts = dict.fromkeys(tree.tree_edges, 0)
+    for e, path in enumerate(between):
+        while path:
+            low = path & -path
+            cuts[low.bit_length()] |= 1 << e
+            path ^= low
+    return circuits, list(cuts.values())
 
 
 def girth(g: Graph) -> int | None:
@@ -223,14 +260,16 @@ def girth(g: Graph) -> int | None:
     d(x) + d(y) + 1 edges that contains a cycle, and from a source on a
     shortest cycle some such walk is no longer than that cycle.
     """
-    ends = np.array([(u, v) for _, u, v in g.edges], dtype=np.intp).reshape(-1, 2) - 1
     best: int | None = None
     for source in range(1, g.vertex_count + 1):
         dist, paths = _bfs(g, source)
-        off_tree = ~paths.any(axis=0)
-        if off_tree.any():
-            length = int(dist[ends[off_tree]].sum(axis=1).min()) + 1
-            best = length if best is None else min(best, length)
+        in_tree = format(reduce(or_, paths), f"0{g.edge_count}b")[::-1]  # "1" at e-1: tree edge e
+        for eid, u, v in g.edges:
+            if in_tree[eid - 1] == "0":
+                length = dist[u - 1] + dist[v - 1] + 1
+                best = length if best is None else min(best, length)
+        if best == 3:  # no simple graph has a shorter cycle
+            break
     return best
 
 
@@ -258,18 +297,18 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
     else:
         t = spanning_tree_from_ids(g, tree)
     gen, chk = _fundamental_matrices(g, t)
-    for matrix, ids, name in ((gen, t.chords, "chord"), (chk, t.tree_edges, "tree")):
-        if not np.array_equal(matrix[:, np.array(ids) - 1], np.eye(len(ids), dtype=np.uint8)):
+    for rows, ids, name in ((gen, t.chords, "chord"), (chk, t.tree_edges, "tree")):
+        columns = sum(1 << (eid - 1) for eid in ids)
+        if len(rows) != len(ids) or any(
+            row & columns != 1 << (eid - 1) for row, eid in zip(rows, ids)
+        ):
             raise GraphError(f"identity failure: {name} columns are not the identity in row order")
+    if any((circuit & cut).bit_count() & 1 for circuit in gen for cut in chk):
+        raise GraphError("orthogonality failure: circuits do not satisfy the cut-set checks")
     d = girth(g)
     assert d is not None  # k >= 1 guarantees a cycle
-    gen.setflags(write=False)
-    chk.setflags(write=False)
-    code = GraphicalCode(graph=g, tree=t, generator=gen, parity_check=chk, n_len=m, k=k, d=d)
-    # the check's tables, built here once for the code's lifetime, read any width
-    if stream_syndromes(np.packbits(gen), len(gen), code.check_tables).any():
-        raise GraphError("orthogonality failure: circuits do not satisfy the cut-set checks")
-    return code
+    return GraphicalCode(graph=g, tree=t, generator_rows=tuple(gen), check_rows=tuple(chk),
+                         n_len=m, k=k, d=d)
 
 
 def code_report(code: GraphicalCode, rho: int) -> CodeReport:

@@ -18,10 +18,12 @@ import os
 import stat
 import struct
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gf2 import as_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 #: Pixels per partial sum in PSNR: 2**15 squared 8-bit differences fit int32.
@@ -91,6 +93,8 @@ class RasterLayout:
         One buffer serves both when rows carry no padding.  A range that
         starts mid-row takes one row more, but never more than the image.
         """
+        import numpy as np
+
         rows = min(-(-size // self.row_bytes) + 1, self.height)
         raw = np.empty(rows * self.stride, dtype=np.uint8)
         if self.stride == self.row_bytes:
@@ -115,6 +119,8 @@ class RasterLayout:
         zeros, and the range that starts at pixel 0 writes the
         canonical header too.
         """
+        import numpy as np
+
         raw, pixels = scratch
         if pixels is not raw:
             file_rows, pixel_rows = self.rows(lo, hi, scratch)
@@ -277,6 +283,8 @@ class RasterFile:
     """
 
     def __init__(self, path):
+        import numpy as np
+
         self._data = None
         self._file = open(path, "rb")
         try:
@@ -313,6 +321,8 @@ class RasterFile:
         pixel hi, so a row's padding goes with the range that holds the
         row's last pixel; the padding is then stripped.
         """
+        import numpy as np
+
         lay = self.layout
         raw, pixels = scratch
         col = lo % lay.row_bytes
@@ -336,6 +346,8 @@ class RasterFile:
 
 def save_image(img: CoverImage, path) -> None:
     """Write the image in its own format, with a canonical header."""
+    import numpy as np
+
     if img.format_tag not in ("pgm", "bmp"):
         raise ImageFormatError(f"unknown format tag {img.format_tag!r}")
     lay = RasterLayout(img.format_tag, img.width, img.height, 0)
@@ -374,6 +386,8 @@ def lsb_inject(img: CoverImage, bits) -> CoverImage:
 
 def peak_signal_noise(original: CoverImage, modified: CoverImage) -> float | None:
     """PSNR in dB between two same-shaped images; None when identical."""
+    import numpy as np
+
     if (original.width, original.height, original.channels) != (
         modified.width,
         modified.height,

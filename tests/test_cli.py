@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphstego import cli, codec, decoder
+from graphstego import cli, codebook, codec, decoder
 from graphstego.cli import main
 from graphstego.codebook import (
     bundled_codebook_text,
@@ -28,7 +28,7 @@ from graphstego.codec import (
     extract_stream,
 )
 from graphstego.decoder import build_coset_table_bruteforce
-from graphstego.graphs import build_graph
+from graphstego.graphs import build_graph, complete_graph
 from graphstego.images import load_image, lsb_extract, lsb_inject, peak_signal_noise, save_image
 
 from helpers import gp83_edges, random_bmp_bytes, random_graph, random_pgm_bytes
@@ -174,6 +174,54 @@ def test_table_size_exit(tmp_path, capsys, monkeypatch):
     ]) == 6
     assert "table limit" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oversize_codebooks_exit_6_before_any_build(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a code above the table limit was built")
+
+    # K150 (p = 149): building its code once took seconds and hundreds of MiB
+    monkeypatch.setattr(codebook, "build_code", refuse)
+    k150 = tmp_path / "k150.gc"
+    k150.write_text(format_codebook(complete_graph(150)))
+    assert main(["analyze", "--codebook", str(k150)]) == 6
+    assert "table limit" in capsys.readouterr().err
+    cover = write_pgm(tmp_path / "cover.pgm")
+    payload = tmp_path / "secret.bin"
+    payload.write_bytes(b"x")
+    out = tmp_path / "x.pgm"
+    assert main([
+        "embed", "--codebook", str(k150), "--cover", str(cover),
+        "--payload", str(payload), "--out", str(out),
+    ]) == 6
+    assert "table limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_code_layer_loads_no_numpy(tmp_path, k5_codebook_file):
+    # import graphstego and the analyze, codebook and table commands run on
+    # plain-Python bitsets; numpy loads when a pixel or table function first runs
+    script = """
+import sys
+import graphstego
+from graphstego import cli
+assert "numpy" not in sys.modules, "import graphstego"
+codebook, out = sys.argv[1:]
+for argv in (["analyze", "--codebook", codebook], ["codebook", "--spec", "K6", "--out", out],
+             ["analyze", "--codebook", out, "--porcelain"], ["table"]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+graphstego.bytes_to_bits(b"x")
+assert "numpy" in sys.modules, "the check above sees numpy when it loads"
+"""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(k5_codebook_file), str(tmp_path / "k6.gc")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "rho=2" in run.stdout and "rho=3" in run.stdout
 
 
 def test_analyze_bad_codebook(tmp_path, capsys):
@@ -571,4 +619,5 @@ def test_only_the_process_entry_freezes_the_heap(tmp_path, k5_codebook_file, mon
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
     assert cli.run() == 0
-    assert calls == ["freeze", "main"]
+    # after the command, so the heap frozen for the exit holds what embed's numpy import left
+    assert calls == ["main", "freeze"]

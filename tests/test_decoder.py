@@ -12,10 +12,11 @@ from graphstego.decoder import (
     CosetTable,
     TableCacheError,
     TableSizeError,
-    _coset_weights,
-    _shortest_paths,
+    _all_pairs,
+    _coset_layers,
     _table_from_weights,
-    _tjoin_dp,
+    _tjoin_layers,
+    _weights,
     build_coset_table_bruteforce,
     build_coset_table_tjoin,
     covering_radius_bruteforce,
@@ -33,6 +34,7 @@ from helpers import (
     K5_DOUBLE_EDGE_EXAMPLES,
     K5_GENERATOR_ROWS,
     K5_SINGLE_EDGE_LEADERS,
+    all_words,
     boundary_of,
     brute_min_tjoin_size,
     coset_members,
@@ -185,10 +187,11 @@ def test_minimum_t_join_against_enumeration():
         assert boundary_of(g, join) == terminals
         assert int(join.sum()) == size
         # the subset DP, over the terminals alone and over all vertices
-        dist, _ = _shortest_paths(g, verts)
+        dist = _all_pairs(g)
         cols = [t - 1 for t in sorted(terminals)]
-        assert _tjoin_dp(dist[np.ix_(cols, cols)])[-1] == size
-        assert _tjoin_dp(dist)[sum(1 << c for c in cols)] == size
+        among = _tjoin_layers([[dist[a][b] for b in cols] for a in cols])
+        assert among[size] >> ((1 << len(cols)) - 1) & 1
+        assert _tjoin_layers(dist)[size] >> sum(1 << c for c in cols) & 1
         cases += 1
 
 
@@ -352,7 +355,7 @@ def test_builders_give_identical_tables(name, k5_code):
 @pytest.mark.parametrize("mutation", ["raised", "lowered", "all_zero", "zero_syndrome"])
 def test_fill_rejects_wrong_weights(name, mutation, k5_code):
     code = table_code(name, k5_code)
-    dist = _coset_weights(code)
+    dist = _weights(_coset_layers(code), code.n_len - code.k)
     assert _table_from_weights(code, dist).rho == dist.max()
     bad = dist.copy()
     if mutation == "raised":
@@ -422,3 +425,66 @@ def test_bruteforce_radius_of_a_code_without_its_table():
     assert covering_radius_bruteforce(build_code(ring(17))) == 8  # p = 16
     with pytest.raises(TableSizeError):
         covering_radius_bruteforce(build_code(ring(22)))  # p = 21
+
+
+def _petersen():
+    """GP(5,2): outer 5-cycle 1..5, spokes, inner pentagram 6..10."""
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    return build_graph(10, outer + spokes + inner)
+
+
+# every code of n <= 16 edges that the suite builds, default and pinned trees
+ENUMERATED_CODES = {
+    **{f"K{q}": (lambda q=q: build_code(complete_graph(q))) for q in (3, 4, 5, 6)},
+    "petersen": lambda: build_code(_petersen()),
+    "wheel": lambda: build_code(wheel_graph()),
+    "ring5": lambda: build_code(ring(5)),
+    "ring16": lambda: build_code(ring(16)),
+    # path 1-2-3-4-5-6 in shuffled row order
+    "K6_pinned_path": lambda: build_code(complete_graph(6), [10, 1, 15, 6, 13]),
+    # outer path 1-2-3-4-5 plus every spoke, shuffled
+    "petersen_pinned": lambda: build_code(_petersen(), [7, 3, 10, 1, 6, 4, 9, 2, 8]),
+}
+
+
+@pytest.mark.parametrize("name", ["k5_reference", *ENUMERATED_CODES])
+def test_coset_layers_equal_enumeration_of_every_word(name, k5_code):
+    # every one of the 2^n words, its syndrome read by syndrome_index
+    code = k5_code if name == "k5_reference" else ENUMERATED_CODES[name]()
+    n, p = code.n_len, code.n_len - code.k
+    assert n <= 16
+    words = all_words(n)
+    syndromes = (words.astype(np.int64) @ code.parity_check.T.astype(np.int64)) & 1
+    distinct, where = np.unique(syndromes.astype(np.uint8), axis=0, return_inverse=True)
+    index = np.array([syndrome_index(s) for s in distinct])[where.reshape(-1)]
+    best = np.full(1 << p, n + 1, dtype=np.int64)
+    np.minimum.at(best, index, words.sum(axis=1, dtype=np.int64))
+    want = [int.from_bytes(np.packbits(best == w, bitorder="little").tobytes(), "little")
+            for w in range(int(best.max()) + 1)]
+    assert _coset_layers(code) == want
+    assert covering_radius_bruteforce(code) == len(want) - 1
+
+
+def test_tjoin_layers_equal_networkx_matching_of_every_even_set():
+    import networkx as nx
+
+    rng = np.random.default_rng(9301)
+    for v in (3, 4, 5, 6, 7, 8, 9, 10, 10):
+        g = random_graph(rng, v, int(rng.integers(v - 1, v * (v - 1) // 2 + 1)))
+        hops = dict(nx.all_pairs_shortest_path_length(nx.Graph((a, b) for _, a, b in g.edges)))
+        by_weight: dict[int, int] = {}
+        for mask in range(1 << v):
+            terminals = [i + 1 for i in range(v) if mask >> i & 1]
+            if len(terminals) % 2:
+                continue
+            closure = nx.Graph()
+            closure.add_weighted_edges_from(
+                (a, b, hops[a][b]) for a, b in combinations(terminals, 2)
+            )
+            cost = sum(hops[a][b] for a, b in nx.min_weight_matching(closure))
+            by_weight[cost] = by_weight.get(cost, 0) | 1 << mask
+        want = [by_weight[w] for w in range(max(by_weight) + 1)]
+        assert _tjoin_layers(_all_pairs(g)) == want, g
+        assert covering_radius_tjoin(g) == len(want) - 1

@@ -135,19 +135,17 @@ def test_build_code_rejects_a_circuit_off_the_cut_sets(make, monkeypatch):
     def flip_a_tree_bit(g, tree):
         # one generator bit flipped on a tree column breaks G H^T = 0 in that row
         gen, chk = real(g, tree)
-        gen = gen.copy()
-        gen[0, tree.tree_edges[0] - 1] ^= 1
-        return gen, chk
+        return [gen[0] ^ 1 << (tree.tree_edges[0] - 1), *gen[1:]], chk
 
     def swap_check_rows(g, tree):
         # the same code and ranks, but syndrome bits 0 and 1 no longer follow the tree order
         gen, chk = real(g, tree)
-        return gen, chk[[1, 0, *range(2, len(chk))]]
+        return gen, [chk[1], chk[0], *chk[2:]]
 
     def swap_circuit_rows(g, tree):
         # the same code and ranks, but circuits 0 and 1 no longer follow the chord order
         gen, chk = real(g, tree)
-        return gen[[1, 0, *range(2, len(gen))]], chk
+        return [gen[1], gen[0], *gen[2:]], chk
 
     g = make()
     for broken, message in ((flip_a_tree_bit, "orthogonality"), (swap_check_rows, "tree columns"),

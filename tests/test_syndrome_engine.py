@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstego import codec, gf2, graphs
+from graphstego import codec, gf2
 from graphstego.codebook import bundled_codebook_text, code_from_codebook
 from graphstego.codec import (
     embed_block,
@@ -108,15 +108,13 @@ def test_packed_stream_syndromes_match_mat_vec_mul(p, n, count, extra, kept, see
 
 
 def test_column_words_are_single_bit_syndromes():
-    # the coset-table builders' search steps: column j is the syndrome of bit j alone
+    # the coset search's steps: column j is the syndrome of bit j alone, an
+    # int of any width, read off the check's rows as int bitsets (bit j = column j)
     rng = np.random.default_rng(5)
     for p in WIDTHS:
         h = rng.integers(0, 2, (p, 12), dtype=np.uint8)
-        if p > 64:
-            with pytest.raises(ValueError, match="64 bits"):
-                _column_words(h)
-            continue
-        assert _column_words(h).tolist() == [syndrome_index(h[:, j]) for j in range(12)]
+        rows = [sum(int(bit) << j for j, bit in enumerate(row)) for row in h]
+        assert _column_words(rows, 12) == [syndrome_index(h[:, j]) for j in range(12)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,31 +174,31 @@ def test_extract_roundtrip_with_a_packed_period_of_8(chunk, monkeypatch):
 
 
 def test_tables_are_built_once_per_image_call(tmp_path, monkeypatch):
-    # the code's table is a cached attribute of the code, built once in
-    # build_code; the word reader builds its identity table once per width
-    # and keeps it, here first for the coset-table builder's column words,
-    # so no embed or extract call and no chunk builds another
+    # the code's table is a cached attribute of the code, built on its first
+    # use by the codec; the word reader builds its identity table once per
+    # width and keeps it.  The code layer and the coset-table builder build
+    # neither, and no later embed or extract call and no chunk builds another
     calls = []
 
     def spy(check):
         calls.append(check.copy())
         return syndrome_tables(check)
 
-    monkeypatch.setattr(graphs, "syndrome_tables", spy)
     monkeypatch.setattr(gf2, "syndrome_tables", spy)
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", 8)  # 29 chunks each way
     gf2._identity_tables.cache_clear()
     code = code_from_codebook(bundled_codebook_text("k5"))
-    assert len(calls) == 1 and np.array_equal(calls[0], code.parity_check)
     table = build_coset_table_bruteforce(code)
-    identity = np.eye(8, 4, -4, dtype=np.uint8)  # reads each 4-bit word of a packed stream
-    assert len(calls) == 2 and np.array_equal(calls[1], identity)
-    calls.clear()
+    assert calls == []
     rng = np.random.default_rng(73)
     pixels = rng.integers(0, 256, 2500, dtype=np.uint8)
     cover = CoverImage(width=50, height=50, channels=1, depth=8, pixels=pixels, format_tag="pgm")
     data = rng.integers(0, 256, 112, dtype=np.uint8).tobytes()
     stego, report = embed_image(cover, data, table)
+    identity = np.eye(8, 4, -4, dtype=np.uint8)  # reads each 4-bit word of a packed stream
+    assert len(calls) == 2 and np.array_equal(calls[0], code.parity_check)
+    assert np.array_equal(calls[1], identity)
+    calls.clear()
     assert report.blocks_used == 232
     assert extract_image(stego, code) == data
     cover_path, stego_path = tmp_path / "cover.pgm", tmp_path / "stego.pgm"

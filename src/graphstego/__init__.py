@@ -7,7 +7,8 @@ n-bit block of an image's LSB plane with at most rho (covering radius)
 flips per block.
 
 No module of the package imports numpy when it loads: the functions
-that handle pixels or tables import it when they first run.  The names
+that handle pixels or build tables import it when they first run, and
+a table cache loads without it.  The names
 below load with the module that defines them, on first use (PEP 562),
 so ``import graphstego`` alone imports no other module.
 """

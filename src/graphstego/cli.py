@@ -7,8 +7,8 @@ figures).  Exit codes: 0 success, 2 usage, 3 format/parse error,
 4 capacity exceeded, 5 invariant violation, 6 code too large for a
 coset table (more than MAX_SYNDROME_BITS syndrome bits).
 
-No module imports numpy when it loads: the pixel and table functions
-import it when they first run, so ``embed`` and ``extract`` load it,
+No module imports numpy when it loads: the pixel and table-building
+functions import it when they first run, so ``embed`` and ``extract`` load it,
 and ``codebook``, ``analyze`` and ``table`` never do.  The process
 entry, :func:`run`, freezes the heap once the command is done, so the
 collection at interpreter exit skips every object still alive, numpy's

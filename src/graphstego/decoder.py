@@ -25,9 +25,12 @@ picks the lexicographically smallest minimum-weight pattern (by
 edge-id set), so they return byte-identical tables.  The fill checks
 the weights first, so a wrong weight cannot yield a wrong leader.
 
-Only the tables are numpy arrays: the builders, the fill, the cache
-and :func:`minimum_t_join` import numpy when they run, and the
-searches, the covering radii and the size limit never do.
+A table keeps its leaders packed, one row of ceil(n/8) bytes per
+syndrome, in the layout of its cache file.  The builders, the fill,
+:func:`minimum_t_join` and the 0/1 leader matrix that
+:attr:`CosetTable.leaders` unpacks import numpy when they run; the
+searches, the covering radii, the size limit and the cache
+(:func:`save_table`, :func:`load_table`) never do.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import numbers
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .graphs import Graph, GraphicalCode, _bfs
@@ -47,6 +51,8 @@ if TYPE_CHECKING:
 MAX_SYNDROME_BITS = 20
 
 _CACHE_MAGIC = b"GCTABLE1"
+
+_POPCOUNT = bytes(bin(b).count("1") for b in range(256))
 
 
 class TableCacheError(ValueError):
@@ -68,13 +74,23 @@ def _check_size(p: int) -> None:
 class CosetTable:
     """Complete syndrome -> coset-leader table for one code.
 
-    ``leaders[i]`` is the leader whose syndrome reads i (bit 0 of the
-    syndrome most significant); ``rho`` is the covering radius.
+    ``rows`` holds the 2^p leaders packed, row i the leader whose
+    syndrome reads i (bit 0 of the syndrome most significant): ceil(n/8)
+    bytes a row, bit 0 of a row's byte 0 for edge 1, bits past edge n
+    clear.  That is the body of a :func:`save_table` file.  ``rho`` is
+    the covering radius.
     """
 
     code: GraphicalCode
-    leaders: np.ndarray
+    rows: bytes
     rho: int
+
+    @cached_property
+    def leaders(self) -> np.ndarray:
+        """The leaders as a read-only (2^p, n) uint8 0/1 matrix, built on first use."""
+        from .graphs import _bit_matrix
+
+        return _bit_matrix(self.rows, self.code.n_len)
 
     def leader(self, syndrome) -> np.ndarray:
         """Leader for a syndrome given as bits or as a table index."""
@@ -91,6 +107,25 @@ class CosetTable:
                 raise ValueError(f"syndrome must have {p} bits, got {s.size}")
             idx = syndrome_index(s)
         return self.leaders[idx].copy()
+
+
+def _row_weights(rows: bytes, n: int) -> bytes:
+    """The weight of each packed row of n edges, one byte per row.
+
+    Byte k of every row is one strided slice of ``rows``, and a
+    popcount table turns it into a lane of one count per row.  The
+    lanes are summed as ints: a row has at most 216 bits (n <= 210 in a
+    simple graph with p <= 20), so no count carries into the next.
+    """
+    size = (n + 7) // 8
+    total = sum(int.from_bytes(rows[k::size].translate(_POPCOUNT), "little") for k in range(size))
+    return total.to_bytes(len(rows) // size, "little")
+
+
+def _byte_lane(members: int, count: int) -> int:
+    """A set of the indices below ``count`` as an int of one byte per index, 1 for a member."""
+    digits = format(members, f"0{count}b").encode("ascii")[::-1]  # index 0 first
+    return int.from_bytes(digits.translate(bytes.maketrans(b"01", b"\0\1")), "little")
 
 
 def _column_words(rows, n: int) -> list[int]:
@@ -248,7 +283,10 @@ def _table_from_weights(code: GraphicalCode, dist: np.ndarray) -> CosetTable:
         leaders[layer] = leaders[layer ^ columns[first]]
         leaders[layer, first] = 1
     leaders.setflags(write=False)
-    return CosetTable(code=code, leaders=leaders, rho=rho)
+    rows = np.packbits(leaders, axis=1, bitorder="little").tobytes()
+    table = CosetTable(code=code, rows=rows, rho=rho)
+    table.__dict__["leaders"] = leaders  # the filled matrix is the property's first value
+    return table
 
 
 def build_coset_table_bruteforce(code: GraphicalCode) -> CosetTable:
@@ -276,8 +314,8 @@ def covering_radius_bruteforce(source: CosetTable | GraphicalCode) -> int:
     Raises:
         TableSizeError: for a code whose p exceeds :data:`MAX_SYNDROME_BITS`.
     """
-    if isinstance(source, CosetTable):
-        return int(source.leaders.sum(axis=1).max())
+    if isinstance(source, CosetTable):  # read from the rows, not from rho
+        return max(_row_weights(source.rows, source.code.n_len))
     _check_size(source.n_len - source.k)
     return len(_coset_layers(source)) - 1
 
@@ -379,17 +417,14 @@ def covering_radius_tjoin(g: Graph) -> int:
 
 def save_table(table: CosetTable, path) -> None:
     """Write a table cache: ``GCTABLE1`` magic, big-endian u32 syndrome
-    count, then one leader per syndrome as ceil(n/8) packed bytes (bit 0
-    of byte 0 = edge 1)."""
-    import numpy as np
-
-    n = table.code.n_len
-    packed = np.packbits(table.leaders, axis=1, bitorder="little")
-    assert packed.shape == (len(table.leaders), (n + 7) // 8)
+    count, then the table's ``rows``, one leader per syndrome as
+    ceil(n/8) packed bytes (bit 0 of byte 0 = edge 1)."""
+    count = 1 << (table.code.n_len - table.code.k)
+    assert len(table.rows) == count * ((table.code.n_len + 7) // 8)
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack(">I", len(table.leaders)))
-        fh.write(packed.tobytes())
+        fh.write(struct.pack(">I", count))
+        fh.write(table.rows)
 
 
 def load_table(path, code: GraphicalCode) -> CosetTable:
@@ -398,42 +433,61 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
     Every leader's syndrome is recomputed against the live parity
     check, so a cache written for a different codebook is rejected, and
     every leader's weight must equal its coset's minimum weight (from
-    the same syndrome-space BFS the exhaustive builder runs).
+    the same syndrome-space BFS the exhaustive builder runs).  Both
+    checks read byte k of every row at once, as one strided slice that a
+    256-entry table translates into a lane of one byte per row: byte q
+    of what byte k adds to the row's syndrome index, or its bit count.
+    The lanes are XORed, or summed, as ints.
 
     Raises:
+        TableSizeError: if the code's p exceeds :data:`MAX_SYNDROME_BITS`.
         TableCacheError: on bad magic, wrong syndrome count, truncation,
-            a syndrome mismatch, or a leader that is not minimal.
+            a bit set past edge n, a syndrome mismatch, or a leader
+            that is not minimal.
     """
-    import numpy as np
-
-    from .gf2 import stream_syndromes, syndrome_words
-
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise TableCacheError("not a table cache (bad magic)")
-    if len(blob) < len(_CACHE_MAGIC) + 4:
-        raise TableCacheError("truncated table cache header")
-    (count,) = struct.unpack(">I", blob[len(_CACHE_MAGIC) : len(_CACHE_MAGIC) + 4])
     n = code.n_len
     p = n - code.k
+    _check_size(p)
+    with open(path, "rb") as fh:
+        header = fh.read(len(_CACHE_MAGIC) + 4)
+        rows = fh.read()
+    if header[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+        raise TableCacheError("not a table cache (bad magic)")
+    if len(header) < len(_CACHE_MAGIC) + 4:
+        raise TableCacheError("truncated table cache header")
+    (count,) = struct.unpack(">I", header[len(_CACHE_MAGIC) :])
     if count != (1 << p):
         raise TableCacheError(
             f"cache holds {count} syndromes, code needs {1 << p}"
         )
-    bytes_per = (n + 7) // 8
-    body = blob[len(_CACHE_MAGIC) + 4 :]
-    if len(body) != count * bytes_per:
+    size = (n + 7) // 8
+    if len(rows) != count * size:
         raise TableCacheError(
-            f"cache body is {len(body)} bytes, expected {count * bytes_per}"
+            f"cache body is {len(rows)} bytes, expected {count * size}"
         )
-    packed = np.frombuffer(body, dtype=np.uint8).reshape(count, bytes_per)
-    leaders = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
-    got = syndrome_words(stream_syndromes(np.packbits(leaders), count, code.check_tables), count, p)
-    if not np.array_equal(got, np.arange(count)):
-        raise TableCacheError("cached table does not match this code")
-    dist = _weights(_coset_layers(code), p)
-    if not np.array_equal(leaders.sum(axis=1), dist):
+    if n % 8 and rows[size - 1 :: size].translate(None, bytes(range(1 << n % 8))):
+        raise TableCacheError(f"cached table sets a bit past edge {n}")
+    words = _column_words(code.check_rows, n)  # words[j]: the syndrome index of edge j alone
+    index = [0] * ((p + 7) // 8)  # index[q]: byte q of every row's syndrome index, one lane
+    for k in range(size):
+        sums = [0]  # sums[v]: the syndrome index of byte value v at byte k
+        for word in words[8 * k : 8 * k + 8]:
+            sums += [s ^ word for s in sums]
+        sums *= 256 // len(sums)  # bits past edge n add nothing
+        column = rows[k::size]
+        for q in range(len(index)):
+            lane = column.translate(bytes(s >> 8 * q & 255 for s in sums))
+            index[q] ^= int.from_bytes(lane, "little")
+    for q, got in enumerate(index):
+        run = 1 << 8 * q  # byte q of the indices 0..count-1: each value for run rows in turn
+        block = b"".join(bytes([v]) * run for v in range(min(256, count // run)))
+        if got != int.from_bytes(block * (count // len(block)), "little"):
+            raise TableCacheError("cached table does not match this code")
+    layers = _coset_layers(code)
+    want = 0
+    for t in range((len(layers) - 1).bit_length()):  # one lane per weight bit t
+        plane = sum(layer for w, layer in enumerate(layers) if w >> t & 1)  # disjoint sets
+        want += _byte_lane(plane, count) << t
+    if _row_weights(rows, n) != want.to_bytes(count, "little"):
         raise TableCacheError("cached table holds a leader of more than minimum weight")
-    leaders.setflags(write=False)
-    return CosetTable(code=code, leaders=leaders, rho=int(dist.max()))
+    return CosetTable(code=code, rows=rows, rho=len(layers) - 1)

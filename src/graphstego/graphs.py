@@ -94,12 +94,12 @@ class GraphicalCode:
     @cached_property
     def generator(self) -> np.ndarray:
         """The circuit rows as a read-only (k, n) uint8 matrix, built on first use."""
-        return _bit_matrix(self.generator_rows, self.n_len)
+        return _bit_matrix(_packed_rows(self.generator_rows, self.n_len), self.n_len)
 
     @cached_property
     def parity_check(self) -> np.ndarray:
         """The cut-set rows as a read-only (p, n) uint8 matrix, built on first use."""
-        return _bit_matrix(self.check_rows, self.n_len)
+        return _bit_matrix(_packed_rows(self.check_rows, self.n_len), self.n_len)
 
     @cached_property
     def check_tables(self) -> SyndromeTables:
@@ -109,13 +109,17 @@ class GraphicalCode:
         return syndrome_tables(self.parity_check)
 
 
-def _bit_matrix(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """Int rows (bit j = column j) as a read-only uint8 matrix of n columns."""
+def _packed_rows(rows: tuple[int, ...], n: int) -> bytes:
+    """Int rows (bit j = column j) as ceil(n/8) little-endian bytes each."""
+    return b"".join(row.to_bytes((n + 7) // 8, "little") for row in rows)
+
+
+def _bit_matrix(packed: bytes, n: int) -> np.ndarray:
+    """Rows of ceil(n/8) bytes (bit 0 of byte 0 = column 0) as a read-only uint8 matrix of n columns."""
     import numpy as np
 
-    size = (n + 7) // 8
-    raw = np.frombuffer(b"".join(row.to_bytes(size, "little") for row in rows), dtype=np.uint8)
-    matrix = np.unpackbits(raw.reshape(len(rows), size), axis=1, count=n, bitorder="little")
+    raw = np.frombuffer(packed, dtype=np.uint8).reshape(-1, (n + 7) // 8)
+    matrix = np.unpackbits(raw, axis=1, count=n, bitorder="little")
     matrix.setflags(write=False)
     return matrix
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graphstego.codebook import format_codebook
 from graphstego.decoder import (
     MAX_SYNDROME_BITS,
     CosetTable,
@@ -263,6 +268,8 @@ def test_table_cache_rejects_garbage(tmp_path, k5_code, k5_table):
     short.write_bytes(short.read_bytes()[:-3])
     with pytest.raises(TableCacheError):
         load_table(short, k5_code)
+    with pytest.raises(TableSizeError):  # p = 21: no table was ever written for it
+        load_table(short, build_code(ring(22)))
 
 
 def test_table_cache_rejects_wrong_code(tmp_path, k5_code):
@@ -385,12 +392,123 @@ def test_table_build_peak_memory(build):
 
 def test_table_cache_rejects_non_minimal_leaders(tmp_path, k5_table, k5_code):
     # a codeword added to a leader keeps its syndrome but not its weight
-    leaders = k5_table.leaders.copy()
-    leaders[3] ^= as_bits(K5_GENERATOR_ROWS[0])
+    rows = bytearray(k5_table.rows)
+    codeword = int(K5_GENERATOR_ROWS[0][::-1], 2)  # bit j for edge j+1
+    rows[6:8] = (int.from_bytes(rows[6:8], "little") ^ codeword).to_bytes(2, "little")  # row 3
     path = tmp_path / "heavy.table"
-    save_table(CosetTable(code=k5_code, leaders=leaders, rho=k5_table.rho), path)
+    save_table(CosetTable(code=k5_code, rows=bytes(rows), rho=k5_table.rho), path)
     with pytest.raises(TableCacheError, match="minimum"):
         load_table(path, k5_code)
+
+
+def test_table_radius_reads_the_rows_not_rho(k5_table, k5_code):
+    # an independent read: a wrong rho beside the rows does not change it
+    assert covering_radius_bruteforce(CosetTable(code=k5_code, rows=k5_table.rows, rho=5)) == 2
+
+
+def _flipped(blob: bytes, row: int, bit: int, size: int) -> bytes:
+    """A cache with bit ``bit`` of row ``row`` flipped; bit 0 of a row's byte 0 is edge 1."""
+    out = bytearray(blob)
+    out[12 + row * size + bit // 8] ^= 1 << bit % 8
+    return bytes(out)
+
+
+def test_table_cache_rejects_set_padding_bits(tmp_path, k5_table, k5_code):
+    # n = 10: bits 2-7 of each row's second byte lie past the last edge
+    path = tmp_path / "k5.table"
+    save_table(k5_table, path)
+    blob = path.read_bytes()
+    for row in range(16):
+        for bit in range(10, 16):
+            path.write_bytes(_flipped(blob, row, bit, 2))
+            with pytest.raises(TableCacheError, match="past edge 10"):
+                load_table(path, k5_code)
+
+
+def test_table_cache_rejects_every_single_edge_flip(tmp_path, k5_table, k5_code):
+    # each of the 16 x 10 flips moves its row into another coset
+    path = tmp_path / "k5.table"
+    save_table(k5_table, path)
+    blob = path.read_bytes()
+    rejected = 0
+    for row in range(16):
+        for bit in range(10):
+            path.write_bytes(_flipped(blob, row, bit, 2))
+            with pytest.raises(TableCacheError, match="does not match"):
+                load_table(path, k5_code)
+            rejected += 1
+    assert rejected == 160
+
+
+def _cache_codes():
+    rng = np.random.default_rng(2201)
+    randoms = {f"random_v{v}_e{e}": random_graph(rng, v, e)
+               for v, e in ((4, 6), (6, 9), (8, 14), (10, 17), (12, 19), (13, 21))}
+    graphs = {**{f"K{q}": complete_graph(q) for q in range(3, 8)},
+              "petersen": _petersen(), "ring16": ring(16), **randoms}
+    return {name: build_code(g) for name, g in graphs.items()}
+
+
+@pytest.mark.parametrize("build", [build_coset_table_bruteforce, build_coset_table_tjoin])
+def test_table_cache_roundtrip_keeps_rows_leaders_and_rho(tmp_path, build):
+    for name, code in _cache_codes().items():
+        assert code.n_len - code.k <= (15 if name == "ring16" else 12), name
+        table = build(code)
+        path = tmp_path / f"{name}.table"
+        save_table(table, path)
+        loaded = load_table(path, code)
+        assert loaded.rows == table.rows, name
+        assert loaded.rho == table.rho == covering_radius_bruteforce(loaded), name
+        assert loaded.leaders.tobytes() == table.leaders.tobytes(), name
+        assert not loaded.leaders.flags.writeable
+
+
+# SHA-256 of save_table's output, recorded before tables kept packed rows:
+# a cache written then and one written now are the same bytes
+CACHE_DIGESTS = {
+    "k5": "c06d692c1c23db158dd296c1fc9c69a8692c7cf0455beef144fa1662ee3a76f7",
+    "K5": "6f31e60cac89c3bf0c0d69954b9427fe6e55d53970e79d6f05c97c9dcc5ecf15",
+    "gp83": "c622bf559e9d8c06b8ddb8e35be8edd53101eef8b36d8b785073a42b49dda9a0",
+}
+
+
+@pytest.mark.parametrize("build", [build_coset_table_bruteforce, build_coset_table_tjoin])
+@pytest.mark.parametrize("name", sorted(CACHE_DIGESTS))
+def test_table_cache_golden_bytes(tmp_path, name, build, k5_code):
+    code = build_code(complete_graph(5)) if name == "K5" else table_code(name, k5_code)
+    path = tmp_path / f"{name}.table"
+    save_table(build(code), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CACHE_DIGESTS[name]
+    assert load_table(path, code).rho == (8 if name == "gp83" else 2)
+
+
+def test_the_cache_and_the_table_radius_load_no_numpy(tmp_path):
+    # a cache written beforehand is loaded and checked, and both radii read,
+    # in plain Python; numpy loads when the leader matrix is first read
+    code = build_code(_circulant_16_1_3())
+    codebook, cache = tmp_path / "c16.gc", tmp_path / "c16.table"
+    codebook.write_text(format_codebook(code.graph, code.tree.tree_edges), "utf-8")
+    save_table(build_coset_table_tjoin(code), cache)
+    script = """
+import sys
+from pathlib import Path
+from graphstego import code_from_codebook, covering_radius_bruteforce, covering_radius_tjoin
+from graphstego import load_table
+code = code_from_codebook(Path(sys.argv[1]).read_text("utf-8"))
+table = load_table(sys.argv[2], code)
+rhos = (table.rho, covering_radius_bruteforce(table), covering_radius_tjoin(code.graph))
+assert rhos == (8, 8, 8), rhos
+assert "numpy" not in sys.modules
+assert table.leaders.shape == (1 << 15, 32)
+assert "numpy" in sys.modules, "the check above sees numpy when it loads"
+"""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(codebook), str(cache)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 def test_tjoin_table_against_networkx_matching():

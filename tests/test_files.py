@@ -269,8 +269,27 @@ def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
         seen.append(threading.active_count())
         return real_read(self, lo, hi, scratch)
 
+    real_run_chunks = codec._run_chunks
+
+    def gated_run_chunks(starts, run):
+        # each thread waits after its first chunk until the other has done one,
+        # so both take part however busy the host is
+        gate = threading.Barrier(2, timeout=60) if codec._usable_cpus() > 1 else None
+
+        def gated_run(claims):
+            def gated_claims():
+                yield next(claims)
+                if gate is not None:
+                    gate.wait()
+                yield from claims
+
+            return run(gated_claims())
+
+        return real_run_chunks(starts, gated_run)
+
     monkeypatch.setattr(threading.Thread, "start", spy_start)
     monkeypatch.setattr(codec._Raster, "read", spy_read)
+    monkeypatch.setattr(codec, "_run_chunks", gated_run_chunks)
     cover, out = tmp_path / "cover.pgm", tmp_path / "stego.pgm"
     cover.write_bytes(COVERS["pgm_comment_trailer"]())
     before = threading.active_count()
@@ -290,7 +309,7 @@ def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
 
 
 def _embed_file_peak(tmp_path, side: int, payload: bytes, table, in_place: bool = False) -> int:
-    """The largest tracemalloc peak of 3 embeds: one run can miss the chunk buffers' overlap."""
+    """The largest tracemalloc peak of 3 embeds of a ``side`` x ``side`` PGM cover."""
     cover = tmp_path / f"cover{side}.pgm"
     out = cover if in_place else tmp_path / f"stego{side}.pgm"
     pixels = np.random.default_rng(side).integers(0, 256, side * side, dtype=np.uint8)
@@ -310,19 +329,47 @@ def _embed_file_peak(tmp_path, side: int, payload: bytes, table, in_place: bool 
     return peak
 
 
-def test_embed_file_memory_does_not_grow_with_the_cover(tmp_path, tables):
+def _two_thread_bound(table, side: int, payload: bytes) -> int:
+    """The most a two-thread embed of a ``side``-wide PGM may hold at once.
+
+    Each thread holds its scratch rows (one chunk of pixels plus a row;
+    a PGM's rows carry no padding, so one buffer serves) and, while it
+    embeds a chunk, at most three chunk-sized arrays: the blocks' LSBs,
+    the gathered leaders and the leader indices (8 bytes a block, no
+    more than n).  The packed frame is held once.
+    """
+    n, step = table.code.n_len, codec._step()
+    assert n >= 8
+    scratch = (-(-step * n // side) + 1) * side
+    return 2 * (scratch + 3 * step * n) + codec.HEADER_BYTES + len(payload)
+
+
+def _assert_memory_bounded(tmp_path, monkeypatch, table, in_place: bool) -> None:
+    # one thread: the peak is the same whichever thread takes which chunk, so
+    # a 16 Mpx cover must cost what a 4 Mpx one does
     payload = np.random.default_rng(17).integers(0, 256, 10_000, dtype=np.uint8).tobytes()
-    small = _embed_file_peak(tmp_path, 2048, payload, tables[0])  # 4 Mpx
-    large = _embed_file_peak(tmp_path, 4096, payload, tables[0])  # 16 Mpx
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "MAX_THREADS", 1)
+        small = _embed_file_peak(tmp_path, 2048, payload, table, in_place)  # 4 Mpx
+        large = _embed_file_peak(tmp_path, 4096, payload, table, in_place)  # 16 Mpx
     assert large < 1.1 * small
+    # two threads, each embedding chunks (a 150 kB payload spans 5 of the 26):
+    # however their buffers overlap, the peak stays under the figure above,
+    # a third of what the 16 Mpx cover takes whole
+    monkeypatch.setattr(codec, "_usable_cpus", lambda: 2)
+    payload = np.random.default_rng(18).integers(0, 256, 150_000, dtype=np.uint8).tobytes()
+    bound = _two_thread_bound(table, 4096, payload)
+    assert bound < 4096 * 4096 / 3
+    assert _embed_file_peak(tmp_path, 4096, payload, table, in_place) < bound
 
 
-def test_in_place_embed_memory_does_not_grow_with_the_cover(tmp_path, tables):
+def test_embed_file_memory_does_not_grow_with_the_cover(tmp_path, monkeypatch, tables):
+    _assert_memory_bounded(tmp_path, monkeypatch, tables[0], in_place=False)
+
+
+def test_in_place_embed_memory_does_not_grow_with_the_cover(tmp_path, monkeypatch, tables):
     # --out naming the cover: the cover is still read a chunk at a time
-    payload = np.random.default_rng(17).integers(0, 256, 10_000, dtype=np.uint8).tobytes()
-    small = _embed_file_peak(tmp_path, 2048, payload, tables[0], in_place=True)
-    large = _embed_file_peak(tmp_path, 4096, payload, tables[0], in_place=True)
-    assert large < 1.1 * small
+    _assert_memory_bounded(tmp_path, monkeypatch, tables[0], in_place=True)
 
 
 def test_raster_file_reads_long_pgm_headers(tmp_path):

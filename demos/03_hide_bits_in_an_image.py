@@ -17,11 +17,10 @@ from graphstego import (
     build_coset_table_bruteforce,
     bundled_codebook_text,
     code_from_codebook,
-    embed_image,
-    extract_image,
+    embed_file,
+    extract_file,
     load_image,
     peak_signal_noise,
-    save_image,
 )
 
 scratch = tempfile.TemporaryDirectory(prefix="graphstego_demo_")
@@ -48,12 +47,14 @@ code = code_from_codebook(bundled_codebook_text("k5"))
 table = build_coset_table_bruteforce(code)
 
 secret = b"Meet at the old bridge, Thursday 23:40. Bring the ledger."
-# embed_image frames the bytes (a 32-bit bit count, then the payload)
-# and XORs each block's leader straight into a copy of the pixels:
-# flipping a bit of the LSB plane is flipping a pixel's LSB.
-stego, report = embed_image(cover, secret, table)
+# embed_file frames the bytes (a 32-bit bit count, then the payload),
+# reads the cover a chunk of pixels at a time, XORs each block's leader
+# straight into the pixels and writes them to the stego file: flipping a
+# bit of the LSB plane is flipping a pixel's LSB.  This is what
+# `graphstego embed` runs.
 stego_path = workdir / "stego.pgm"
-save_image(stego, stego_path)
+report = embed_file(cover_path, secret, table, stego_path)
+stego = load_image(stego_path)
 
 print(f"hid {len(secret)} bytes in {report.blocks_used} blocks of {code.n_len} bits")
 print(f"total flips: {report.total_flips} "
@@ -65,11 +66,10 @@ psnr = peak_signal_noise(cover, stego)
 print(f"PSNR: {psnr:.2f} dB" if psnr else "PSNR: infinite (no pixel changed)")
 
 # --- extract -------------------------------------------------------------
-# The receiving side needs only the stego image and the codebook: the
+# The receiving side needs only the stego file and the codebook: the
 # frame's header says how many payload bytes to read back.
 
-received = load_image(stego_path)
-message = extract_image(received, code)
+message = extract_file(stego_path, code)
 print(f"recovered {len(message)} bytes: {message.decode()!r}")
 assert message == secret
 

@@ -30,11 +30,9 @@ _EXPORTS = {
         "bytes_to_bits",
         "embed_block",
         "embed_file",
-        "embed_image",
         "embed_stream",
         "extract_block",
         "extract_file",
-        "extract_image",
         "extract_stream",
         "FrameError",
         "frame_payload",

@@ -8,14 +8,15 @@ receiver recovers m as H(v) with no table at all.
 A payload is framed before embedding: a 32-bit big-endian bit count,
 the payload bits MSB-first within each byte, then zero padding up to a
 multiple of p.  Both directions carry the frame packed, eight bits to a
-byte: the header's 4 bytes, then the payload bytes.  The image level
-takes and returns those bytes; the stream level unpacks them to one
-array entry per bit.
+byte: the header's 4 bytes, then the payload bytes.
 
-The file level runs the same chunk loop on a cover file: each chunk
-of pixels is read through :class:`~graphstego.images.RasterFile` and
-written where :func:`~graphstego.images.save_image` would put it, so
-where a file keeps its pixels is known to the ``images`` module alone.
+The stream level embeds in an array of 0/1 bits and takes and returns
+the payload one array entry per bit.  The file level runs the same
+chunk loop on a cover file and takes and returns payload bytes: each
+chunk of pixels is read through :class:`~graphstego.images.RasterFile`
+and written where :func:`~graphstego.images.save_image` would put it,
+so where a file keeps its pixels is known to the ``images`` module
+alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import stat
 import struct
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .decoder import CosetTable
@@ -39,7 +40,7 @@ from .gf2 import (
     syndrome_words,
 )
 from .graphs import GraphicalCode
-from .images import CoverImage, RasterFile
+from .images import RasterFile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -177,51 +178,27 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
     return stego, report
 
 
-def embed_image(
-    cover: CoverImage, payload: bytes, table: CosetTable
-) -> tuple[CoverImage, EmbedReport]:
-    """Embed the ``payload`` bytes in the cover's LSB plane, written into new pixels.
+def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
+    """Embed the ``payload`` bytes in a cover file and write the stego file.
 
-    Gives the same stego pixels and report as
-    ``lsb_inject(cover, embed_stream(lsb_extract(cover), bytes_to_bits(payload), table))``
-    without building the bit plane or the payload bits.  The cover is
-    never modified; the returned image's pixels are a read-only array
-    of their own.
+    With ``cover = load_image(cover_path)``, writes what
+    ``save_image`` writes for the stego image
+    ``lsb_inject(cover, embed_stream(lsb_extract(cover), bytes_to_bits(payload), table)[0])``
+    and returns the same report, but a chunk at a time: no array holds
+    the whole image.  ``cover_path`` may also be a :class:`RasterFile`
+    the caller opened, and then closes.  A cover that is not a regular
+    file is read into memory first, up to the raster's end.  The chunks
+    are written into a new ``graphstego-<16 hex>.tmp`` file beside
+    ``out_path``'s target (a fixed-length name, whatever ``out_path``'s
+    length), renamed onto it with an existing file's permission bits
+    once the last chunk is written.  So a failed embedding leaves
+    ``out_path`` as it was, ``out_path`` may name the cover, hard links
+    to an old ``out_path`` keep the old bytes, and ``out_path``'s
+    directory must be writable.
 
     Raises:
         TypeError: if ``payload`` is an ndarray (such as one entry per
             bit) rather than bytes, a bytearray or a memoryview.
-        CapacityError: if the framed payload needs more blocks than the
-            cover has pixels.
-    """
-    import numpy as np
-
-    packed = _payload_bytes(payload)
-    src = cover.pixels.reshape(-1)
-    pixels = np.empty_like(src)
-    report = _embed_lsbs(_Arrays(src, pixels), packed, 8 * packed.size, table)
-    pixels.setflags(write=False)
-    return replace(cover, pixels=pixels.reshape(cover.pixels.shape)), report
-
-
-def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
-    """Embed the ``payload`` bytes in a cover file and write the stego file.
-
-    Writes the same bytes as
-    ``save_image(embed_image(load_image(cover_path), payload, table)[0], out_path)``
-    and returns the same report, but a chunk at a time: no array holds
-    the whole image.  ``cover_path`` may also be a :class:`RasterFile`
-    the caller opened, and then closes.  A cover that is not a regular
-    file is read into memory first.  The chunks are written into a new
-    ``graphstego-<16 hex>.tmp`` file beside ``out_path``'s target (a
-    fixed-length name, whatever ``out_path``'s length), renamed onto it
-    with an existing file's permission bits once the last chunk is
-    written.  So a failed embedding leaves ``out_path`` as it was,
-    ``out_path`` may name the cover, hard links to an old ``out_path``
-    keep the old bytes, and ``out_path``'s directory must be writable.
-
-    Raises:
-        TypeError: as :func:`embed_image`.
         OSError: if ``out_path`` exists but is not a regular file, or
             cannot be read or written.
         ImageFormatError: if the cover does not parse.
@@ -360,36 +337,21 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
     return np.unpackbits(frame[HEADER_BYTES:], count=declared)
 
 
-def extract_image(img: CoverImage, code: GraphicalCode) -> bytes:
-    """Recover the payload bytes from the image's LSB plane, read straight from its pixels.
-
-    Equal to ``bits_to_bytes(extract_stream(lsb_extract(img), code))``
-    without building the bit plane or the payload bits.
-
-    Raises:
-        FrameError: as :func:`extract_stream`, or if the declared length
-            is not a whole number of bytes.
-    """
-    return _payload_of(*_extract_lsbs(_Arrays(img.pixels.reshape(-1)), code))
-
-
 def extract_file(stego_path, code: GraphicalCode) -> bytes:
     """Recover the payload bytes from a stego image file, a chunk at a time.
 
-    Equal to ``extract_image(load_image(stego_path), code)`` without
-    holding the whole image: each chunk of blocks is one positional
-    read.  A file that is not regular, such as a pipe, is read into
-    memory first.
+    Equal to ``bits_to_bytes(extract_stream(lsb_extract(load_image(stego_path)), code))``
+    without holding the whole image: each chunk of blocks is one
+    positional read.  A file that is not regular, such as a pipe, is
+    read into memory first, up to the raster's end.
 
     Raises:
         ImageFormatError: if the file does not parse.
-        FrameError: as :func:`extract_image`.
+        FrameError: as :func:`extract_stream`, or if the declared length
+            is not a whole number of bytes.
     """
     with RasterFile(stego_path) as stego:
-        return _payload_of(*_extract_lsbs(_Raster(stego), code))
-
-
-def _payload_of(frame: np.ndarray, declared: int) -> bytes:
+        frame, declared = _extract_lsbs(_Raster(stego), code)
     if declared % 8:
         raise FrameError(f"recovered {declared} bits, not a whole number of bytes")
     return frame[HEADER_BYTES : HEADER_BYTES + declared // 8].tobytes()

@@ -36,6 +36,7 @@ searches, the covering radii, the size limit and the cache
 from __future__ import annotations
 
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -448,23 +449,22 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
     n = code.n_len
     p = n - code.k
     _check_size(p)
+    size = (n + 7) // 8
     with open(path, "rb") as fh:
         header = fh.read(len(_CACHE_MAGIC) + 4)
-        rows = fh.read()
-    if header[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise TableCacheError("not a table cache (bad magic)")
-    if len(header) < len(_CACHE_MAGIC) + 4:
-        raise TableCacheError("truncated table cache header")
-    (count,) = struct.unpack(">I", header[len(_CACHE_MAGIC) :])
-    if count != (1 << p):
-        raise TableCacheError(
-            f"cache holds {count} syndromes, code needs {1 << p}"
-        )
-    size = (n + 7) // 8
-    if len(rows) != count * size:
-        raise TableCacheError(
-            f"cache body is {len(rows)} bytes, expected {count * size}"
-        )
+        if header[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+            raise TableCacheError("not a table cache (bad magic)")
+        if len(header) < len(_CACHE_MAGIC) + 4:
+            raise TableCacheError("truncated table cache header")
+        (count,) = struct.unpack(">I", header[len(_CACHE_MAGIC) :])
+        if count != (1 << p):
+            raise TableCacheError(
+                f"cache holds {count} syndromes, code needs {1 << p}"
+            )
+        rows = fh.read(count * size + 1)  # one byte more shows an over-long body
+        if len(rows) != count * size:
+            body = max(len(rows), os.fstat(fh.fileno()).st_size - len(header))
+            raise TableCacheError(f"cache body is {body} bytes, expected {count * size}")
     if n % 8 and rows[size - 1 :: size].translate(None, bytes(range(1 << n % 8))):
         raise TableCacheError(f"cached table sets a bit past edge {n}")
     words = _column_words(code.check_rows, n)  # words[j]: the syndrome index of edge j alone

@@ -163,7 +163,8 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
         seen.add(key)
         edges.append((pos, u, v))
     g = Graph(vertex_count=vertex_count, edges=tuple(edges))
-    if -1 in _bfs(g, 1)[0]:
+    # a spanning tree has vertex_count - 1 edges: fewer cannot connect, and the BFS need not run
+    if len(edges) < vertex_count - 1 or -1 in _bfs(g, 1)[0]:
         raise GraphError("graph is not connected")
     return g
 

@@ -257,17 +257,44 @@ def load_image(path) -> CoverImage:
     )
 
 
-def _read_layout(fd: int, size: int) -> RasterLayout:
-    """The layout of a regular file of ``size`` bytes, read from its first bytes alone."""
+def _read_layout(read, size: float) -> RasterLayout:
+    """The layout of a file of ``size`` bytes, read from its first bytes alone.
+
+    ``read(want)`` gives the file's first ``want`` bytes, fewer only
+    where the file ends; ``size`` may be ``math.inf`` for a file whose
+    size is unknown until it ends.
+    """
     want = 1 << 12
     while True:
-        head = os.pread(fd, want, 0)
+        head = read(want)
         try:
-            return _parse_layout(head, size)
-        except _ShortHeader:
-            if len(head) < want:  # the file ended early
-                raise ImageFormatError("truncated PGM header") from None
+            return _parse_layout(head, size if len(head) == want else len(head))
+        except _ShortHeader:  # only raised while the file may hold more
             want *= 4
+
+
+def _read_stream(fh) -> tuple[RasterLayout, bytearray]:
+    """The layout and bytes of an image file read from ``fh`` in order, up to its raster's end.
+
+    The header is read as :func:`_read_layout` reads a regular file's,
+    with the size unknown until the stream ends; then the rest of the
+    raster, a MiB at a time, so memory grows only with what arrives.
+    Trailing bytes are not read.
+    """
+    data = bytearray()
+
+    def fill(want: int) -> bytearray:
+        while len(data) < want and (chunk := fh.read(min(want - len(data), 1 << 20))):
+            data.extend(chunk)
+        return data
+
+    lay = _read_layout(lambda want: fill(want)[:want], math.inf)  # a copy: data may grow
+    end = lay.pos(lay.capacity)
+    fill(end)
+    if len(data) < end:
+        _parse_layout(data, len(data))  # raises the truncation error a regular file gets
+    del data[end:]
+    return lay, data
 
 
 class RasterFile:
@@ -275,8 +302,8 @@ class RasterFile:
 
     A regular file is parsed from its header alone, and each read is
     one positional read of the file.  Anything else, such as a pipe,
-    is read into memory whole when opened.  Close it, or use it in a
-    ``with`` block.
+    is read into memory up to its raster's end when opened.  Close it,
+    or use it in a ``with`` block.
 
     Raises:
         ImageFormatError: as :func:`load_image`.
@@ -288,13 +315,14 @@ class RasterFile:
         self._data = None
         self._file = open(path, "rb")
         try:
-            st = os.fstat(self._file.fileno())
+            fd = self._file.fileno()
+            st = os.fstat(fd)
             if stat.S_ISREG(st.st_mode):
-                self.layout = _read_layout(self._file.fileno(), st.st_size)
+                self.layout = _read_layout(lambda want: os.pread(fd, want, 0), st.st_size)
             else:
-                self._data = np.frombuffer(self._file.read(), dtype=np.uint8)
+                self.layout, data = _read_stream(self._file)
+                self._data = np.frombuffer(data, dtype=np.uint8)
                 self.close()
-                self.layout = _parse_layout(self._data, len(self._data))
         except BaseException:
             self.close()
             raise

@@ -22,9 +22,10 @@ from graphstego.codebook import (
 from graphstego.codec import (
     FrameError,
     bits_to_bytes,
-    embed_image,
+    bytes_to_bits,
+    embed_file,
     embed_stream,
-    extract_image,
+    extract_file,
     extract_stream,
 )
 from graphstego.decoder import build_coset_table_bruteforce
@@ -320,7 +321,7 @@ def test_extract_rejects_a_frame_of_partial_bytes(tmp_path, k5_codebook_file, k5
     save_image(stego, stego_path)
     assert np.array_equal(extract_stream(lsb_extract(stego), k5_table.code), bits)
     with pytest.raises(FrameError, match="not a whole number of bytes"):
-        extract_image(stego, k5_table.code)
+        extract_file(stego_path, k5_table.code)
     rc, captured = _cli_extract(k5_codebook_file, stego_path, out, capsys)
     assert (rc, captured.out) == (3, "") and "not a whole number of bytes" in captured.err
     assert not out.exists()
@@ -446,8 +447,8 @@ def test_embed_psnr_comes_from_the_flip_count(name, cover_bytes, tmp_path, k5_ta
     payload.write_bytes(np.random.default_rng(101).integers(0, 256, 100, dtype=np.uint8).tobytes())
     # each flip moves one pixel by exactly 1, so the squared error is the flip count
     cover = load_image(cover_path)
-    stego, report = embed_image(cover, payload.read_bytes(), k5_table)
-    diff = stego.pixels.astype(np.int64) - cover.pixels
+    bits, report = embed_stream(lsb_extract(cover), bytes_to_bits(payload.read_bytes()), k5_table)
+    diff = lsb_inject(cover, bits).pixels.astype(np.int64) - cover.pixels
     assert report.total_flips > 0 and int(diff @ diff) == report.total_flips
     codebook = write_codebook(tmp_path, "k5")
     stego_path, again = tmp_path / f"stego-{name}", tmp_path / f"again-{name}"
@@ -524,7 +525,7 @@ def test_cli_extract_bytes_match_the_bit_path(kind, chunk, tmp_path, monkeypatch
         full = (cover.capacity // n * p - 32) // 8
         for size in (0, 1, int(rng.integers(2, full)), full):
             data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-            save_image(embed_image(cover, data, table)[0], stego_path)
+            embed_file(cover_path, data, table, stego_path)
             want = bits_to_bytes(extract_stream(lsb_extract(load_image(stego_path)), code))
             rc, captured = _cli_extract(codebook, stego_path, out, capsys)
             assert (rc, out.read_bytes()) == (0, want) and want == data
@@ -568,8 +569,7 @@ def test_process_entry_flushes_and_closes_everything(tmp_path, k5_codebook_file,
     assert (run.returncode, run.stderr) == (0, "")
     record = [ln.split("=", 1) for ln in run.stdout.splitlines()]
     assert [key for key, _ in record] == PORCELAIN_KEYS
-    want, report = embed_image(load_image(cover), secret, k5_table)
-    save_image(want, tmp_path / "want.pgm")
+    report = embed_file(cover, secret, k5_table, tmp_path / "want.pgm")
     assert stego.read_bytes() == (tmp_path / "want.pgm").read_bytes()
     assert dict(record)["total_flips"] == str(report.total_flips)
     run = _run_cli("extract", "--codebook", k5_codebook_file, "--stego", stego, "--out", out)

@@ -20,17 +20,17 @@ from graphstego.codec import (
     bits_to_bytes,
     bytes_to_bits,
     embed_block,
-    embed_image,
+    embed_file,
     embed_stream,
     extract_block,
-    extract_image,
+    extract_file,
     extract_stream,
     frame_payload,
 )
 from graphstego.decoder import build_coset_table_bruteforce
 from graphstego.gf2 import as_bits
 from graphstego.graphs import build_code, complete_graph
-from graphstego.images import CoverImage, load_image, lsb_extract, lsb_inject
+from graphstego.images import load_image, lsb_extract, lsb_inject, save_image
 
 from helpers import (
     K5_CARRIER,
@@ -261,39 +261,6 @@ def test_bits_to_bytes_does_not_copy_its_input():
     assert data == np.packbits(bits).tobytes()
 
 
-def test_image_path_peak_memory_stays_below_the_bit_plane_composition(k5_table, k5_code):
-    # the lsb_extract -> embed_stream -> lsb_inject composition peaks at
-    # about 3x the cover; embedding in one copy of the pixels must not
-    rng = np.random.default_rng(47)
-    pixels = rng.integers(0, 256, 1 << 22, dtype=np.uint8)
-    cover = CoverImage(width=2048, height=2048, channels=1, depth=8, pixels=pixels,
-                       format_tag="pgm")
-    payload_bits = rng.integers(0, 2, int(0.95 * 0.4 * pixels.size), dtype=np.uint8)
-    payload = np.packbits(payload_bits).tobytes()
-    peak, (stego, _) = _traced_peak(embed_image, cover, payload, k5_table)
-    assert peak < 2.5 * pixels.nbytes
-    peak, recovered = _traced_peak(extract_image, stego, k5_code)
-    assert peak < 1.5 * pixels.nbytes
-    assert recovered == payload
-
-
-def test_packed_frame_peaks_below_the_bit_per_byte_frame(k5_table, k5_code):
-    # with one byte per frame bit, embed_image peaked at 2.00x the pixel
-    # bytes and the CLI's extract path (payload bits, then
-    # bits_to_bytes) at 0.69x
-    rng = np.random.default_rng(47)
-    pixels = rng.integers(0, 256, 1 << 22, dtype=np.uint8)
-    cover = CoverImage(width=2048, height=2048, channels=1, depth=8, pixels=pixels,
-                       format_tag="pgm")
-    payload_bits = rng.integers(0, 2, int(0.95 * 0.4 * pixels.size) // 8 * 8, dtype=np.uint8)
-    payload = np.packbits(payload_bits).tobytes()
-    peak, (stego, _) = _traced_peak(embed_image, cover, payload, k5_table)
-    assert peak < 1.8 * pixels.nbytes
-    peak, data = _traced_peak(extract_image, stego, k5_code)
-    assert peak < 0.5 * pixels.nbytes
-    assert data == payload
-
-
 @pytest.mark.parametrize("bad", [2, 255])
 def test_public_entry_points_reject_non_bits(bad, k5_table, k5_code):
     bits = np.zeros(800, dtype=np.uint8)
@@ -332,20 +299,23 @@ COVERS = {
 }
 
 
-def test_embed_image_takes_bytes_like_payloads_only(k5_table, k5_code):
+def test_embed_file_takes_bytes_like_payloads_only(tmp_path, k5_table, k5_code):
     rng = np.random.default_rng(61)
-    cover = CoverImage(width=50, height=20, channels=1, depth=8,
-                       pixels=rng.integers(0, 256, 1000, dtype=np.uint8), format_tag="pgm")
+    cover = tmp_path / "cover.pgm"
+    cover.write_bytes(b"P5\n50 20\n255\n" + rng.integers(0, 256, 1000, dtype=np.uint8).tobytes())
     data = rng.integers(0, 256, 30, dtype=np.uint8).tobytes()
-    stegos = [embed_image(cover, payload, k5_table)[0]
-              for payload in (data, bytearray(data), memoryview(data))]
-    for stego in stegos:
-        assert np.array_equal(stego.pixels, stegos[0].pixels)
-        assert extract_image(stego, k5_code) == data
+    stegos = []
+    for i, payload in enumerate((data, bytearray(data), memoryview(data))):
+        out = tmp_path / f"stego{i}.pgm"
+        embed_file(cover, payload, k5_table, out)
+        assert extract_file(out, k5_code) == data
+        stegos.append(out.read_bytes())
+    assert stegos[1] == stegos[2] == stegos[0]
     # the old one-entry-per-bit payload must not be embedded as bytes
     for payload in (np.array([1, 0, 1], dtype=np.uint8), np.frombuffer(data, dtype=np.uint8)):
         with pytest.raises(TypeError, match="ndarray"):
-            embed_image(cover, payload, k5_table)
+            embed_file(cover, payload, k5_table, tmp_path / "never.pgm")
+    assert not (tmp_path / "never.pgm").exists()
 
 
 def _outcome(fn, *args):
@@ -366,11 +336,13 @@ def ring_tables():
 @pytest.mark.parametrize("kind", sorted(COVERS))
 def test_image_path_matches_the_bit_plane_composition(kind, chunk, tmp_path, monkeypatch, k5_table,
                                                       ring_tables):
+    # the file level against lsb_extract -> embed_stream -> lsb_inject and
+    # lsb_extract -> extract_stream on the whole loaded image
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", chunk)
-    path = tmp_path / "cover.img"
+    path, got_path, want_path = tmp_path / "cover.img", tmp_path / "got.img", tmp_path / "want.img"
     path.write_bytes(COVERS[kind]())
+    before = path.read_bytes()
     cover = load_image(path)
-    writable = replace(cover, pixels=cover.pixels.copy())
     rng = np.random.default_rng(chunk)
     other = build_coset_table_bruteforce(build_code(random_graph(rng, 7, 11)))
     for table in (k5_table, other, *ring_tables):
@@ -379,29 +351,25 @@ def test_image_path_matches_the_bit_plane_composition(kind, chunk, tmp_path, mon
         room = (cover.capacity // code.n_len * p - 32) // 8
         for size in (0, int(rng.integers(1, room)), room, room + 1):
             data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-            for img in (cover, writable):
-                before = img.pixels.copy()
-                got = _outcome(embed_image, img, data, table)
-                want = _outcome(embed_stream, lsb_extract(img), bytes_to_bits(data), table)
-                assert np.array_equal(img.pixels, before)
-                assert (want is CapacityError) == (size == room + 1)
-                if want is CapacityError:
-                    assert got is CapacityError
-                    continue
-                stego, report = got
-                assert report == want[1]
-                assert np.array_equal(stego.pixels, lsb_inject(img, want[0]).pixels)
-                assert not stego.pixels.flags.writeable
-                assert not np.shares_memory(stego.pixels, img.pixels)
-                assert (stego.width, stego.height, stego.format_tag) == (
-                    img.width, img.height, img.format_tag
-                )
-                assert extract_image(stego, code) == data
+            got = _outcome(embed_file, path, data, table, got_path)
+            want = _outcome(embed_stream, lsb_extract(cover), bytes_to_bits(data), table)
+            assert path.read_bytes() == before
+            assert (want is CapacityError) == (size == room + 1)
+            if want is CapacityError:
+                assert got is CapacityError
+                continue
+            assert got == want[1]
+            save_image(lsb_inject(cover, want[0]), want_path)
+            assert got_path.read_bytes() == want_path.read_bytes()
+            assert extract_file(got_path, code) == data
         # covers that carry no frame: the header may declare too much,
-        # and a cut-down image may not even hold the header
-        for img in (cover, replace(cover, pixels=cover.pixels[: -(-32 // p) * code.n_len - 1])):
-            got = _outcome(extract_image, img, code)
-            want = _outcome(extract_stream, lsb_extract(img), code)
+        # and a one-row image may not even hold the header
+        width = (-(-32 // p) * code.n_len - 1) // cover.channels
+        pixels = cover.pixels[: width * cover.channels]
+        save_image(replace(cover, width=width, height=1, pixels=pixels), want_path)
+        for img_path in (path, want_path):
+            got = _outcome(extract_file, img_path, code)
+            want = _outcome(extract_stream, lsb_extract(load_image(img_path)), code)
             if isinstance(want, np.ndarray) and want.size % 8 == 0:
                 assert got == bits_to_bytes(want)
             elif isinstance(want, np.ndarray):

@@ -272,6 +272,33 @@ def test_table_cache_rejects_garbage(tmp_path, k5_code, k5_table):
         load_table(short, build_code(ring(22)))
 
 
+def test_table_cache_header_is_checked_before_the_body_is_read(tmp_path, k5_code, k5_table):
+    # 64 MiB sparse files: only the header and at most one row count's
+    # bytes plus one may be read
+    good = tmp_path / "good.table"
+    save_table(k5_table, good)
+    blob = good.read_bytes()
+    for name, head, message in (
+        ("magic", b"NOTMAGIC", "bad magic"),
+        ("long", blob, f"cache body is {(64 << 20) - 12} bytes, expected 32"),
+    ):
+        path = tmp_path / f"{name}.table"
+        path.write_bytes(head)
+        os.truncate(path, 64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableCacheError, match=message):
+                load_table(path, k5_code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
+    short = tmp_path / "short.table"
+    short.write_bytes(blob[:-3])
+    with pytest.raises(TableCacheError, match="cache body is 29 bytes, expected 32"):
+        load_table(short, k5_code)
+
+
 def test_table_cache_rejects_wrong_code(tmp_path, k5_code):
     # same table shape (16 syndromes x 10 bits) but the canonical edge
     # labeling: recomputed syndromes cannot all line up

@@ -5,8 +5,11 @@ from __future__ import annotations
 import errno
 import itertools
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +17,18 @@ import pytest
 from graphstego import cli, codec, images
 from graphstego.cli import main
 from graphstego.codebook import format_codebook
-from graphstego.codec import CapacityError, embed_file, embed_image, extract_file, extract_image
+from graphstego.codec import (
+    CapacityError,
+    bits_to_bytes,
+    bytes_to_bits,
+    embed_file,
+    embed_stream,
+    extract_file,
+    extract_stream,
+)
 from graphstego.decoder import build_coset_table_bruteforce
 from graphstego.graphs import build_code, complete_graph
-from graphstego.images import RasterFile, load_image, save_image
+from graphstego.images import RasterFile, load_image, lsb_extract, lsb_inject, save_image
 
 from helpers import random_bmp_bytes, ring_graph
 
@@ -46,9 +57,15 @@ def tables():
 
 
 def _whole_image_path(cover_path, payload, table, out_path):
-    stego, report = embed_image(load_image(cover_path), payload, table)
-    save_image(stego, out_path)
+    """The bit-plane composition on the whole loaded cover, saved to ``out_path``."""
+    cover = load_image(cover_path)
+    stego_bits, report = embed_stream(lsb_extract(cover), bytes_to_bits(payload), table)
+    save_image(lsb_inject(cover, stego_bits), out_path)
     return report
+
+
+def _whole_image_extract(stego_path, code):
+    return bits_to_bytes(extract_stream(lsb_extract(load_image(stego_path)), code))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -70,14 +87,14 @@ def test_file_path_matches_the_whole_image_path(kind, chunk, cpus, tmp_path, mon
             report = _whole_image_path(cover_path, data, table, want)
             assert embed_file(cover_path, data, table, got) == report
             assert got.read_bytes() == want.read_bytes()
-            assert extract_file(got, code) == extract_image(load_image(got), code) == data
+            assert extract_file(got, code) == _whole_image_extract(got, code) == data
         with pytest.raises(CapacityError):
             embed_file(cover_path, bytes(room + 1), table, got)
     # the cover itself, read as a stego file, carries no frame
     with pytest.raises(codec.FrameError) as exc:
         extract_file(cover_path, tables[0].code)
     with pytest.raises(codec.FrameError, match=str(exc.value)):
-        extract_image(load_image(cover_path), tables[0].code)
+        _whole_image_extract(cover_path, tables[0].code)
 
 
 def _cli_embed(codebook, cover, payload, out):
@@ -133,6 +150,64 @@ def test_a_pipe_cover_is_read_whole_and_sliced(tmp_path, monkeypatch, k5_files, 
         assert extract_file(f"/dev/fd/{read}", code) == payload.read_bytes()
     finally:
         os.close(read)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_cover_is_read_only_up_to_its_raster(tmp_path, tables):
+    # a trailer larger than the pipe's buffer: the writer is still
+    # blocked in it when the read end closes, unless it was read too
+    cover, want, got = tmp_path / "cover.bmp", tmp_path / "want.bmp", tmp_path / "got.bmp"
+    cover.write_bytes(COVERS["bmp_padded"]())
+    data = b"carried through a pipe"
+    report = embed_file(cover, data, tables[0], want)
+    read, write = os.pipe()
+    broken = []
+
+    def feed():
+        view = memoryview(cover.read_bytes() + bytes(8 << 20))
+        try:
+            while view:
+                view = view[os.write(write, view) :]
+        except BrokenPipeError:
+            broken.append(len(view))
+        finally:
+            os.close(write)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        assert embed_file(f"/dev/fd/{read}", data, tables[0], got) == report
+    finally:
+        os.close(read)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert got.read_bytes() == want.read_bytes()
+    assert broken and broken[0] > 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_device_stego_is_refused_at_once(tmp_path, k5_files):
+    # the device's first bytes name no format; the child runs under a 1 GiB
+    # address-space limit so that reading on could not take the host's memory
+    codebook, _ = k5_files
+    out = tmp_path / "out.bin"
+    child = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.argv[0] = 'graphstego'\n"
+        "runpy.run_module('graphstego.cli', run_name='__main__')\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", child, "extract", "--codebook", str(codebook),
+         "--stego", "/dev/zero", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == "error: unsupported image format (magic b'\\x00\\x00')\n"
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

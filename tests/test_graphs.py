@@ -5,8 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from graphstego.codec import extract_block
 from graphstego import graphs
+from graphstego.cli import main
+from graphstego.codebook import parse_codebook
+from graphstego.codec import extract_block
 from graphstego.graphs import (
     GraphError,
     build_code,
@@ -43,6 +45,29 @@ def test_build_graph_validates():
         build_graph(4, [(1, 2), (3, 4)])  # disconnected
     with pytest.raises(GraphError):
         build_graph(0, [])
+
+
+def test_too_few_edges_are_refused_before_the_bfs(tmp_path, monkeypatch, capsys):
+    # a connected graph on v vertices has at least v - 1 edges; the BFS
+    # would build one adjacency list per vertex
+    def refuse(*args):
+        raise AssertionError("BFS run over a graph too sparse to be connected")
+
+    monkeypatch.setattr(graphs, "_bfs", refuse)
+    edges = [(1, 2), (2, 3), (1, 3)]
+    with pytest.raises(GraphError, match="graph is not connected"):
+        build_graph(10**12, edges)
+    codebook = tmp_path / "huge.gc"
+    codebook.write_text(f"graphcode v1\nvertices {10**12}\nedge 1 1 2\nedge 2 2 3\nedge 3 1 3\n")
+    with pytest.raises(GraphError, match="graph is not connected"):
+        parse_codebook(codebook.read_text())
+    assert main(["analyze", "--codebook", str(codebook)]) == 3
+    assert capsys.readouterr().err == "error: graph is not connected\n"
+    monkeypatch.undo()
+    # v - 1 edges may connect, and enough edges may still leave a vertex out
+    assert build_graph(4, [(1, 2), (2, 3), (3, 4)]).edge_count == 3
+    with pytest.raises(GraphError, match="graph is not connected"):
+        build_graph(4, edges)
 
 
 def test_complete_graph_canonical_order():

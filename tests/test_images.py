@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -16,6 +17,7 @@ from graphstego.images import (
     ImageFormatError,
     _parse_layout,
     _read_layout,
+    _read_stream,
     load_image,
     lsb_extract,
     lsb_inject,
@@ -304,17 +306,20 @@ def _layout_or_error(parse):
 
 
 def _assert_both_parses_agree(data: bytes) -> None:
-    """The header-only parse of a regular file and the whole-buffer parse of a pipe agree.
+    """The header-only parse of a regular file, the in-order read of a pipe and the
+    whole-buffer parse agree.
 
-    Both give the same layout or raise ImageFormatError, with the same
-    message; no other exception escapes either.
+    All give the same layout or raise ImageFormatError, with the same
+    message; no other exception escapes any.
     """
     whole = _layout_or_error(lambda: _parse_layout(np.frombuffer(data, np.uint8), len(data)))
     with tempfile.TemporaryFile() as fh:
         fh.write(data)
         fh.flush()
-        head = _layout_or_error(lambda: _read_layout(fh.fileno(), len(data)))
-    assert head == whole
+        head = _layout_or_error(lambda: _read_layout(lambda want: os.pread(fh.fileno(), want, 0),
+                                                     len(data)))
+    stream = _layout_or_error(lambda: _read_stream(io.BytesIO(data))[0])
+    assert head == stream == whole
 
 
 _PGM_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"  \n"])

@@ -20,18 +20,16 @@ from graphstego.codebook import bundled_codebook_text, code_from_codebook
 from graphstego.codec import (
     embed_block,
     embed_file,
-    embed_image,
     embed_stream,
     extract_block,
     extract_file,
-    extract_image,
     extract_stream,
     frame_payload,
 )
 from graphstego.decoder import _column_words, build_coset_table_bruteforce
 from graphstego.gf2 import stream_syndromes, syndrome_index, syndrome_tables, syndrome_words
 from graphstego.graphs import build_code, complete_graph
-from graphstego.images import CoverImage
+from graphstego.images import load_image
 
 from helpers import mat_vec_mul, random_graph, ring_graph
 
@@ -150,7 +148,7 @@ def _odd_width_codes():
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 64])
-def test_extract_roundtrip_with_a_packed_period_of_8(chunk, monkeypatch):
+def test_extract_roundtrip_with_a_packed_period_of_8(chunk, tmp_path, monkeypatch):
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", chunk)
     rng = np.random.default_rng(chunk)
     for code in _odd_width_codes():
@@ -160,16 +158,17 @@ def test_extract_roundtrip_with_a_packed_period_of_8(chunk, monkeypatch):
         data = rng.integers(0, 256, int(rng.integers(0, 60)), dtype=np.uint8).tobytes()
         blocks = -(-(32 + 8 * len(data)) // p)
         pixels = rng.integers(0, 256, n * blocks + int(rng.integers(0, 3 * n)), dtype=np.uint8)
-        cover = CoverImage(width=len(pixels), height=1, channels=1, depth=8, pixels=pixels,
-                           format_tag="pgm")
-        stego, report = embed_image(cover, data, table)
+        cover_path, stego_path = tmp_path / "cover.pgm", tmp_path / "stego.pgm"
+        cover_path.write_bytes(b"P5\n%d 1\n255\n" % len(pixels) + pixels.tobytes())
+        report = embed_file(cover_path, data, table, stego_path)
+        stego = load_image(stego_path).pixels
         assert report.blocks_used == blocks
-        assert np.array_equal(stego.pixels[n * blocks :], pixels[n * blocks :])
+        assert np.array_equal(stego[n * blocks :], pixels[n * blocks :])
         frame = frame_payload(np.unpackbits(np.frombuffer(data, dtype=np.uint8)), p)
         for i, m in enumerate(frame.reshape(-1, p)):
-            assert np.array_equal(mat_vec_mul(code.parity_check, stego.pixels[n * i : n * i + n] & 1), m)
-        assert extract_image(stego, code) == data
-        assert np.array_equal(np.packbits(extract_stream(stego.pixels & 1, code)),
+            assert np.array_equal(mat_vec_mul(code.parity_check, stego[n * i : n * i + n] & 1), m)
+        assert extract_file(stego_path, code) == data
+        assert np.array_equal(np.packbits(extract_stream(stego & 1, code)),
                               np.frombuffer(data, dtype=np.uint8))
 
 
@@ -192,20 +191,20 @@ def test_tables_are_built_once_per_image_call(tmp_path, monkeypatch):
     assert calls == []
     rng = np.random.default_rng(73)
     pixels = rng.integers(0, 256, 2500, dtype=np.uint8)
-    cover = CoverImage(width=50, height=50, channels=1, depth=8, pixels=pixels, format_tag="pgm")
     data = rng.integers(0, 256, 112, dtype=np.uint8).tobytes()
-    stego, report = embed_image(cover, data, table)
+    cover_path, stego_path = tmp_path / "cover.pgm", tmp_path / "stego.pgm"
+    cover_path.write_bytes(b"P5\n50 50\n255\n" + pixels.tobytes())
+    report = embed_file(cover_path, data, table, stego_path)
     identity = np.eye(8, 4, -4, dtype=np.uint8)  # reads each 4-bit word of a packed stream
     assert len(calls) == 2 and np.array_equal(calls[0], code.parity_check)
     assert np.array_equal(calls[1], identity)
     calls.clear()
     assert report.blocks_used == 232
-    assert extract_image(stego, code) == data
-    cover_path, stego_path = tmp_path / "cover.pgm", tmp_path / "stego.pgm"
-    cover_path.write_bytes(b"P5\n50 50\n255\n" + pixels.tobytes())
-    assert embed_file(cover_path, data, table, stego_path) == report
     assert extract_file(stego_path, code) == data
-    for block in stego.pixels[:1000].reshape(100, 10) & 1:
+    stego, again = embed_stream(pixels & 1, np.unpackbits(np.frombuffer(data, np.uint8)), table)
+    assert again == report
+    assert np.array_equal(np.packbits(extract_stream(stego, code)), np.frombuffer(data, np.uint8))
+    for block in stego[:1000].reshape(100, 10):
         extract_block(block, code)
     assert calls == []
 

@@ -25,11 +25,16 @@ import io
 import math
 import re
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import codebook
-from .codebook import CodebookError, _decimal, code_from_codebook, format_codebook
+from .codebook import (
+    CodebookError,
+    _data_text,
+    _decimal,
+    code_from_codebook,
+    format_codebook,
+)
 from .codec import (
     CapacityError,
     FrameError,
@@ -213,11 +218,7 @@ def _cmd_table(args) -> int:
     if args.rows:
         text = Path(args.rows).read_text("utf-8")
     else:
-        text = (
-            resources.files("graphstego.data")
-            .joinpath("reference_protocols.tsv")
-            .read_text("utf-8")
-        )
+        text = _data_text("reference_protocols.tsv")
     out_rows = [
         [
             "n", "d", "family", "K", "rho",

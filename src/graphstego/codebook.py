@@ -17,7 +17,7 @@ order.  Blank lines are ignored; anything else is an error.
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
 from .graphs import Graph, GraphicalCode, build_code, build_graph
 
@@ -26,6 +26,15 @@ MAGIC = "graphcode v1"
 _BUNDLED = {
     "k5": "k5_reference.graphcode",
 }
+
+
+def _data_text(filename: str) -> str:
+    """Text of a file shipped in the package's ``data`` directory.
+
+    Read by path rather than through ``importlib.resources``, which
+    imports ``inspect`` on Python 3.12 and later.
+    """
+    return Path(__file__).with_name("data").joinpath(filename).read_text("utf-8")
 
 
 class CodebookError(ValueError):
@@ -117,4 +126,4 @@ def bundled_codebook_text(name: str = "k5") -> str:
         raise CodebookError(
             f"unknown bundled codebook {name!r}; available: {sorted(_BUNDLED)}"
         ) from None
-    return resources.files("graphstego.data").joinpath(filename).read_text("utf-8")
+    return _data_text(filename)

@@ -27,13 +27,13 @@ import stat
 import struct
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .decoder import CosetTable
+from .decoder import CosetTable, _row_weights
 from .gf2 import (
     SyndromeTables,
     _bits_view,
+    _ValueRecord,
     as_bits,
     stream_syndromes,
     syndrome_index,
@@ -65,8 +65,7 @@ class FrameError(ValueError):
     """Raised when a recovered stream does not parse as a framed payload."""
 
 
-@dataclass(frozen=True)
-class EmbedReport:
+class EmbedReport(_ValueRecord):
     """What one embedding run did to the cover.
 
     ``empirical_efficiency`` counts all conveyed frame bits (header and
@@ -281,7 +280,7 @@ def _embed_lsbs(io, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedRe
     needed = blocks_used * n
     frame = _packed_frame(packed, bits)
     tables = code.check_tables
-    weights = table.leaders.sum(axis=1, dtype=np.uint8)  # at most rho <= p flips
+    weights = np.frombuffer(_row_weights(table.rows, n), dtype=np.uint8)  # at most rho <= p flips
     step = _step()
 
     def embed(start: int, blocks: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -38,10 +38,10 @@ from __future__ import annotations
 import numbers
 import os
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from .gf2 import _Record
 from .graphs import Graph, GraphicalCode, _bfs
 
 if TYPE_CHECKING:
@@ -71,8 +71,7 @@ def _check_size(p: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CosetTable:
+class CosetTable(_Record):
     """Complete syndrome -> coset-leader table for one code.
 
     ``rows`` holds the 2^p leaders packed, row i the leader whose

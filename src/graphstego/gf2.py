@@ -11,6 +11,9 @@ other bit-matrix arithmetic here.
 All operations are pure and never mutate their arguments.  Each
 function imports numpy when it runs, so loading this module (or the
 codec and image modules that build on it) does not load numpy.
+
+:class:`_Record` is the base of the package's frozen records, here
+because every module that defines one imports this one.
 """
 
 from __future__ import annotations
@@ -22,6 +25,54 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+class _Record:
+    """A frozen record, built by keyword from the fields its class annotates.
+
+    Assigning or deleting an attribute raises AttributeError, while
+    ``functools.cached_property`` still caches, as it writes the
+    instance ``__dict__`` itself.  A record compares by identity; a
+    :class:`_ValueRecord` compares and hashes as its fields' tuple.
+    (Plain classes: ``dataclasses``, the ``inspect`` it imports and the
+    code it generates made ``import graphstego.cli`` about 11 ms slower.)
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _ValueRecord(_Record):
+    """A :class:`_Record` equal to another of its class with equal fields."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def _require_binary(arr: np.ndarray) -> None:
@@ -88,23 +139,20 @@ def syndrome_index(bits) -> int:
     return index
 
 
-class SyndromeTables:
+class SyndromeTables(_Record):
     """Byte lookup tables of one code's packed syndromes over a group of rows.
 
     A group is ``rows`` consecutive rows of a packed stream, ``in_bytes``
     whole bytes.  Output slot s of a group is the XOR of ``table[v]``
     over the ``(b, table)`` pairs of ``lookups[s]``, where v is the
-    group's input byte b.  (A plain class: a dataclass would add about
-    a millisecond to every ``import graphstego``.)
+    group's input byte b.
     """
 
-    def __init__(self, rows: int, in_bytes: int, width: int, dtype: np.dtype,
-                 lookups: tuple[tuple[tuple[int, np.ndarray], ...], ...]):
-        self.rows = rows
-        self.in_bytes = in_bytes
-        self.width = width
-        self.dtype = dtype
-        self.lookups = lookups
+    rows: int
+    in_bytes: int
+    width: int
+    dtype: np.dtype
+    lookups: tuple[tuple[tuple[int, np.ndarray], ...], ...]
 
 
 def syndrome_tables(check: np.ndarray) -> SyndromeTables:

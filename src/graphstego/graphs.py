@@ -33,10 +33,11 @@ traversal here and in the decoder is one breadth-first search,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import TYPE_CHECKING
+
+from .gf2 import _Record, _ValueRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,8 +49,7 @@ class GraphError(ValueError):
     """Raised for graphs that cannot carry (or parse into) a cycle code."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_ValueRecord):
     """Connected simple undirected graph with 1-based vertex and edge ids.
 
     ``edges[i]`` is ``(edge_id, u, v)`` with ``edge_id == i + 1``.
@@ -63,8 +63,7 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(_ValueRecord):
     """A spanning tree of a graph, split into tree edges and chords.
 
     ``tree_edges`` keeps the order that defines the cut-set row order
@@ -75,8 +74,7 @@ class SpanningTree:
     chords: tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class GraphicalCode:
+class GraphicalCode(_Record):
     """A cycle code together with the graph and tree that produced it.
 
     ``generator_rows`` and ``check_rows`` are the circuit and cut-set
@@ -124,8 +122,7 @@ def _bit_matrix(packed: bytes, n: int) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class CodeReport:
+class CodeReport(_ValueRecord):
     """Code parameters plus protocol metrics for one graph code."""
 
     n_len: int

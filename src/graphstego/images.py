@@ -17,10 +17,9 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .gf2 import as_bits
+from .gf2 import _Record, as_bits
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,8 +33,7 @@ class ImageFormatError(ValueError):
     """Raised for files this loader cannot parse or does not support."""
 
 
-@dataclass(frozen=True, eq=False)
-class CoverImage:
+class CoverImage(_Record):
     """An 8-bit-per-channel raster with its pixels in file order."""
 
     width: int
@@ -53,6 +51,12 @@ class CoverImage:
 
 #: Bytes that end a PGM header token: whitespace, and the "#" that starts a comment.
 _PGM_BREAKS = frozenset(b" \t\n\r\v\f#")
+
+#: Longest PGM header token; the numeric fields are a few digits long.
+_PGM_TOKEN_MAX = 20
+
+#: Most bytes a PGM header may take, comments and whitespace included.
+_PGM_HEADER_MAX = 1 << 16
 
 
 class _ShortHeader(Exception):
@@ -141,12 +145,19 @@ def _write_at(fd: int, data, pos: int) -> None:
         view, pos = view[done:], pos + done
 
 
+def _pgm_stopped(data, pos: int, size: int) -> None:
+    """Raise if a header scan of ``data``, at most the header's cap, stopped at its end."""
+    if pos >= _PGM_HEADER_MAX:
+        raise ImageFormatError(f"PGM header longer than {_PGM_HEADER_MAX} bytes")
+    if pos == len(data) < size:
+        raise _ShortHeader
+
+
 def _pgm_comment_end(data, pos: int, size: int) -> int:
     """The position of the newline that ends the '#' comment at ``pos``."""
     while pos < len(data) and data[pos] != ord("\n"):
         pos += 1
-    if pos == len(data) < size:
-        raise _ShortHeader
+    _pgm_stopped(data, pos, size)
     return pos
 
 
@@ -156,16 +167,19 @@ def _next_pgm_token(data, pos: int, size: int) -> tuple[bytes, int]:
     while pos < len(data) and data[pos] in _PGM_BREAKS:
         pos = _pgm_comment_end(data, pos, size) if data[pos] == ord("#") else pos + 1
     start = pos
-    while pos < len(data) and data[pos] not in _PGM_BREAKS:
+    while pos < min(len(data), start + _PGM_TOKEN_MAX + 1) and data[pos] not in _PGM_BREAKS:
         pos += 1
-    if pos == len(data) < size:
-        raise _ShortHeader
+    if pos - start > _PGM_TOKEN_MAX:
+        raise ImageFormatError(f"PGM header token longer than {_PGM_TOKEN_MAX} bytes: "
+                               f"{bytes(data[start : start + 8])!r}...")
+    _pgm_stopped(data, pos, size)
     if start == pos:
         raise ImageFormatError("truncated PGM header")
     return bytes(data[start:pos]), pos
 
 
 def _parse_pgm(data, size: int) -> RasterLayout:
+    data = data[:_PGM_HEADER_MAX]  # a scan that reaches its end raises
     pos = 2  # past "P5"
     fields = []
     for _ in range(3):
@@ -409,7 +423,10 @@ def lsb_inject(img: CoverImage, bits) -> CoverImage:
     head &= 0xFE
     head |= bits
     pixels.setflags(write=False)
-    return replace(img, pixels=pixels)
+    return CoverImage(
+        width=img.width, height=img.height, channels=img.channels, depth=img.depth, pixels=pixels,
+        format_tag=img.format_tag,
+    )
 
 
 def peak_signal_noise(original: CoverImage, modified: CoverImage) -> float | None:

@@ -201,19 +201,23 @@ def test_oversize_codebooks_exit_6_before_any_build(tmp_path, capsys, monkeypatc
 
 def test_the_code_layer_loads_no_numpy(tmp_path, k5_codebook_file):
     # import graphstego and the analyze, codebook and table commands run on
-    # plain-Python bitsets; numpy loads when a pixel or table function first runs
+    # plain-Python bitsets; numpy loads when a pixel or table function first runs.
+    # The records are plain classes, so neither dataclasses nor the inspect it
+    # imports loads either
     script = """
 import sys
+heavy = {"numpy", "dataclasses", "inspect"}
 import graphstego
+assert not heavy & set(sys.modules), "import graphstego"
 from graphstego import cli
-assert "numpy" not in sys.modules, "import graphstego"
+assert not heavy & set(sys.modules), "import graphstego.cli"
 codebook, out = sys.argv[1:]
 for argv in (["analyze", "--codebook", codebook], ["codebook", "--spec", "K6", "--out", out],
              ["analyze", "--codebook", out, "--porcelain"], ["table"]):
     assert cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
+    assert not heavy & set(sys.modules), (argv, heavy & set(sys.modules))
 graphstego.bytes_to_bits(b"x")
-assert "numpy" in sys.modules, "the check above sees numpy when it loads"
+assert {"numpy", "inspect"} <= set(sys.modules), "the check above sees them when they load"
 """
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))

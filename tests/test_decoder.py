@@ -19,6 +19,7 @@ from graphstego.decoder import (
     TableSizeError,
     _all_pairs,
     _coset_layers,
+    _row_weights,
     _table_from_weights,
     _tjoin_layers,
     _weights,
@@ -46,6 +47,7 @@ from helpers import (
     min_weights_by_syndrome,
     random_connected_graph,
     random_graph,
+    ring_graph,
     wheel_graph,
 )
 
@@ -383,6 +385,16 @@ def test_builders_give_identical_tables(name, k5_code):
     joined = build_coset_table_tjoin(code)
     assert joined.rho == brute.rho
     assert joined.leaders.tobytes() == brute.leaders.tobytes()
+
+
+@pytest.mark.parametrize("name", ["k5", "gp83", "ring18"])
+def test_row_weights_are_the_leader_sums(name, k5_code):
+    # the codec's flip weights: the packed rows' popcounts, the unpacked leaders' sums
+    code = build_code(ring_graph(18)) if name == "ring18" else table_code(name, k5_code)
+    table = build_coset_table_bruteforce(code)
+    weights = _row_weights(table.rows, code.n_len)
+    assert weights == table.leaders.sum(axis=1, dtype=np.uint8).tobytes()
+    assert len(weights) == 2 ** (code.n_len - code.k) and max(weights) == table.rho
 
 
 @pytest.mark.parametrize("name", ["k5", "gp83"])

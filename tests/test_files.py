@@ -210,6 +210,65 @@ def test_an_endless_device_stego_is_refused_at_once(tmp_path, k5_files):
     assert not out.exists()
 
 
+def _assert_header_refused_at_once(stego, codebook, out, capsys) -> None:
+    """``extract`` exits 3 with a short PGM header error, having traced under 1 MiB."""
+    tracemalloc.start()
+    try:
+        status = main(["extract", "--codebook", str(codebook), "--stego", str(stego),
+                       "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert (status, err[:17]) == (3, "error: PGM header")
+    assert len(err) < 200
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
+def test_a_sparse_pgm_header_is_refused_at_once(tmp_path, k5_files, capsys):
+    # 64 MiB of NUL bytes after "P5 " are one header token, refused past 20 bytes
+    stego = tmp_path / "sparse.pgm"
+    with open(stego, "wb") as fh:
+        fh.write(b"P5 ")
+        fh.truncate(64 << 20)
+    _assert_header_refused_at_once(stego, k5_files[0], tmp_path / "out.bin", capsys)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("head, filler", [(b"P5 ", b"0"), (b"P5 4", b" "), (b"P5 4 #", b"x")],
+                         ids=["token", "whitespace", "comment"])
+def test_an_endless_piped_pgm_header_is_refused_at_once(head, filler, tmp_path, k5_files, capsys):
+    # 64 MiB of one token, whitespace run or comment through a pipe: the read
+    # stops at the token cap or at 64 KiB of header, and the writer sees the pipe break
+    read, write = os.pipe()
+    chunk = filler * (1 << 20)
+    broken = []
+
+    def feed():
+        try:
+            os.write(write, head)
+            for _ in range(64):
+                view = memoryview(chunk)
+                while view:
+                    view = view[os.write(write, view) :]
+        except BrokenPipeError:
+            broken.append(True)
+        finally:
+            os.close(write)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        _assert_header_refused_at_once(f"/dev/fd/{read}", k5_files[0], tmp_path / "out.bin",
+                                       capsys)
+    finally:
+        os.close(read)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert broken
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_a_pipe_out_is_refused_before_any_work(tmp_path, k5_files, tables, monkeypatch, capsys):
     def refuse(*args):

@@ -19,7 +19,6 @@ callers that run it in process.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import math
@@ -261,6 +260,8 @@ def _cmd_table(args) -> int:
                 "ok" if ok else "MISMATCH",
             ]
         )
+    import csv  # only this command writes CSV
+
     buf = io.StringIO()
     csv.writer(buf).writerows(out_rows)
     if args.csv:

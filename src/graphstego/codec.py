@@ -10,13 +10,13 @@ the payload bits MSB-first within each byte, then zero padding up to a
 multiple of p.  Both directions carry the frame packed, eight bits to a
 byte: the header's 4 bytes, then the payload bytes.
 
-The stream level embeds in an array of 0/1 bits and takes and returns
-the payload one array entry per bit.  The file level runs the same
-chunk loop on a cover file and takes and returns payload bytes: each
-chunk of pixels is read through :class:`~graphstego.images.RasterFile`
-and written where :func:`~graphstego.images.save_image` would put it,
-so where a file keeps its pixels is known to the ``images`` module
-alone.
+The stream level embeds in a copy of an array of 0/1 bits and takes
+and returns the payload one array entry per bit.  The file level runs
+the same chunk loop on a cover file and takes and returns payload
+bytes: each chunk of pixels is read into a buffer through
+:class:`~graphstego.images.RasterFile`, embedded there and written
+where :func:`~graphstego.images.save_image` would put it, so where a
+file keeps its pixels is known to the ``images`` module alone.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import stat
 import struct
 import threading
 from contextlib import nullcontext
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .decoder import CosetTable, _row_weights
@@ -159,7 +160,8 @@ def _packed_frame(packed: np.ndarray, bits: int) -> np.ndarray:
 def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, EmbedReport]:
     """Frame ``data_bits`` and embed them across leading cover blocks.
 
-    Blocks are processed :data:`CHUNK_BLOCKS` at a time, so working
+    The stego bits are a fresh copy of the cover bits, and the blocks
+    are embedded in it :data:`CHUNK_BLOCKS` at a time, so working
     memory beyond the output stays bounded.  Trailing cover bits that
     no block reaches pass through unchanged; the inputs are never
     modified.
@@ -170,10 +172,9 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
     """
     import numpy as np
 
-    cover_bits = _bits_view(cover_bits)
+    stego = as_bits(cover_bits)
     data_bits = _bits_view(data_bits)
-    stego = np.empty_like(cover_bits)
-    report = _embed_lsbs(_Arrays(cover_bits, stego), np.packbits(data_bits), data_bits.size, table)
+    report = _embed_lsbs(_Arrays(stego), None, np.packbits(data_bits), data_bits.size, table)
     return stego, report
 
 
@@ -183,10 +184,11 @@ def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
     With ``cover = load_image(cover_path)``, writes what
     ``save_image`` writes for the stego image
     ``lsb_inject(cover, embed_stream(lsb_extract(cover), bytes_to_bits(payload), table)[0])``
-    and returns the same report, but a chunk at a time: no array holds
-    the whole image.  ``cover_path`` may also be a :class:`RasterFile`
-    the caller opened, and then closes.  A cover that is not a regular
-    file is read into memory first, up to the raster's end.  The chunks
+    and returns the same report, but a chunk at a time, each embedded
+    in the buffer it is read into: no array holds the whole image.
+    ``cover_path`` may also be a :class:`RasterFile` the caller opened,
+    and then closes.  A cover that is not a regular file is read into
+    memory first, up to the raster's end.  The chunks
     are written into a new ``graphstego-<16 hex>.tmp`` file beside
     ``out_path``'s target (a fixed-length name, whatever ``out_path``'s
     length), renamed onto it with an existing file's permission bits
@@ -208,14 +210,15 @@ def embed_file(cover_path, payload, table: CosetTable, out_path) -> EmbedReport:
     existing = _check_seekable(out_path)
     opened = isinstance(cover_path, RasterFile)
     with nullcontext(cover_path) if opened else RasterFile(cover_path) as cover:
-        check_capacity(table.code, 8 * packed.size, cover.layout.capacity)
+        check_capacity(table.code, 8 * packed.size, cover.size)
         target = os.path.realpath(out_path)
         tmp = os.path.join(os.path.dirname(target), f"graphstego-{os.urandom(8).hex()}.tmp")
         with open(tmp, "xb") as fh:
             try:
                 if existing is not None:
                     os.fchmod(fh.fileno(), stat.S_IMODE(existing.st_mode))
-                report = _embed_lsbs(_Raster(cover, fh.fileno()), packed, 8 * packed.size, table)
+                write = partial(cover.layout.write, fh.fileno())
+                report = _embed_lsbs(cover, write, packed, 8 * packed.size, table)
                 os.replace(tmp, target)
             except BaseException:
                 os.unlink(tmp)
@@ -262,9 +265,11 @@ def check_capacity(code: GraphicalCode, bits: int, cover_bits: int) -> int:
     return blocks
 
 
-def _embed_lsbs(io, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedReport:
-    """Embed the framed payload in the LSBs of ``io``'s chunks.
+def _embed_lsbs(io, write, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedReport:
+    """Embed the framed payload in the LSBs of ``io``'s chunks, in place.
 
+    ``io`` is an :class:`_Arrays` (``write`` None) or a ``RasterFile``,
+    whose chunks ``write(lo, hi, scratch)`` stores once embedded.
     ``packed`` holds the ``bits`` payload bits, packed MSB first.  The
     chunks are of 0/1 bits or of pixels: each chunk's syndromes are
     read from ``part & 1``, and XOR-ing a 0/1 leader into ``part``
@@ -283,13 +288,13 @@ def _embed_lsbs(io, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedRe
     weights = np.frombuffer(_row_weights(table.rows, n), dtype=np.uint8)  # at most rho <= p flips
     step = _step()
 
-    def embed(start: int, blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write ``blocks ^ leaders`` to ``out``; returns each block's flip count."""
+    def embed(start: int, blocks: np.ndarray) -> np.ndarray:
+        """XOR each block's leader into it; returns each block's flip count."""
         syn = _message_bytes(blocks, tables)
         message = frame[start * p // 8 : start * p // 8 + len(syn)]
         syn[: len(message)] ^= message  # the leader indices H(t) XOR m, packed
         idx = syndrome_words(syn, len(blocks), p).astype(np.intp)  # cast once for both takes
-        np.bitwise_xor(blocks, np.take(table.leaders, idx, axis=0), out=out)
+        blocks ^= np.take(table.leaders, idx, axis=0)
         return np.take(weights, idx)
 
     def run(claims) -> tuple[int, int]:
@@ -297,15 +302,14 @@ def _embed_lsbs(io, packed: np.ndarray, bits: int, table: CosetTable) -> EmbedRe
         total = most = 0
         for start in claims:
             lo, hi = start * n, min((start + step) * n, io.size)
-            part, out = io.read(lo, hi, scratch)
+            part = io.read(lo, hi, scratch)
             used = max(min(hi, needed) - lo, 0)
             if used:
-                flips = embed(start, part[:used].reshape(-1, n), out[:used].reshape(-1, n))
+                flips = embed(start, part[:used].reshape(-1, n))
                 total += int(flips.sum())
                 most = max(most, int(flips.max()))
-            if out is not part:
-                out[used:] = part[used:]
-            io.write(lo, hi, scratch)
+            if write is not None:
+                write(lo, hi, scratch)
         return total, most
 
     results = _run_chunks(range(0, -(-io.size // n), step), run)  # every pixel
@@ -340,9 +344,9 @@ def extract_file(stego_path, code: GraphicalCode) -> bytes:
     """Recover the payload bytes from a stego image file, a chunk at a time.
 
     Equal to ``bits_to_bytes(extract_stream(lsb_extract(load_image(stego_path)), code))``
-    without holding the whole image: each chunk of blocks is one
-    positional read.  A file that is not regular, such as a pipe, is
-    read into memory first, up to the raster's end.
+    without holding the whole image: one positional read for the
+    header and one for each chunk of blocks.  A file that is not
+    regular, such as a pipe, is read into memory first, up to the raster's end.
 
     Raises:
         ImageFormatError: if the file does not parse.
@@ -350,7 +354,7 @@ def extract_file(stego_path, code: GraphicalCode) -> bytes:
             is not a whole number of bytes.
     """
     with RasterFile(stego_path) as stego:
-        frame, declared = _extract_lsbs(_Raster(stego), code)
+        frame, declared = _extract_lsbs(stego, code)
     if declared % 8:
         raise FrameError(f"recovered {declared} bits, not a whole number of bytes")
     return frame[HEADER_BYTES : HEADER_BYTES + declared // 8].tobytes()
@@ -373,7 +377,7 @@ def _extract_lsbs(io, code: GraphicalCode) -> tuple[np.ndarray, int]:
             f"stego stream has {io.size} bits, header needs {header_blocks * n}"
         )
     tables = code.check_tables
-    part, _ = io.read(0, header_blocks * n, io.scratch(header_blocks * n))
+    part = io.read(0, header_blocks * n, io.scratch(header_blocks * n))
     header = _message_bytes(part.reshape(-1, n), tables)
     declared = int.from_bytes(header[:HEADER_BYTES].tobytes(), "big")
     total_blocks = -(-(HEADER_BITS + declared) // p)
@@ -389,7 +393,7 @@ def _extract_lsbs(io, code: GraphicalCode) -> tuple[np.ndarray, int]:
         scratch = io.scratch(step * n)
         for start in starts:
             stop = min(start + step, total_blocks)
-            part, _ = io.read(start * n, stop * n, scratch)
+            part = io.read(start * n, stop * n, scratch)
             syn = _message_bytes(part.reshape(-1, n), tables)
             frame[start * p // 8 : start * p // 8 + len(syn)] = syn
 
@@ -460,42 +464,16 @@ def _run_chunks(starts: range, run) -> list:
 
 
 class _Arrays:
-    """Chunks of a flat array, embedded into the same range of ``dst``."""
+    """A flat array read a chunk at a time, as ``RasterFile`` reads pixels: each chunk is a view."""
 
-    def __init__(self, src: np.ndarray, dst: np.ndarray | None = None):
-        self.src, self.dst, self.size = src, dst, src.size
+    def __init__(self, bits: np.ndarray):
+        self.bits, self.size = bits, bits.size
 
     def scratch(self, size: int) -> None:
         return None
 
-    def read(self, lo: int, hi: int, scratch):
-        """(the chunk's bits or pixels, where their embedded values go)."""
-        return self.src[lo:hi], None if self.dst is None else self.dst[lo:hi]
-
-    def write(self, lo: int, hi: int, scratch) -> None:
-        pass
-
-
-class _Raster:
-    """Chunks of an image file's pixels, each read into a buffer of its thread.
-
-    Embedded chunks are written to the file ``out_fd`` where
-    :func:`~graphstego.images.save_image` puts them.
-    """
-
-    def __init__(self, raster: RasterFile, out_fd: int | None = None):
-        self.raster, self.out_fd, self.layout = raster, out_fd, raster.layout
-        self.size = self.layout.capacity
-
-    def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.layout.scratch(size)
-
-    def read(self, lo: int, hi: int, scratch) -> tuple[np.ndarray, np.ndarray]:
-        part = self.raster.read(lo, hi, scratch)
-        return part, part
-
-    def write(self, lo: int, hi: int, scratch) -> None:
-        self.layout.write(self.out_fd, lo, hi, scratch)
+    def read(self, lo: int, hi: int, scratch) -> np.ndarray:
+        return self.bits[lo:hi]
 
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:

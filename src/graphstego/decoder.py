@@ -35,7 +35,7 @@ searches, the covering radii, the size limit and the cache
 
 from __future__ import annotations
 
-import numbers
+import operator
 import os
 import struct
 from functools import cached_property
@@ -97,15 +97,17 @@ class CosetTable(_Record):
         from .gf2 import as_bits, syndrome_index
 
         p = self.code.n_len - self.code.k
-        if isinstance(syndrome, numbers.Integral):
-            idx = int(syndrome)
-            if not 0 <= idx < len(self.leaders):
-                raise ValueError(f"syndrome index {idx} out of range")
-        else:
+        try:  # a Python or numpy integer is an index; a list, string or array is bits
+            idx = operator.index(syndrome)
+        except TypeError:
+            idx = None
+        if idx is None:
             s = as_bits(syndrome)
             if s.size != p:
                 raise ValueError(f"syndrome must have {p} bits, got {s.size}")
             idx = syndrome_index(s)
+        elif not 0 <= idx < len(self.leaders):
+            raise ValueError(f"syndrome index {idx} out of range")
         return self.leaders[idx].copy()
 
 

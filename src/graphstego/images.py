@@ -6,9 +6,10 @@ load/save roundtrip keeps every pixel and LSB positions are stable.
 Saving writes a canonical header: PGM comments, trailing bytes and
 non-default BMP header fields are not kept.
 
-:class:`RasterLayout` alone knows where a file keeps its pixels and what
-the canonical header is: :func:`load_image`, :func:`save_image` and the
-file codec read and write pixel ranges through it.
+:class:`RasterFile` reads a file's header in one bounded read and its
+pixels a range at a time; :class:`RasterLayout` alone knows where the
+pixels sit and what the canonical header is, and :func:`save_image`
+and the file codec write through it.
 """
 
 from __future__ import annotations
@@ -55,12 +56,8 @@ _PGM_BREAKS = frozenset(b" \t\n\r\v\f#")
 #: Longest PGM header token; the numeric fields are a few digits long.
 _PGM_TOKEN_MAX = 20
 
-#: Most bytes a PGM header may take, comments and whitespace included.
+#: Most bytes a PGM header may take, comments and whitespace included: the one header read.
 _PGM_HEADER_MAX = 1 << 16
-
-
-class _ShortHeader(Exception):
-    """The header runs past the bytes read so far, and the file holds more."""
 
 
 class RasterLayout:
@@ -90,20 +87,6 @@ class RasterLayout:
         return struct.pack("<2sIHHI", b"BM", 54 + size, 0, 0, 54) + struct.pack(
             "<IiiHHIIiiII", 40, self.width, self.height, 1, 24, 0, size, 2835, 2835, 0, 0
         )
-
-    def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """(file rows, pixel rows) for any range of up to ``size`` pixels.
-
-        One buffer serves both when rows carry no padding.  A range that
-        starts mid-row takes one row more, but never more than the image.
-        """
-        import numpy as np
-
-        rows = min(-(-size // self.row_bytes) + 1, self.height)
-        raw = np.empty(rows * self.stride, dtype=np.uint8)
-        if self.stride == self.row_bytes:
-            return raw, raw
-        return raw, np.empty(rows * self.row_bytes, dtype=np.uint8)
 
     def rows(self, lo: int, hi: int, scratch) -> tuple[np.ndarray, np.ndarray]:
         """The rows that pixels ``lo .. hi`` touch, in both buffers.
@@ -145,45 +128,43 @@ def _write_at(fd: int, data, pos: int) -> None:
         view, pos = view[done:], pos + done
 
 
-def _pgm_stopped(data, pos: int, size: int) -> None:
-    """Raise if a header scan of ``data``, at most the header's cap, stopped at its end."""
+def _pgm_stopped(pos: int) -> None:
+    """Raise if a header scan reached the cap; one that stops short of it found the file's end."""
     if pos >= _PGM_HEADER_MAX:
         raise ImageFormatError(f"PGM header longer than {_PGM_HEADER_MAX} bytes")
-    if pos == len(data) < size:
-        raise _ShortHeader
 
 
-def _pgm_comment_end(data, pos: int, size: int) -> int:
+def _pgm_comment_end(data, pos: int) -> int:
     """The position of the newline that ends the '#' comment at ``pos``."""
     while pos < len(data) and data[pos] != ord("\n"):
         pos += 1
-    _pgm_stopped(data, pos, size)
+    _pgm_stopped(pos)
     return pos
 
 
-def _next_pgm_token(data, pos: int, size: int) -> tuple[bytes, int]:
+def _next_pgm_token(data, pos: int) -> tuple[bytes, int]:
     # whitespace and '#'-to-end-of-line comments may precede any token, and
     # a comment may follow one directly, as in Netpbm
     while pos < len(data) and data[pos] in _PGM_BREAKS:
-        pos = _pgm_comment_end(data, pos, size) if data[pos] == ord("#") else pos + 1
+        pos = _pgm_comment_end(data, pos) if data[pos] == ord("#") else pos + 1
     start = pos
     while pos < min(len(data), start + _PGM_TOKEN_MAX + 1) and data[pos] not in _PGM_BREAKS:
         pos += 1
     if pos - start > _PGM_TOKEN_MAX:
         raise ImageFormatError(f"PGM header token longer than {_PGM_TOKEN_MAX} bytes: "
                                f"{bytes(data[start : start + 8])!r}...")
-    _pgm_stopped(data, pos, size)
+    _pgm_stopped(pos)
     if start == pos:
         raise ImageFormatError("truncated PGM header")
     return bytes(data[start:pos]), pos
 
 
 def _parse_pgm(data, size: int) -> RasterLayout:
-    data = data[:_PGM_HEADER_MAX]  # a scan that reaches its end raises
+    data = data[:_PGM_HEADER_MAX]  # a scan that reaches the cap raises
     pos = 2  # past "P5"
     fields = []
     for _ in range(3):
-        token, pos = _next_pgm_token(data, pos, size)
+        token, pos = _next_pgm_token(data, pos)
         try:
             if not token.isdigit():  # ASCII decimal only: int() also takes "+4" and "4_0"
                 raise ValueError
@@ -197,7 +178,7 @@ def _parse_pgm(data, size: int) -> RasterLayout:
         raise ImageFormatError(f"only maxval 255 PGM supported, got {maxval}")
     # exactly one whitespace byte, or a comment up to its newline, separates header from raster
     if pos < len(data) and data[pos] == ord("#"):
-        pos = _pgm_comment_end(data, pos, size)
+        pos = _pgm_comment_end(data, pos)
     lay = RasterLayout("pgm", width, height, pos + 1)
     if size < lay.pos(lay.capacity):
         raise ImageFormatError(
@@ -233,12 +214,11 @@ def _parse_bmp(data, size: int) -> RasterLayout:
 
 
 def _parse_layout(data, size: int) -> RasterLayout:
-    """The raster layout of a file of ``size`` bytes that starts with ``data``.
+    """The raster layout of a file of ``size`` bytes whose first bytes, up to the cap, are ``data``.
 
     Raises:
         ImageFormatError: for any format but binary PGM and 24-bit BMP,
             or a malformed or truncated file.
-        _ShortHeader: if a PGM header runs past ``data``.
     """
     data = memoryview(data)  # indexing gives ints, not numpy scalars
     magic = bytes(data[:2])
@@ -261,7 +241,7 @@ def load_image(path) -> CoverImage:
     """
     with RasterFile(path) as raster:
         lay = raster.layout
-        raw, pixels = lay.scratch(lay.capacity)
+        raw, pixels = raster.scratch(lay.capacity)
         raster.read(0, lay.capacity, (raw, pixels))
     pixels.setflags(write=False)
     pixels = pixels[:]  # a view of a read-only buffer cannot be made writeable again
@@ -271,40 +251,19 @@ def load_image(path) -> CoverImage:
     )
 
 
-def _read_layout(read, size: float) -> RasterLayout:
-    """The layout of a file of ``size`` bytes, read from its first bytes alone.
-
-    ``read(want)`` gives the file's first ``want`` bytes, fewer only
-    where the file ends; ``size`` may be ``math.inf`` for a file whose
-    size is unknown until it ends.
-    """
-    want = 1 << 12
-    while True:
-        head = read(want)
-        try:
-            return _parse_layout(head, size if len(head) == want else len(head))
-        except _ShortHeader:  # only raised while the file may hold more
-            want *= 4
-
-
 def _read_stream(fh) -> tuple[RasterLayout, bytearray]:
     """The layout and bytes of an image file read from ``fh`` in order, up to its raster's end.
 
-    The header is read as :func:`_read_layout` reads a regular file's,
-    with the size unknown until the stream ends; then the rest of the
-    raster, a MiB at a time, so memory grows only with what arrives.
-    Trailing bytes are not read.
+    The header is parsed from one read of :data:`_PGM_HEADER_MAX`
+    bytes; then the rest of the raster, a MiB at a time, so memory
+    grows only with what arrives.  Nothing past the raster and that
+    first read is asked for.
     """
-    data = bytearray()
-
-    def fill(want: int) -> bytearray:
-        while len(data) < want and (chunk := fh.read(min(want - len(data), 1 << 20))):
-            data.extend(chunk)
-        return data
-
-    lay = _read_layout(lambda want: fill(want)[:want], math.inf)  # a copy: data may grow
-    end = lay.pos(lay.capacity)
-    fill(end)
+    head = fh.read(_PGM_HEADER_MAX)
+    lay = _parse_layout(head, math.inf if len(head) == _PGM_HEADER_MAX else len(head))
+    data, end = bytearray(head), lay.pos(lay.capacity)
+    while len(data) < end and (chunk := fh.read(min(end - len(data), 1 << 20))):
+        data.extend(chunk)
     if len(data) < end:
         _parse_layout(data, len(data))  # raises the truncation error a regular file gets
     del data[end:]
@@ -314,10 +273,11 @@ def _read_stream(fh) -> tuple[RasterLayout, bytearray]:
 class RasterFile:
     """An image file opened for reading its pixels a range at a time.
 
-    A regular file is parsed from its header alone, and each read is
-    one positional read of the file.  Anything else, such as a pipe,
-    is read into memory up to its raster's end when opened.  Close it,
-    or use it in a ``with`` block.
+    A regular file is parsed from one positional read of its first
+    :data:`_PGM_HEADER_MAX` bytes, and each range is one positional
+    read of the file.  Anything else, such as a pipe, is read into
+    memory up to its raster's end when opened.  ``size`` is the pixel
+    count.  Close it, or use it in a ``with`` block.
 
     Raises:
         ImageFormatError: as :func:`load_image`.
@@ -332,7 +292,7 @@ class RasterFile:
             fd = self._file.fileno()
             st = os.fstat(fd)
             if stat.S_ISREG(st.st_mode):
-                self.layout = _read_layout(lambda want: os.pread(fd, want, 0), st.st_size)
+                self.layout = _parse_layout(os.pread(fd, _PGM_HEADER_MAX, 0), st.st_size)
             else:
                 self.layout, data = _read_stream(self._file)
                 self._data = np.frombuffer(data, dtype=np.uint8)
@@ -340,6 +300,22 @@ class RasterFile:
         except BaseException:
             self.close()
             raise
+        self.size = self.layout.capacity
+
+    def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(file rows, pixel rows) for any range of up to ``size`` pixels.
+
+        One buffer serves both when rows carry no padding.  A range that
+        starts mid-row takes one row more, but never more than the image.
+        """
+        import numpy as np
+
+        lay = self.layout
+        rows = min(-(-size // lay.row_bytes) + 1, lay.height)
+        raw = np.empty(rows * lay.stride, dtype=np.uint8)
+        if lay.stride == lay.row_bytes:
+            return raw, raw
+        return raw, np.empty(rows * lay.row_bytes, dtype=np.uint8)
 
     def read_into(self, buf: np.ndarray, pos: int) -> None:
         """Fill ``buf`` with the file's bytes from byte ``pos`` on.
@@ -357,7 +333,7 @@ class RasterFile:
             raise ImageFormatError(f"image file ends early: {got} of {len(buf)} bytes at {pos}")
 
     def read(self, lo: int, hi: int, scratch) -> np.ndarray:
-        """Pixels ``lo .. hi``, read into ``scratch`` from :meth:`RasterLayout.scratch`.
+        """Pixels ``lo .. hi``, read into ``scratch`` from :meth:`scratch`.
 
         One positional read takes the file's bytes from pixel lo up to
         pixel hi, so a row's padding goes with the range that holds the

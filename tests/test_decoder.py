@@ -103,6 +103,9 @@ def test_leader_accepts_bits_or_index(k5_table):
     by_bits = k5_table.leader(as_bits("0101"))
     by_index = k5_table.leader(5)
     assert np.array_equal(by_bits, by_index)
+    # numpy integer scalars are indices too; lists and strings are bits
+    for syndrome in (np.uint8(5), np.int64(5), [0, 1, 0, 1], "0101"):
+        assert np.array_equal(k5_table.leader(syndrome), by_index), syndrome
     with pytest.raises(ValueError):
         k5_table.leader(16)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import io
 import itertools
 import os
 import subprocess
@@ -42,7 +43,7 @@ def commented_pgm_bytes(width: int, height: int, seed: int, comment: bytes = b"m
 
 COVERS = {
     "pgm_comment_trailer": lambda: commented_pgm_bytes(50, 41, 3),
-    # a header past the first 4 KiB read, and much longer than the canonical one
+    # a 5 KB header, much longer than the canonical one
     "pgm_long_header": lambda: commented_pgm_bytes(53, 40, 4, b"x" * 5000),
     "bmp_unpadded": lambda: random_bmp_bytes(40, 20, 5),  # 120-byte rows
     "bmp_padded": lambda: random_bmp_bytes(37, 23, 7),  # 111-byte rows, padded to 112
@@ -396,7 +397,7 @@ def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
         started.append(self)
         real_start(self)
 
-    real_read = codec._Raster.read
+    real_read = RasterFile.read
 
     def spy_read(self, lo, hi, scratch):
         busy.add(threading.get_ident())
@@ -422,7 +423,7 @@ def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
         return real_run_chunks(starts, gated_run)
 
     monkeypatch.setattr(threading.Thread, "start", spy_start)
-    monkeypatch.setattr(codec._Raster, "read", spy_read)
+    monkeypatch.setattr(RasterFile, "read", spy_read)
     monkeypatch.setattr(codec, "_run_chunks", gated_run_chunks)
     cover, out = tmp_path / "cover.pgm", tmp_path / "stego.pgm"
     cover.write_bytes(COVERS["pgm_comment_trailer"]())
@@ -507,7 +508,7 @@ def test_in_place_embed_memory_does_not_grow_with_the_cover(tmp_path, monkeypatc
 
 
 def test_raster_file_reads_long_pgm_headers(tmp_path):
-    # a header past the first read: the parse asks for more of the file
+    # a 20 KB header: the first read of 64 KiB holds it
     path = tmp_path / "long.pgm"
     pixels = bytes(range(12))
     path.write_bytes(b"P5\n#" + b"x" * 20000 + b"\n4 3\n255\n" + pixels)
@@ -523,3 +524,29 @@ def test_raster_file_reads_long_pgm_headers(tmp_path):
     path.write_bytes(b"P5\n#" + b"x" * 20000)
     with pytest.raises(images.ImageFormatError, match="truncated PGM header"):
         RasterFile(path)
+
+
+def test_a_long_pgm_header_is_parsed_from_one_read(tmp_path, monkeypatch):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n#" + b"x" * 20000 + b"\n4 3\n255\n" + bytes(12))
+    reads = []
+    real_pread = os.pread
+
+    def counting_pread(fd, size, pos):
+        reads.append((size, pos))
+        return real_pread(fd, size, pos)
+
+    monkeypatch.setattr(os, "pread", counting_pread)
+    with RasterFile(path) as raster:
+        assert raster.layout.capacity == 12
+    assert reads == [(images._PGM_HEADER_MAX, 0)]
+
+
+def test_a_streamed_image_is_read_no_further_than_its_first_read():
+    # a 10x10 PGM and a 1 MiB trailer, as a pipe gives them: the header read takes
+    # at most the header cap, the raster ends inside it, and the rest stays unread
+    pgm = b"P5\n10 10\n255\n" + bytes(range(100))
+    stream = io.BytesIO(pgm + b"t" * (1 << 20))
+    lay, data = images._read_stream(stream)
+    assert (lay.width, lay.height, bytes(data)) == (10, 10, pgm)
+    assert stream.tell() <= images._PGM_HEADER_MAX

@@ -15,8 +15,8 @@ from graphstego.gf2 import as_bits
 from graphstego.images import (
     CoverImage,
     ImageFormatError,
+    _PGM_HEADER_MAX,
     _parse_layout,
-    _read_layout,
     _read_stream,
     load_image,
     lsb_extract,
@@ -306,7 +306,7 @@ def _layout_or_error(parse):
 
 
 def _assert_both_parses_agree(data: bytes) -> None:
-    """The header-only parse of a regular file, the in-order read of a pipe and the
+    """The parse of a regular file's first bytes, the in-order read of a pipe and the
     whole-buffer parse agree.
 
     All give the same layout or raise ImageFormatError, with the same
@@ -316,14 +316,15 @@ def _assert_both_parses_agree(data: bytes) -> None:
     with tempfile.TemporaryFile() as fh:
         fh.write(data)
         fh.flush()
-        head = _layout_or_error(lambda: _read_layout(lambda want: os.pread(fh.fileno(), want, 0),
-                                                     len(data)))
+        head = _layout_or_error(lambda: _parse_layout(os.pread(fh.fileno(), _PGM_HEADER_MAX, 0),
+                                                      len(data)))
     stream = _layout_or_error(lambda: _read_stream(io.BytesIO(data))[0])
     assert head == stream == whole
 
 
 _PGM_SPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"  \n"])
-# a comment is '#' to the end of the line; some run past the first 4 KiB read
+# a comment is '#' to the end of the line; some are thousands of bytes long, so
+# that a header may run past the 64 KiB that the first read holds
 _PGM_COMMENT = st.builds(
     lambda text, filler, end: b"#" + text + b"x" * filler + end,
     st.binary(max_size=8).map(lambda b: b.replace(b"\n", b"")),

@@ -8,8 +8,11 @@ figures).  Exit codes: 0 success, 2 usage, 3 format/parse error,
 coset table (more than MAX_SYNDROME_BITS syndrome bits).
 
 No module imports numpy when it loads: the pixel and table-building
-functions import it when they first run, so ``embed`` and ``extract`` load it,
-and ``codebook``, ``analyze`` and ``table`` never do.  The process
+functions import it when they first run, so ``embed`` loads it,
+``codebook``, ``analyze`` and ``table`` never do, and ``extract`` does
+only for a frame of more than ``PLAIN_FRAME_PIXELS`` (2^22) pixels, which
+it decodes through the numpy chunk loop; a smaller one is read in plain
+Python.  The process
 entry, :func:`run`, freezes the heap once the command is done, so the
 collection at interpreter exit skips every object still alive, numpy's
 import-time ones included; :func:`main` leaves the GC alone for

@@ -17,6 +17,12 @@ bytes: each chunk of pixels is read into a buffer through
 :class:`~graphstego.images.RasterFile`, embedded there and written
 where :func:`~graphstego.images.save_image` would put it, so where a
 file keeps its pixels is known to the ``images`` module alone.
+
+Every header is decoded in plain Python.  :func:`extract_file` reads a
+frame of at most :data:`PLAIN_FRAME_PIXELS` pixels in plain Python too,
+so it loads no numpy; every other function here that handles bits or
+pixels, and the chunk loop of a larger frame, imports numpy when it
+runs.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .gf2 import (
     _bits_view,
     _ValueRecord,
     as_bits,
+    lane_syndromes,
     stream_syndromes,
     syndrome_index,
     syndrome_words,
@@ -52,6 +59,15 @@ HEADER_BYTES = HEADER_BITS // 8
 #: Both directions round it up to a multiple of 8 blocks, so that every
 #: chunk starts on a whole frame byte.
 CHUNK_BLOCKS = 1 << 16
+#: Most pixels of a frame that :func:`extract_file` decodes in plain
+#: Python (:func:`_plain_frame`), which loads no numpy; a larger frame
+#: goes through the numpy chunk loop.  On a 2-core host plain Python
+#: took 3.8 (K5) to about 6 (18-vertex ring) ns a frame pixel, the chunk
+#: loop about 0.5 ns, but loading numpy and the code's tables costs the
+#: loop about 65 ms.  Spawn to reap, the two paths broke even at frames
+#: of about 8.5 Mpx (the ring) to 15 Mpx (K5); 2^22 (4.2 Mpx) stays
+#: below both.
+PLAIN_FRAME_PIXELS = 1 << 22
 #: Most threads one call runs its chunks on: the caller and one helper.
 #: More would not pay on a two-core host, and each adds a chunk's
 #: working memory.
@@ -336,39 +352,50 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
     """
     import numpy as np
 
-    frame, declared = _extract_lsbs(_Arrays(_bits_view(stego_bits)), code)
+    stego = _Arrays(_bits_view(stego_bits))
+    declared, blocks = _frame_length(stego, code)
+    frame = _extract_lsbs(stego, code, blocks)
     return np.unpackbits(frame[HEADER_BYTES:], count=declared)
 
 
 def extract_file(stego_path, code: GraphicalCode) -> bytes:
-    """Recover the payload bytes from a stego image file, a chunk at a time.
+    """Recover the payload bytes from a stego image file.
 
     Equal to ``bits_to_bytes(extract_stream(lsb_extract(load_image(stego_path)), code))``
-    without holding the whole image: one positional read for the
-    header and one for each chunk of blocks.  A file that is not
-    regular, such as a pipe, is read into memory first, up to the raster's end.
+    without holding the whole image.  The header's blocks come from one
+    positional read.  A frame of at most :data:`PLAIN_FRAME_PIXELS`
+    pixels is then read in one more and decoded in plain Python
+    (:func:`_plain_frame`), so that no numpy loads; a larger one goes
+    through the numpy chunk loop, one read for each chunk of blocks.
+    A file that is not regular, such as a pipe, is read into memory
+    first, up to the raster's end.
 
     Raises:
         ImageFormatError: if the file does not parse.
         FrameError: as :func:`extract_stream`, or if the declared length
-            is not a whole number of bytes.
+            is not a whole number of bytes, which is refused before the
+            frame's blocks are read.
     """
     with RasterFile(stego_path) as stego:
-        frame, declared = _extract_lsbs(stego, code)
-    if declared % 8:
-        raise FrameError(f"recovered {declared} bits, not a whole number of bytes")
-    return frame[HEADER_BYTES : HEADER_BYTES + declared // 8].tobytes()
+        declared, blocks = _frame_length(stego, code)
+        if declared % 8:
+            raise FrameError(f"recovered {declared} bits, not a whole number of bytes")
+        if blocks * code.n_len <= PLAIN_FRAME_PIXELS:
+            frame = _plain_frame(stego, code, blocks)
+        else:
+            frame = _extract_lsbs(stego, code, blocks)
+    return bytes(frame[HEADER_BYTES : HEADER_BYTES + declared // 8])
 
 
-def _extract_lsbs(io, code: GraphicalCode) -> tuple[np.ndarray, int]:
-    """Packed frame from the LSBs of ``io``'s chunks, of bits or of pixels.
+def _frame_length(io, code: GraphicalCode) -> tuple[int, int]:
+    """The payload bits that the header of ``io``'s LSBs declares, and the frame's blocks.
 
-    Returns:
-        (frame, declared): the frame's bytes, header first, and the
-        payload length in bits that the header declares.
+    The header's blocks are decoded by :func:`_plain_frame`.
+
+    Raises:
+        FrameError: if ``io`` is too short for the header or for the
+            blocks that the declared length needs.
     """
-    import numpy as np
-
     n = code.n_len
     p = n - code.k
     header_blocks = -(-HEADER_BITS // p)
@@ -376,16 +403,56 @@ def _extract_lsbs(io, code: GraphicalCode) -> tuple[np.ndarray, int]:
         raise FrameError(
             f"stego stream has {io.size} bits, header needs {header_blocks * n}"
         )
-    tables = code.check_tables
-    part = io.read(0, header_blocks * n, io.scratch(header_blocks * n))
-    header = _message_bytes(part.reshape(-1, n), tables)
-    declared = int.from_bytes(header[:HEADER_BYTES].tobytes(), "big")
+    header = _plain_frame(io, code, header_blocks)
+    declared = int.from_bytes(header[:HEADER_BYTES], "big")
     total_blocks = -(-(HEADER_BITS + declared) // p)
     if total_blocks > io.size // n:
         raise FrameError(
             f"header declares {declared} payload bits needing {total_blocks * n} "
             f"stego bits, only {io.size} present"
         )
+    return declared, total_blocks
+
+
+def _plain_frame(io, code: GraphicalCode, blocks: int) -> bytes:
+    """The message bits H(v) of ``io``'s first ``blocks`` blocks, packed MSB first, in plain Python.
+
+    ``io.read_bytes`` gives one byte per bit or pixel, of which only
+    the LSB is read.  Column j's byte of every block is the strided
+    lane ``lsbs[j::n]``, and :func:`~graphstego.gf2.lane_syndromes`
+    turns the lanes into one 0/1 byte lane per syndrome bit: column j's
+    word has byte i set when check row i holds column j.  The syndrome
+    lanes are interleaved into one byte per frame bit, and eight
+    strided lanes of those bytes are packed into each frame byte.  The
+    pixels are let go once their lanes are read.
+    """
+    n = code.n_len
+    p = n - code.k
+    lsbs = io.read_bytes(0, blocks * n)
+    words = [sum(1 << 8 * i for i, row in enumerate(code.check_rows) if row >> j & 1)
+             for j in range(n)]
+    lanes = lane_syndromes(((lsbs[j::n], words[j : j + 1]) for j in range(n)), p)
+    del lsbs
+    bits = bytearray(-(-blocks * p // 8) * 8)  # one byte per frame bit, zero-padded
+    for i in range(p):
+        bits[i : blocks * p : p] = lanes[i].to_bytes(blocks, "little")
+        lanes[i] = None
+    # each lane's bytes are 0 or 1, so a shift by at most 7 stays inside its byte
+    packed = sum(int.from_bytes(bits[k::8], "little") << 7 - k for k in range(8))
+    return packed.to_bytes(len(bits) // 8, "little")
+
+
+def _extract_lsbs(io, code: GraphicalCode, total_blocks: int) -> np.ndarray:
+    """Packed frame from the LSBs of ``io``'s first ``total_blocks`` blocks, a chunk at a time.
+
+    The chunks are of bits or of pixels, and each chunk's syndromes go
+    through the numpy engine.
+    """
+    import numpy as np
+
+    n = code.n_len
+    p = n - code.k
+    tables = code.check_tables
     frame = np.empty(-(-total_blocks * p // 8), dtype=np.uint8)
     step = _step()
 
@@ -398,7 +465,7 @@ def _extract_lsbs(io, code: GraphicalCode) -> tuple[np.ndarray, int]:
             frame[start * p // 8 : start * p // 8 + len(syn)] = syn
 
     _run_chunks(range(0, total_blocks, step), run)
-    return frame, declared
+    return frame
 
 
 def _step() -> int:
@@ -474,6 +541,9 @@ class _Arrays:
 
     def read(self, lo: int, hi: int, scratch) -> np.ndarray:
         return self.bits[lo:hi]
+
+    def read_bytes(self, lo: int, hi: int) -> bytes:
+        return self.bits[lo:hi].tobytes()
 
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:

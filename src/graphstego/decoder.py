@@ -41,7 +41,7 @@ import struct
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .gf2 import _Record
+from .gf2 import _Record, lane_syndromes
 from .graphs import Graph, GraphicalCode, _bfs
 
 if TYPE_CHECKING:
@@ -438,8 +438,10 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
     the same syndrome-space BFS the exhaustive builder runs).  Both
     checks read byte k of every row at once, as one strided slice that a
     256-entry table translates into a lane of one byte per row: byte q
-    of what byte k adds to the row's syndrome index, or its bit count.
-    The lanes are XORed, or summed, as ints.
+    of what byte k adds to the row's syndrome index
+    (:func:`~graphstego.gf2.lane_syndromes`, which the file codec's
+    small-frame extract shares), or its bit count.  The lanes are
+    XORed, or summed, as ints.
 
     Raises:
         TableSizeError: if the code's p exceeds :data:`MAX_SYNDROME_BITS`.
@@ -469,16 +471,9 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
     if n % 8 and rows[size - 1 :: size].translate(None, bytes(range(1 << n % 8))):
         raise TableCacheError(f"cached table sets a bit past edge {n}")
     words = _column_words(code.check_rows, n)  # words[j]: the syndrome index of edge j alone
-    index = [0] * ((p + 7) // 8)  # index[q]: byte q of every row's syndrome index, one lane
-    for k in range(size):
-        sums = [0]  # sums[v]: the syndrome index of byte value v at byte k
-        for word in words[8 * k : 8 * k + 8]:
-            sums += [s ^ word for s in sums]
-        sums *= 256 // len(sums)  # bits past edge n add nothing
-        column = rows[k::size]
-        for q in range(len(index)):
-            lane = column.translate(bytes(s >> 8 * q & 255 for s in sums))
-            index[q] ^= int.from_bytes(lane, "little")
+    # index[q]: byte q of every row's syndrome index, one lane; byte k of a row holds edges 8k..
+    index = lane_syndromes(((rows[k::size], words[8 * k : 8 * k + 8]) for k in range(size)),
+                           (p + 7) // 8)
     for q, got in enumerate(index):
         run = 1 << 8 * q  # byte q of the indices 0..count-1: each value for run rows in turn
         block = b"".join(bytes([v]) * run for v in range(min(256, count // run)))

@@ -10,7 +10,9 @@ other bit-matrix arithmetic here.
 
 All operations are pure and never mutate their arguments.  Each
 function imports numpy when it runs, so loading this module (or the
-codec and image modules that build on it) does not load numpy.
+codec and image modules that build on it) does not load numpy;
+:func:`lane_syndromes`, the plain-Python syndrome reader of the table
+cache and of small extracts, never does.
 
 :class:`_Record` is the base of the package's frozen records, here
 because every module that defines one imports this one.
@@ -257,6 +259,39 @@ def _identity_tables(width: int) -> SyndromeTables:
 
     bits = 8 * np.min_scalar_type((1 << width) - 1).itemsize
     return syndrome_tables(np.eye(bits, width, width - bits, dtype=np.uint8))
+
+
+def lane_syndromes(lanes, width: int) -> list[int]:
+    """Per-row XORs of column words, read a byte lane at a time in plain Python.
+
+    ``lanes`` yields ``(lane, words)`` pairs.  A lane holds one byte per
+    row, and bit b of a row's byte stands for the column whose word is
+    ``words[b]``; bits past the last word add nothing.  A 256-entry
+    ``bytes.translate`` table turns the lane into byte q of what it adds
+    to each row's XOR, and the translated lanes are XORed as ints.  A
+    lane is translated once per distinct nonzero table.  This reads a
+    packed table row (eight columns a byte) and a pixel block (one
+    column a byte, its LSB) alike, and never loads numpy.
+
+    Returns:
+        ``width`` ints: int q holds byte q of every row's XOR, one byte
+        per row, little-endian, so row r is byte r.
+    """
+    out = [0] * width
+    for lane, words in lanes:
+        sums, reach = [0], 0  # sums[v]: the XOR of the words of v's set bits
+        for word in words:
+            sums += [s ^ word for s in sums]
+            reach |= word
+        read = {}
+        for q in range(width):
+            if reach >> 8 * q & 255:
+                # repeated over the bits past the last word
+                table = bytes(s >> 8 * q & 255 for s in sums) * (256 // len(sums))
+                if table not in read:
+                    read[table] = int.from_bytes(lane.translate(table), "little")
+                out[q] ^= read[table]
+    return out
 
 
 def _lookup(data: np.ndarray, tables: SyndromeTables, out: np.ndarray) -> None:

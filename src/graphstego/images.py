@@ -277,15 +277,15 @@ class RasterFile:
     :data:`_PGM_HEADER_MAX` bytes, and each range is one positional
     read of the file.  Anything else, such as a pipe, is read into
     memory up to its raster's end when opened.  ``size`` is the pixel
-    count.  Close it, or use it in a ``with`` block.
+    count.  Opening the file and :meth:`read_bytes` load no numpy;
+    :meth:`scratch` and :meth:`read` serve the numpy chunk loop.  Close
+    it, or use it in a ``with`` block.
 
     Raises:
         ImageFormatError: as :func:`load_image`.
     """
 
     def __init__(self, path):
-        import numpy as np
-
         self._data = None
         self._file = open(path, "rb")
         try:
@@ -294,8 +294,7 @@ class RasterFile:
             if stat.S_ISREG(st.st_mode):
                 self.layout = _parse_layout(os.pread(fd, _PGM_HEADER_MAX, 0), st.st_size)
             else:
-                self.layout, data = _read_stream(self._file)
-                self._data = np.frombuffer(data, dtype=np.uint8)
+                self.layout, self._data = _read_stream(self._file)
                 self.close()
         except BaseException:
             self.close()
@@ -324,13 +323,45 @@ class RasterFile:
             ImageFormatError: if the file ends before ``buf`` is full.
         """
         if self._data is not None:
-            got = self._data[pos : pos + len(buf)]
+            got = memoryview(self._data)[pos : pos + len(buf)]
             buf[: len(got)] = got
             got = len(got)
         else:
             got = os.preadv(self._file.fileno(), [buf], pos)
-        if got != len(buf):
-            raise ImageFormatError(f"image file ends early: {got} of {len(buf)} bytes at {pos}")
+        _check_read(got, len(buf), pos)
+
+    def read_bytes(self, lo: int, hi: int) -> bytes | bytearray:
+        """Pixels ``lo .. hi`` as bytes, from one positional read, without numpy.
+
+        When rows carry padding, the whole rows that the pixels touch
+        are read and their padding is stripped a row or a column at a
+        time, whichever takes fewer slices.
+        """
+        lay = self.layout
+        width, stride = lay.row_bytes, lay.stride
+        if stride == width:
+            return self._read_raw(lay.pos(lo), hi - lo)
+        first, rows = lo // width, -(-hi // width) - lo // width
+        raw = self._read_raw(lay.pos(first * width), rows * stride)
+        pixels = bytearray(rows * width)
+        if rows <= width:
+            cuts = ((slice(r * width, (r + 1) * width), slice(r * stride, r * stride + width))
+                    for r in range(rows))
+        else:
+            cuts = ((slice(c, None, width), slice(c, None, stride)) for c in range(width))
+        for to, of in cuts:
+            pixels[to] = raw[of]
+        del pixels[hi - first * width :], pixels[: lo - first * width]
+        return pixels
+
+    def _read_raw(self, pos: int, size: int) -> bytes | bytearray:
+        """The file's ``size`` bytes from byte ``pos`` on."""
+        if self._data is not None:
+            raw = self._data[pos : pos + size]
+        else:
+            raw = os.pread(self._file.fileno(), size, pos)
+        _check_read(len(raw), size, pos)
+        return raw
 
     def read(self, lo: int, hi: int, scratch) -> np.ndarray:
         """Pixels ``lo .. hi``, read into ``scratch`` from :meth:`scratch`.
@@ -360,6 +391,12 @@ class RasterFile:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _check_read(got: int, size: int, pos: int) -> None:
+    """Raise unless a read of ``size`` bytes at byte ``pos`` got them all."""
+    if got != size:
+        raise ImageFormatError(f"image file ends early: {got} of {size} bytes at {pos}")
 
 
 def save_image(img: CoverImage, path) -> None:

@@ -199,9 +199,11 @@ def test_oversize_codebooks_exit_6_before_any_build(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_the_code_layer_loads_no_numpy(tmp_path, k5_codebook_file):
+def test_the_code_layer_loads_no_numpy(tmp_path, k5_codebook_file, k5_table):
     # import graphstego and the analyze, codebook and table commands run on
     # plain-Python bitsets; numpy loads when a pixel or table function first runs.
+    # An extract whose frame is at most PLAIN_FRAME_PIXELS is read in plain
+    # Python too; one above it runs the numpy chunk loop, and loads numpy.
     # The records are plain classes, so neither dataclasses nor the inspect it
     # imports loads either.  Only table writes CSV, and no command checks for
     # numbers.Integral, so csv and numbers load only when table runs
@@ -211,26 +213,34 @@ heavy = {"numpy", "dataclasses", "inspect"}
 light = heavy | {"numbers", "csv"}
 import graphstego
 assert not light & set(sys.modules), "import graphstego"
-from graphstego import cli
+from graphstego import cli, codec
 assert not light & set(sys.modules), "import graphstego.cli"
-codebook, out = sys.argv[1:]
+codebook, out, stego, payload = sys.argv[1:]
+extract = ["extract", "--codebook", codebook, "--stego", stego, "--out", payload]
 for argv in (["analyze", "--codebook", codebook], ["codebook", "--spec", "K6", "--out", out],
-             ["analyze", "--codebook", out, "--porcelain"], ["table"]):
+             ["analyze", "--codebook", out, "--porcelain"], extract, ["table"]):
     assert cli.main(argv) == 0, argv
     loaded = (heavy if argv == ["table"] else light) & set(sys.modules)
     assert not loaded, (argv, loaded)
 assert "csv" in sys.modules, "the check above sees csv when it loads"
-graphstego.bytes_to_bits(b"x")
+codec.PLAIN_FRAME_PIXELS = 0  # every frame above it
+assert cli.main(extract) == 0
 assert {"numpy", "inspect"} <= set(sys.modules), "the check above sees them when they load"
 """
+    stego, payload = tmp_path / "stego.pgm", tmp_path / "out.bin"
+    secret = b"small frame" * 10
+    embed_file(write_pgm(tmp_path / "cover.pgm"), secret, k5_table, stego)
     root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", script, str(k5_codebook_file), str(tmp_path / "k6.gc")],
+        [sys.executable, "-c", script, str(k5_codebook_file), str(tmp_path / "k6.gc"), str(stego),
+         str(payload)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert (run.returncode, run.stderr) == (0, "")
     assert "rho=2" in run.stdout and "rho=3" in run.stdout
+    assert run.stdout.count(f"extracted {len(secret)} bytes") == 2
+    assert payload.read_bytes() == secret
 
 
 def test_analyze_bad_codebook(tmp_path, capsys):
@@ -535,9 +545,12 @@ def test_cli_extract_bytes_match_the_bit_path(kind, chunk, tmp_path, monkeypatch
             data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
             embed_file(cover_path, data, table, stego_path)
             want = bits_to_bytes(extract_stream(lsb_extract(load_image(stego_path)), code))
-            rc, captured = _cli_extract(codebook, stego_path, out, capsys)
-            assert (rc, out.read_bytes()) == (0, want) and want == data
-            assert captured.out == f"extracted {size} bytes to {out}\n"
+            for plain in (codec.PLAIN_FRAME_PIXELS, 0):  # each extract path, 0 the chunk loop
+                with monkeypatch.context() as patch:
+                    patch.setattr(codec, "PLAIN_FRAME_PIXELS", plain)
+                    rc, captured = _cli_extract(codebook, stego_path, out, capsys)
+                assert (rc, out.read_bytes()) == (0, want) and want == data
+                assert captured.out == f"extracted {size} bytes to {out}\n"
         # no frame: the random header declares too much, and a one-row
         # image below header_blocks * n samples cannot even hold the header
         small = tmp_path / "small.img"

@@ -17,7 +17,7 @@ import pytest
 
 from graphstego import cli, codec, images
 from graphstego.cli import main
-from graphstego.codebook import format_codebook
+from graphstego.codebook import code_from_codebook, format_codebook
 from graphstego.codec import (
     CapacityError,
     bits_to_bytes,
@@ -28,10 +28,17 @@ from graphstego.codec import (
     extract_stream,
 )
 from graphstego.decoder import build_coset_table_bruteforce
-from graphstego.graphs import build_code, complete_graph
-from graphstego.images import RasterFile, load_image, lsb_extract, lsb_inject, save_image
+from graphstego.graphs import build_code, build_graph, complete_graph
+from graphstego.images import (
+    CoverImage,
+    RasterFile,
+    load_image,
+    lsb_extract,
+    lsb_inject,
+    save_image,
+)
 
-from helpers import random_bmp_bytes, ring_graph
+from helpers import gp83_edges, random_bmp_bytes, ring_graph
 
 
 def commented_pgm_bytes(width: int, height: int, seed: int, comment: bytes = b"made by hand"
@@ -89,6 +96,9 @@ def test_file_path_matches_the_whole_image_path(kind, chunk, cpus, tmp_path, mon
             assert embed_file(cover_path, data, table, got) == report
             assert got.read_bytes() == want.read_bytes()
             assert extract_file(got, code) == _whole_image_extract(got, code) == data
+            with monkeypatch.context() as patch:  # the chunk loop, with this test's chunks
+                patch.setattr(codec, "PLAIN_FRAME_PIXELS", 0)
+                assert extract_file(got, code) == data
         with pytest.raises(CapacityError):
             embed_file(cover_path, bytes(room + 1), table, got)
     # the cover itself, read as a stego file, carries no frame
@@ -390,6 +400,7 @@ def test_a_longest_out_name_embeds(tmp_path, k5_files, capsys):
 
 def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", 7)
+    monkeypatch.setattr(codec, "PLAIN_FRAME_PIXELS", 0)  # extract's chunk loop runs above it
     started, busy, seen = [], set(), []
     real_start = threading.Thread.start
 
@@ -550,3 +561,233 @@ def test_a_streamed_image_is_read_no_further_than_its_first_read():
     lay, data = images._read_stream(stream)
     assert (lay.width, lay.height, bytes(data)) == (10, 10, pgm)
     assert stream.tell() <= images._PGM_HEADER_MAX
+
+
+#: PLAIN_FRAME_PIXELS values that send every extract_file down one path
+EXTRACT_PATHS = {"chunk_loop": 0, "plain": 1 << 40}
+
+PATH_COVERS = {
+    "bmp_padded": lambda: random_bmp_bytes(301, 211, 21),  # 903-byte rows, padded to 904
+    "bmp_narrow": lambda: random_bmp_bytes(5, 4001, 23),  # more rows than bytes in a row
+    "pgm_comment": lambda: commented_pgm_bytes(251, 199, 22),
+}
+
+
+@pytest.fixture(scope="module")
+def path_codes():
+    """(codebook, table) of K5, K6 (n=15), K8 (n=28), GP(8,3) (p=15) and the 18-vertex ring (p=17)."""
+    graphs = [complete_graph(5), complete_graph(6), complete_graph(8),
+              build_graph(16, gp83_edges()), ring_graph(18)]
+    texts = [format_codebook(g) for g in graphs]
+    return [(text, build_coset_table_bruteforce(code_from_codebook(text))) for text in texts]
+
+
+def _extract_on(path, stego, code, monkeypatch):
+    """extract_file forced down one path, checking that the chunk loop ran only on its own."""
+    loops = []
+    real = codec._extract_lsbs
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "PLAIN_FRAME_PIXELS", EXTRACT_PATHS[path])
+        patch.setattr(codec, "_extract_lsbs", lambda *args: loops.append(1) or real(*args))
+        data = extract_file(stego, code)
+    assert len(loops) == (path == "chunk_loop")
+    return data
+
+
+@pytest.mark.parametrize("kind", sorted(PATH_COVERS))
+def test_both_extract_paths_give_the_same_payload(kind, tmp_path, monkeypatch, path_codes):
+    cover, stego = tmp_path / "cover.img", tmp_path / "stego.img"
+    cover.write_bytes(PATH_COVERS[kind]())
+    capacity = load_image(cover).capacity
+    rng = np.random.default_rng(len(kind))
+    for _, table in path_codes:
+        code = table.code
+        room = (capacity // code.n_len * (code.n_len - code.k) - 32) // 8
+        for size in (0, int(rng.integers(1, room)), room):
+            data = rng.bytes(size)
+            embed_file(cover, data, table, stego)
+            plain = _extract_on("plain", stego, code, monkeypatch)
+            assert plain == _extract_on("chunk_loop", stego, code, monkeypatch) == data
+
+
+def _bad_stegos(cover: bytes, table, tmp_path) -> dict:
+    """Files of ``cover``'s format that carry no whole frame for ``table``'s code, by fault."""
+    code = table.code
+    n, p = code.n_len, code.n_len - code.k
+    img = tmp_path / "cover.img"
+    img.write_bytes(cover)
+    cover_img = load_image(img)
+    fmt = cover_img.format_tag
+    header_pixels = -(-32 // p) * n
+    short = tmp_path / "short.img"  # one row, one channel short of the header's blocks
+    width = (header_pixels - 1) // cover_img.channels
+    short.write_bytes(random_bmp_bytes(width, 1, 1) if fmt == "bmp"
+                      else b"P5\n%d 1\n255\n" % width + bytes(width))
+    # a whole-byte frame cut after the rows its header takes: the header declares
+    # blocks the file lacks
+    full = tmp_path / "full.img"
+    embed_file(img, bytes(500), table, full)
+    rows = load_image(full)
+    past_end = tmp_path / "past_end.img"
+    height = -(-header_pixels // (rows.width * rows.channels))
+    kept = height * rows.width * rows.channels
+    assert kept < -(-(32 + 8 * 500) // p) * n
+    save_image(CoverImage(width=rows.width, height=height, channels=rows.channels, depth=8,
+                          pixels=rows.pixels[:kept], format_tag=fmt), past_end)
+    # 13 payload bits: a frame that parses, but not as whole bytes
+    odd = tmp_path / "odd.img"
+    bits = np.random.default_rng(13).integers(0, 2, 13, dtype=np.uint8)
+    save_image(lsb_inject(cover_img, embed_stream(lsb_extract(cover_img), bits, table)[0]), odd)
+    return {"no_frame": img, "short": short, "past_end": past_end, "odd": odd}
+
+
+BAD_STEGO_MESSAGES = {
+    "no_frame": "declares", "short": "header needs", "past_end": "declares",
+    "odd": "recovered 13 bits, not a whole number of bytes",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PATH_COVERS))
+def test_both_extract_paths_refuse_a_bad_frame_alike(kind, tmp_path, monkeypatch, path_codes,
+                                                     capsys):
+    codebook, table = path_codes[3]  # GP(8,3)
+    (tmp_path / "code.gc").write_text(codebook)
+    out = tmp_path / "out.bin"
+    for fault, stego in _bad_stegos(PATH_COVERS[kind](), table, tmp_path).items():
+        errors = set()
+        for path, limit in EXTRACT_PATHS.items():
+            monkeypatch.setattr(codec, "PLAIN_FRAME_PIXELS", limit)
+            with pytest.raises(codec.FrameError) as exc:
+                extract_file(stego, table.code)
+            assert BAD_STEGO_MESSAGES[fault] in str(exc.value), (fault, path)
+            rc, captured = _cli_extract(tmp_path / "code.gc", stego, out, capsys)
+            assert (rc, captured.out, captured.err) == (3, "", f"error: {exc.value}\n")
+            assert not out.exists()
+            errors.add(str(exc.value))
+        assert len(errors) == 1, (fault, errors)
+
+
+def _cli_extract(codebook, stego, out, capsys):
+    rc = main(["extract", "--codebook", str(codebook), "--stego", str(stego), "--out", str(out)])
+    return rc, capsys.readouterr()
+
+
+#: ``python -c`` body: the CLI with PLAIN_FRAME_PIXELS set from the first argument
+_EXTRACT_CHILD = (
+    "import sys\n"
+    "from graphstego import cli, codec\n"
+    "codec.PLAIN_FRAME_PIXELS = int(sys.argv[1])\n"
+    "sys.exit(cli.main(sys.argv[2:]))\n"
+)
+
+
+def _piped_extract(limit: int, codebook, stego: bytes, out):
+    """``graphstego extract --stego /dev/stdin`` in a child fed ``stego`` through a pipe."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _EXTRACT_CHILD, str(limit), "extract", "--codebook", str(codebook),
+         "--stego", "/dev/stdin", "--out", str(out)],
+        input=stego, env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=120,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_both_extract_paths_read_a_piped_stego_alike(tmp_path, path_codes):
+    cover, stego, codebook = tmp_path / "cover.bmp", tmp_path / "stego.bmp", tmp_path / "code.gc"
+    cover.write_bytes(PATH_COVERS["bmp_padded"]())
+    capacity = load_image(cover).capacity
+    rng = np.random.default_rng(31)
+    for text, table in path_codes:
+        codebook.write_text(text)
+        code = table.code
+        data = rng.bytes((capacity // code.n_len * (code.n_len - code.k) - 32) // 8)
+        embed_file(cover, data, table, stego)
+        for limit in EXTRACT_PATHS.values():
+            out = tmp_path / f"out{limit}.bin"
+            run = _piped_extract(limit, codebook, stego.read_bytes(), out)
+            assert (run.returncode, run.stderr) == (0, b"")
+            assert run.stdout == f"extracted {len(data)} bytes to {out}\n".encode()
+            assert out.read_bytes() == data
+    codebook.write_text(path_codes[0][0])  # K5
+    for fault, bad in _bad_stegos(cover.read_bytes(), path_codes[0][1], tmp_path).items():
+        runs = [_piped_extract(limit, codebook, bad.read_bytes(), tmp_path / "no.bin")
+                for limit in EXTRACT_PATHS.values()]
+        assert runs[0].returncode == runs[1].returncode == 3, fault
+        assert runs[0].stderr == runs[1].stderr, fault
+        assert BAD_STEGO_MESSAGES[fault].encode() in runs[0].stderr, fault
+        assert not (tmp_path / "no.bin").exists()
+
+
+@pytest.mark.parametrize("path", sorted(EXTRACT_PATHS))
+def test_an_odd_declared_length_is_refused_before_the_frame_is_read(path, tmp_path, monkeypatch,
+                                                                    path_codes):
+    table = path_codes[0][1]  # K5: the header takes 8 blocks of 10 pixels
+    odd = _bad_stegos(PATH_COVERS["pgm_comment"](), table, tmp_path)["odd"]
+    ranges = []
+    real_read, real_read_bytes = RasterFile.read, RasterFile.read_bytes
+    monkeypatch.setattr(RasterFile, "read", lambda self, lo, hi, scratch: ranges.append((lo, hi))
+                        or real_read(self, lo, hi, scratch))
+    monkeypatch.setattr(RasterFile, "read_bytes", lambda self, lo, hi: ranges.append((lo, hi))
+                        or real_read_bytes(self, lo, hi))
+    monkeypatch.setattr(codec, "PLAIN_FRAME_PIXELS", EXTRACT_PATHS[path])
+    with pytest.raises(codec.FrameError, match="not a whole number of bytes"):
+        extract_file(odd, table.code)
+    assert ranges == [(0, 80)]
+
+
+def test_plain_extract_memory_stays_below_2_5x_the_frame(tmp_path, path_codes):
+    # the plain path holds the frame's pixels and one lane a syndrome bit,
+    # then the lanes and one byte a frame bit: at 1 Mpx it peaked at 2.24x
+    # the frame's pixel bytes for the ring (p/n = 17/18) on a padded BMP
+    # (2.19x on a PGM), 1.39-2.01x for K5, K8 and GP(8,3)
+    covers = {"bmp": random_bmp_bytes(601, 581, 41),
+              "pgm": b"P5\n1024 1024\n255\n" + np.random.default_rng(42).bytes(1 << 20)}
+    rng = np.random.default_rng(43)
+    for fmt, data in covers.items():
+        cover, stego = tmp_path / f"cover.{fmt}", tmp_path / f"stego.{fmt}"
+        cover.write_bytes(data)
+        capacity = load_image(cover).capacity
+        for _, table in (path_codes[0], path_codes[4]):  # K5 and the ring
+            code = table.code
+            n, p = code.n_len, code.n_len - code.k
+            payload = rng.bytes((capacity // n * p - 32) // 8)
+            embed_file(cover, payload, table, stego)
+            frame = -(-(32 + 8 * len(payload)) // p) * n
+            assert frame <= codec.PLAIN_FRAME_PIXELS
+            tracemalloc.start()
+            try:
+                got = extract_file(stego, code)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == payload
+            assert peak < 2.5 * frame, (fmt, n, peak / frame)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("width, height", [(37, 23), (1, 300)], ids=["wide", "narrow"])
+def test_read_bytes_gives_what_read_gives(width, height, tmp_path):
+    # any range, mid-row ends included, from a padded BMP file and from a pipe;
+    # the padding goes a row at a time from wide rows, a column at a time from many rows
+    data = random_bmp_bytes(width, height, width)
+    path = tmp_path / "cover.bmp"
+    path.write_bytes(data)
+    read, write = os.pipe()
+    try:
+        os.write(write, data)  # a few KB: the pipe holds it all
+        os.close(write)
+        with RasterFile(path) as regular, RasterFile(f"/dev/fd/{read}") as piped:
+            size = regular.size
+            rng = np.random.default_rng(51)
+            for lo, hi in [(0, size), (0, 1), (2, 4), (110, 113), (size - 1, size),
+                           *(sorted(rng.integers(0, size + 1, 2).tolist()) for _ in range(30))]:
+                want = regular.read(lo, hi, regular.scratch(max(hi - lo, 1))).tobytes()
+                assert bytes(regular.read_bytes(lo, hi)) == bytes(piped.read_bytes(lo, hi)) == want
+            os.truncate(path, len(data) - 1)  # a file that shrinks once opened: its last row
+            stride = (3 * width + 3) // 4 * 4
+            with pytest.raises(images.ImageFormatError,
+                               match=f"ends early: {stride - 1} of {stride} bytes"):
+                regular.read_bytes(size - 1, size)
+    finally:
+        os.close(read)

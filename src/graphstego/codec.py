@@ -13,14 +13,16 @@ byte: the header's 4 bytes, then the payload bytes.
 The stream level embeds in a copy of an array of 0/1 bits and takes
 and returns the payload one array entry per bit.  The file level runs
 the same chunk loop on a cover file and takes and returns payload
-bytes: each chunk of pixels is read into a buffer through
-:class:`~graphstego.images.RasterFile`, embedded there and written
-where :func:`~graphstego.images.save_image` would put it, so where a
-file keeps its pixels is known to the ``images`` module alone.
+bytes: :meth:`RasterFile.read <graphstego.images.RasterFile.read>`,
+the one pixel reader, fills a buffer of each thread with a chunk of
+pixels, which is embedded there and written where
+:func:`~graphstego.images.save_image` would put it, so where a file
+keeps its pixels is known to the ``images`` module alone.
 
 Every header is decoded in plain Python.  :func:`extract_file` reads a
-frame of at most :data:`PLAIN_FRAME_PIXELS` pixels in plain Python too,
-so it loads no numpy; every other function here that handles bits or
+frame of at most :data:`PLAIN_FRAME_PIXELS` pixels into a bytearray,
+through the same reader, and decodes it in plain Python too, so it
+loads no numpy; every other function here that handles bits or
 pixels, and the chunk loop of a larger frame, imports numpy when it
 runs.
 """
@@ -318,7 +320,7 @@ def _embed_lsbs(io, write, packed: np.ndarray, bits: int, table: CosetTable) -> 
         total = most = 0
         for start in claims:
             lo, hi = start * n, min((start + step) * n, io.size)
-            part = io.read(lo, hi, scratch)
+            part = np.asarray(io.read(lo, hi, scratch))
             used = max(min(hi, needed) - lo, 0)
             if used:
                 flips = embed(start, part[:used].reshape(-1, n))
@@ -417,9 +419,9 @@ def _frame_length(io, code: GraphicalCode) -> tuple[int, int]:
 def _plain_frame(io, code: GraphicalCode, blocks: int) -> bytes:
     """The message bits H(v) of ``io``'s first ``blocks`` blocks, packed MSB first, in plain Python.
 
-    ``io.read_bytes`` gives one byte per bit or pixel, of which only
-    the LSB is read.  Column j's byte of every block is the strided
-    lane ``lsbs[j::n]``, and :func:`~graphstego.gf2.lane_syndromes`
+    ``io.read`` fills a bytearray with one byte per bit or pixel, of
+    which only the LSB is read.  Column j's byte of every block is the
+    strided lane ``lsbs[j::n]``, and :func:`~graphstego.gf2.lane_syndromes`
     turns the lanes into one 0/1 byte lane per syndrome bit: column j's
     word has byte i set when check row i holds column j.  The syndrome
     lanes are interleaved into one byte per frame bit, and eight
@@ -428,7 +430,8 @@ def _plain_frame(io, code: GraphicalCode, blocks: int) -> bytes:
     """
     n = code.n_len
     p = n - code.k
-    lsbs = io.read_bytes(0, blocks * n)
+    lsbs = bytearray(blocks * n)
+    io.read(0, len(lsbs), lsbs)
     words = [sum(1 << 8 * i for i, row in enumerate(code.check_rows) if row >> j & 1)
              for j in range(n)]
     lanes = lane_syndromes(((lsbs[j::n], words[j : j + 1]) for j in range(n)), p)
@@ -460,7 +463,7 @@ def _extract_lsbs(io, code: GraphicalCode, total_blocks: int) -> np.ndarray:
         scratch = io.scratch(step * n)
         for start in starts:
             stop = min(start + step, total_blocks)
-            part = io.read(start * n, stop * n, scratch)
+            part = np.asarray(io.read(start * n, stop * n, scratch))
             syn = _message_bytes(part.reshape(-1, n), tables)
             frame[start * p // 8 : start * p // 8 + len(syn)] = syn
 
@@ -531,7 +534,10 @@ def _run_chunks(starts: range, run) -> list:
 
 
 class _Arrays:
-    """A flat array read a chunk at a time, as ``RasterFile`` reads pixels: each chunk is a view."""
+    """A flat array read a chunk at a time, as ``RasterFile`` reads pixels.
+
+    Its scratch is None: the chunk loop embeds in a view of the array.
+    """
 
     def __init__(self, bits: np.ndarray):
         self.bits, self.size = bits, bits.size
@@ -539,11 +545,12 @@ class _Arrays:
     def scratch(self, size: int) -> None:
         return None
 
-    def read(self, lo: int, hi: int, scratch) -> np.ndarray:
-        return self.bits[lo:hi]
-
-    def read_bytes(self, lo: int, hi: int) -> bytes:
-        return self.bits[lo:hi].tobytes()
+    def read(self, lo: int, hi: int, buf) -> np.ndarray:
+        """A view of entries ``lo .. hi``, copied into ``buf`` too unless it is None."""
+        part = self.bits[lo:hi]
+        if buf is not None:
+            memoryview(buf)[: hi - lo] = part
+        return part
 
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:

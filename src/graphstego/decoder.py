@@ -124,12 +124,6 @@ def _row_weights(rows: bytes, n: int) -> bytes:
     return total.to_bytes(len(rows) // size, "little")
 
 
-def _byte_lane(members: int, count: int) -> int:
-    """A set of the indices below ``count`` as an int of one byte per index, 1 for a member."""
-    digits = format(members, f"0{count}b").encode("ascii")[::-1]  # index 0 first
-    return int.from_bytes(digits.translate(bytes.maketrans(b"01", b"\0\1")), "little")
-
-
 def _column_words(rows, n: int) -> list[int]:
     """Each check column as a word: the syndrome of its bit alone, a search step.
 
@@ -239,20 +233,22 @@ def _all_pairs(g: Graph) -> list[list[int]]:
     return [_bfs(g, source)[0] for source in range(1, g.vertex_count + 1)]
 
 
-def _weights(layers: list[int], bits: int) -> np.ndarray:
-    """Layers over the 2^bits indices as one int8 weight per index, -1 for none."""
-    import numpy as np
+def _weights(layers: list[int], bits: int) -> bytes:
+    """Layers over the 2^bits indices as one weight byte per index, 0 where no layer reaches.
 
-    size = 1 << bits
-    dist = np.full(size, -1, dtype=np.int8)
-    for w, layer in enumerate(layers):
-        raw = np.frombuffer(layer.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-        dist[np.unpackbits(raw, count=size, bitorder="little").view(bool)] = w
-    return dist
+    Bit t of the weights is one lane of a byte per index, 1 where the
+    index's layer has bit t set, and the lanes are summed as ints.
+    """
+    count, total = 1 << bits, 0
+    for t in range((len(layers) - 1).bit_length()):
+        plane = sum(layer for w, layer in enumerate(layers) if w >> t & 1)  # disjoint sets
+        digits = format(plane, f"0{count}b").encode("ascii")[::-1]  # index 0 first
+        total += int.from_bytes(digits.translate(bytes.maketrans(b"01", b"\0\1")), "little") << t
+    return total.to_bytes(count, "little")
 
 
-def _table_from_weights(code: GraphicalCode, dist: np.ndarray) -> CosetTable:
-    """Coset leaders whose weights are ``dist``, one weight layer at a time.
+def _table_from_weights(code: GraphicalCode, dist) -> CosetTable:
+    """Coset leaders whose weights are ``dist``, one byte a syndrome, one weight layer at a time.
 
     Each leader is the lexicographically smallest (by edge-id set)
     minimum-weight pattern of its coset: its least edge j is the
@@ -267,6 +263,7 @@ def _table_from_weights(code: GraphicalCode, dist: np.ndarray) -> CosetTable:
     import numpy as np
 
     n = code.n_len
+    dist = np.frombuffer(dist, dtype=np.int8)  # as :func:`_weights` gives them
     columns = np.array(_column_words(code.check_rows, n), dtype=np.uint32)
     if dist[0] != 0 or (dist[1:] < 1).any():
         raise AssertionError("coset weights inconsistent with parity check")
@@ -367,7 +364,7 @@ def minimum_t_join(g: Graph, terminals) -> np.ndarray:
             raise ValueError(f"terminal {t} out of range")
     searches = [_bfs(g, a) for a in t_set]
     dist = [[hops[b - 1] for b in t_set] for hops, _ in searches]
-    dp = _weights(_tjoin_layers(dist), len(t_set)).tolist()
+    dp = _weights(_tjoin_layers(dist), len(t_set))
     join = 0
     mask = (1 << len(t_set)) - 1
     while mask:
@@ -402,7 +399,7 @@ def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
     terminal_mask = np.zeros(1, dtype=np.int32)  # v = p + 1 <= 21 bits
     for eid in reversed(code.tree.tree_edges):  # last tree edge = index bit 0
         terminal_mask = np.concatenate([terminal_mask, terminal_mask ^ _ends(g, eid)])
-    weights = _weights(_tjoin_layers(_all_pairs(g)), g.vertex_count)
+    weights = np.frombuffer(_weights(_tjoin_layers(_all_pairs(g)), g.vertex_count), np.int8)
     return _table_from_weights(code, weights[terminal_mask])
 
 
@@ -435,9 +432,10 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
     Every leader's syndrome is recomputed against the live parity
     check, so a cache written for a different codebook is rejected, and
     every leader's weight must equal its coset's minimum weight (from
-    the same syndrome-space BFS the exhaustive builder runs).  Both
-    checks read byte k of every row at once, as one strided slice that a
-    256-entry table translates into a lane of one byte per row: byte q
+    the same syndrome-space BFS the exhaustive builder runs, one byte a
+    syndrome by :func:`_weights`).  Both checks read byte k of every
+    row at once, as one strided slice that a 256-entry table
+    translates into a lane of one byte per row: byte q
     of what byte k adds to the row's syndrome index
     (:func:`~graphstego.gf2.lane_syndromes`, which the file codec's
     small-frame extract shares), or its bit count.  The lanes are
@@ -480,10 +478,6 @@ def load_table(path, code: GraphicalCode) -> CosetTable:
         if got != int.from_bytes(block * (count // len(block)), "little"):
             raise TableCacheError("cached table does not match this code")
     layers = _coset_layers(code)
-    want = 0
-    for t in range((len(layers) - 1).bit_length()):  # one lane per weight bit t
-        plane = sum(layer for w, layer in enumerate(layers) if w >> t & 1)  # disjoint sets
-        want += _byte_lane(plane, count) << t
-    if _row_weights(rows, n) != want.to_bytes(count, "little"):
+    if _row_weights(rows, n) != _weights(layers, p):
         raise TableCacheError("cached table holds a leader of more than minimum weight")
     return CosetTable(code=code, rows=rows, rho=len(layers) - 1)

@@ -6,10 +6,14 @@ load/save roundtrip keeps every pixel and LSB positions are stable.
 Saving writes a canonical header: PGM comments, trailing bytes and
 non-default BMP header fields are not kept.
 
-:class:`RasterFile` reads a file's header in one bounded read and its
-pixels a range at a time; :class:`RasterLayout` alone knows where the
-pixels sit and what the canonical header is, and :func:`save_image`
-and the file codec write through it.
+:class:`RasterFile` reads a file's header in one bounded read, and
+:meth:`RasterFile.read`, the one pixel reader, fills any buffer with a
+range of pixels without loading numpy.  :class:`RasterLayout` alone
+knows where the pixels sit and what the canonical header is: its
+:meth:`~RasterLayout.restride` moves a range's rows between a buffer
+and the file in either direction, for that reader and for the writes
+of :func:`save_image` and the file codec.  Every positional read or
+write goes on after a short one (:func:`_transfer`).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import os
 import stat
 import struct
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .gf2 import _Record, as_bits
@@ -88,44 +93,88 @@ class RasterLayout:
             "<IiiHHIIiiII", 40, self.width, self.height, 1, 24, 0, size, 2835, 2835, 0, 0
         )
 
-    def rows(self, lo: int, hi: int, scratch) -> tuple[np.ndarray, np.ndarray]:
-        """The rows that pixels ``lo .. hi`` touch, in both buffers.
+    def restride(self, lo: int, hi: int, buf, move, to_file: bool) -> None:
+        """Move pixels ``lo .. hi`` between ``buf`` and the file's bytes that hold them.
 
-        Pixel lo sits at column ``lo % row_bytes`` of the first row.
+        Those are the file's bytes from pixel lo up to pixel hi.  ``buf``
+        is any flat buffer of bytes and holds the pixels alone, from its
+        byte 0.  ``move(buffers)`` fills ``buffers`` in turn with the
+        file's bytes or, ``to_file``, writes them there.  The rows go
+        straight between ``buf`` and the file, and the padding after them
+        through bytes of its own (zeros, when written): no copy is made,
+        and a range is one positional read or write of ``SC_IOV_MAX``
+        buffers at a time.  A range with more rows than a row has bytes
+        goes through one buffer instead and is copied a column at a time,
+        which takes fewer slices; a column is a strided slice of a
+        bytearray, which copies bytes several times faster than a
+        memoryview does.
         """
-        raw, pixels = scratch
-        rows = -(-(lo % self.row_bytes + hi - lo) // self.row_bytes)
-        return (raw[: rows * self.stride].reshape(rows, self.stride)[:, : self.row_bytes],
-                pixels[: rows * self.row_bytes].reshape(rows, self.row_bytes))
+        width, col, count = self.row_bytes, lo % self.row_bytes, hi - lo
+        gap = self.stride - width
+        if gap and col + count > width * width:
+            raw = bytearray(self.pos(hi) - self.pos(lo))
+            end = count + (col + count - 1) // width * gap  # past the last pixel's byte
+            pixels = buf if isinstance(buf, bytearray) else memoryview(buf)
+            # pixel k starts its column, in row 0 or 1
+            cuts = [(slice(k, count, width), slice(k + (col + k) // width * gap, end, self.stride))
+                    for k in range(width)]
+            if to_file:
+                for p, f in cuts:
+                    raw[f] = pixels[p]
+            move([raw])
+            if not to_file:
+                for p, f in cuts:
+                    pixels[p] = raw[f]
+            return
+        pixels = memoryview(buf)[:count]
+        if not gap:
+            move([pixels])
+            return
+        bounds = [0, *range(width - col, count, width), count]  # where each row's pixels start
+        views = [bytes(gap) if to_file else bytearray(gap)] * (2 * len(bounds) - 2)
+        views[::2] = [pixels[a:b] for a, b in zip(bounds, bounds[1:])]
+        if (col + count) % width or not count:
+            del views[-1]  # the range ends before the last row's padding
+        move(views)
 
-    def write(self, fd: int, lo: int, hi: int, scratch) -> None:
-        """Write pixels ``lo .. hi`` of ``scratch`` into ``fd`` where :func:`save_image` puts them.
+    def write(self, fd: int, lo: int, hi: int, buf) -> None:
+        """Write pixels ``lo .. hi``, the start of ``buf``, where :func:`save_image` puts them.
 
-        The pixels sit in the scratch's pixel rows as
-        :meth:`RasterFile.read` leaves them.  Padding is written as
-        zeros, and the range that starts at pixel 0 writes the
-        canonical header too.
+        ``buf`` is any flat buffer of bytes, such as :meth:`RasterFile.read`
+        fills, and its first ``hi - lo`` bytes go out with their padding
+        in one positional write (:meth:`restride`); the range that starts
+        at pixel 0 writes the canonical header in it too.
         """
-        import numpy as np
-
-        raw, pixels = scratch
-        if pixels is not raw:
-            file_rows, pixel_rows = self.rows(lo, hi, scratch)
-            np.copyto(file_rows, pixel_rows)
-            raw.reshape(-1, self.stride)[:, self.row_bytes :] = 0
         header = self.header()
-        if lo == 0:
-            _write_at(fd, header, 0)
-        col, first = lo % self.row_bytes, self.pos(lo)
-        _write_at(fd, raw[col : col + self.pos(hi) - first], first - self.offset + len(header))
+        head, pos = ([header], 0) if lo == 0 else ([], self.pos(lo) - self.offset + len(header))
+        self.restride(lo, hi, buf, lambda views: _transfer(os.pwritev, fd, head + views, pos),
+                      to_file=True)
 
 
-def _write_at(fd: int, data, pos: int) -> None:
-    """Write all of ``data`` at byte ``pos`` of ``fd``."""
-    view = memoryview(data)
-    while view:
-        done = os.pwrite(fd, view, pos)
-        view, pos = view[done:], pos + done
+def _transfer(call, fd: int, buffers: list, pos: int) -> None:
+    """Fill ``buffers`` in turn from byte ``pos`` of ``fd`` on (``call`` os.preadv), or write them.
+
+    A call may move fewer bytes than asked for (Linux moves at most
+    0x7ffff000 a call) and take at most ``SC_IOV_MAX`` buffers, so calls
+    go on until every buffer is done; only a read that returns nothing
+    is the file's end.
+
+    Raises:
+        ImageFormatError: if the file ends first.
+    """
+    size = left = sum(map(len, buffers))
+    start, most, i = pos, os.sysconf("SC_IOV_MAX"), 0
+    while left:
+        done = call(fd, buffers[i : i + most], pos)
+        if not done:
+            got = pos - start
+            raise ImageFormatError(f"image file ends early: {got} of {size} bytes at {start}")
+        pos, left = pos + done, left - done
+        if left:  # step past the buffers done, and into the one cut short
+            while done >= len(buffers[i]):
+                done -= len(buffers[i])
+                i += 1
+            buffers[i] = memoryview(buffers[i])[done:]
 
 
 def _pgm_stopped(pos: int) -> None:
@@ -239,10 +288,12 @@ def load_image(path) -> CoverImage:
     Raises:
         ImageFormatError: for any other format or a malformed file.
     """
+    import numpy as np
+
     with RasterFile(path) as raster:
+        pixels = np.empty(raster.size, dtype=np.uint8)
+        raster.read(0, raster.size, pixels)
         lay = raster.layout
-        raw, pixels = raster.scratch(lay.capacity)
-        raster.read(0, lay.capacity, (raw, pixels))
     pixels.setflags(write=False)
     pixels = pixels[:]  # a view of a read-only buffer cannot be made writeable again
     return CoverImage(
@@ -273,13 +324,12 @@ def _read_stream(fh) -> tuple[RasterLayout, bytearray]:
 class RasterFile:
     """An image file opened for reading its pixels a range at a time.
 
-    A regular file is parsed from one positional read of its first
-    :data:`_PGM_HEADER_MAX` bytes, and each range is one positional
-    read of the file.  Anything else, such as a pipe, is read into
-    memory up to its raster's end when opened.  ``size`` is the pixel
-    count.  Opening the file and :meth:`read_bytes` load no numpy;
-    :meth:`scratch` and :meth:`read` serve the numpy chunk loop.  Close
-    it, or use it in a ``with`` block.
+    A regular file is parsed from its first :data:`_PGM_HEADER_MAX`
+    bytes, and :meth:`read` fills a buffer with a range of its pixels;
+    every read of the file goes through :func:`_transfer`.  Anything
+    else, such as a pipe, is read into memory up to its raster's end
+    when opened.  ``size`` is the pixel count.  No method loads numpy.
+    Close it, or use it in a ``with`` block.
 
     Raises:
         ImageFormatError: as :func:`load_image`.
@@ -292,7 +342,9 @@ class RasterFile:
             fd = self._file.fileno()
             st = os.fstat(fd)
             if stat.S_ISREG(st.st_mode):
-                self.layout = _parse_layout(os.pread(fd, _PGM_HEADER_MAX, 0), st.st_size)
+                head = bytearray(min(_PGM_HEADER_MAX, st.st_size))
+                _transfer(os.preadv, fd, [head], 0)
+                self.layout = _parse_layout(head, st.st_size)
             else:
                 self.layout, self._data = _read_stream(self._file)
                 self.close()
@@ -301,85 +353,31 @@ class RasterFile:
             raise
         self.size = self.layout.capacity
 
-    def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """(file rows, pixel rows) for any range of up to ``size`` pixels.
+    def scratch(self, size: int) -> bytearray:
+        """A buffer for :meth:`read` of any range of up to ``size`` pixels."""
+        return bytearray(min(size, self.size))
 
-        One buffer serves both when rows carry no padding.  A range that
-        starts mid-row takes one row more, but never more than the image.
+    def read(self, lo: int, hi: int, buf) -> memoryview:
+        """Fill the start of ``buf`` with pixels ``lo .. hi``; returns a view of those bytes.
+
+        ``buf`` is any flat, writable buffer of ``hi - lo`` bytes or more,
+        such as a bytearray or a numpy array.  A regular file's bytes go
+        straight into it in one positional read
+        (:meth:`RasterLayout.restride`), and a row's padding goes with the
+        range that holds the row's last pixel.
         """
-        import numpy as np
+        self.layout.restride(lo, hi, buf, partial(self._fill, self.layout.pos(lo)), to_file=False)
+        return memoryview(buf)[: hi - lo]
 
-        lay = self.layout
-        rows = min(-(-size // lay.row_bytes) + 1, lay.height)
-        raw = np.empty(rows * lay.stride, dtype=np.uint8)
-        if lay.stride == lay.row_bytes:
-            return raw, raw
-        return raw, np.empty(rows * lay.row_bytes, dtype=np.uint8)
-
-    def read_into(self, buf: np.ndarray, pos: int) -> None:
-        """Fill ``buf`` with the file's bytes from byte ``pos`` on.
-
-        Raises:
-            ImageFormatError: if the file ends before ``buf`` is full.
-        """
-        if self._data is not None:
-            got = memoryview(self._data)[pos : pos + len(buf)]
-            buf[: len(got)] = got
-            got = len(got)
-        else:
-            got = os.preadv(self._file.fileno(), [buf], pos)
-        _check_read(got, len(buf), pos)
-
-    def read_bytes(self, lo: int, hi: int) -> bytes | bytearray:
-        """Pixels ``lo .. hi`` as bytes, from one positional read, without numpy.
-
-        When rows carry padding, the whole rows that the pixels touch
-        are read and their padding is stripped a row or a column at a
-        time, whichever takes fewer slices.
-        """
-        lay = self.layout
-        width, stride = lay.row_bytes, lay.stride
-        if stride == width:
-            return self._read_raw(lay.pos(lo), hi - lo)
-        first, rows = lo // width, -(-hi // width) - lo // width
-        raw = self._read_raw(lay.pos(first * width), rows * stride)
-        pixels = bytearray(rows * width)
-        if rows <= width:
-            cuts = ((slice(r * width, (r + 1) * width), slice(r * stride, r * stride + width))
-                    for r in range(rows))
-        else:
-            cuts = ((slice(c, None, width), slice(c, None, stride)) for c in range(width))
-        for to, of in cuts:
-            pixels[to] = raw[of]
-        del pixels[hi - first * width :], pixels[: lo - first * width]
-        return pixels
-
-    def _read_raw(self, pos: int, size: int) -> bytes | bytearray:
-        """The file's ``size`` bytes from byte ``pos`` on."""
-        if self._data is not None:
-            raw = self._data[pos : pos + size]
-        else:
-            raw = os.pread(self._file.fileno(), size, pos)
-        _check_read(len(raw), size, pos)
-        return raw
-
-    def read(self, lo: int, hi: int, scratch) -> np.ndarray:
-        """Pixels ``lo .. hi``, read into ``scratch`` from :meth:`scratch`.
-
-        One positional read takes the file's bytes from pixel lo up to
-        pixel hi, so a row's padding goes with the range that holds the
-        row's last pixel; the padding is then stripped.
-        """
-        import numpy as np
-
-        lay = self.layout
-        raw, pixels = scratch
-        col = lo % lay.row_bytes
-        self.read_into(raw[col : col + lay.pos(hi) - lay.pos(lo)], lay.pos(lo))
-        if pixels is not raw:
-            file_rows, pixel_rows = lay.rows(lo, hi, scratch)
-            np.copyto(pixel_rows, file_rows)
-        return pixels[col : col + hi - lo]
+    def _fill(self, pos: int, buffers: list) -> None:
+        """Fill ``buffers`` in turn with the file's bytes from byte ``pos`` on."""
+        if self._data is None:
+            _transfer(os.preadv, self._file.fileno(), buffers, pos)
+            return
+        data = memoryview(self._data)
+        for buf in buffers:
+            buf[:] = data[pos : pos + len(buf)]
+            pos += len(buf)
 
     def close(self) -> None:
         if self._file is not None:
@@ -393,12 +391,6 @@ class RasterFile:
         self.close()
 
 
-def _check_read(got: int, size: int, pos: int) -> None:
-    """Raise unless a read of ``size`` bytes at byte ``pos`` got them all."""
-    if got != size:
-        raise ImageFormatError(f"image file ends early: {got} of {size} bytes at {pos}")
-
-
 def save_image(img: CoverImage, path) -> None:
     """Write the image in its own format, with a canonical header."""
     import numpy as np
@@ -410,9 +402,8 @@ def save_image(img: CoverImage, path) -> None:
     if (img.channels != lay.channels or pixels.size != lay.capacity
             or min(img.width, img.height) < 1):
         raise ImageFormatError(f"inconsistent {img.format_tag.upper()} image record")
-    raw = pixels if lay.stride == lay.row_bytes else np.empty(lay.height * lay.stride, np.uint8)
     with open(path, "wb") as fh:
-        lay.write(fh.fileno(), 0, lay.capacity, (raw, pixels))
+        lay.write(fh.fileno(), 0, lay.capacity, pixels)
 
 
 def lsb_extract(img: CoverImage) -> np.ndarray:

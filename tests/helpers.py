@@ -9,6 +9,7 @@ the library's own algorithms.
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -257,3 +258,41 @@ def gp83_edges() -> list[tuple[int, int]]:
     for i in range(8):
         edges += [(i + 1, (i + 1) % 8 + 1), (i + 1, i + 9), (i + 9, (i + 3) % 8 + 9)]
     return edges
+
+
+def embed_file_oracle(cover: bytes, payload: bytes, table) -> bytes:
+    """The stego file that embedding ``payload`` in the image file ``cover`` must give.
+
+    Shares no reader or writer with the library: the pixels are sliced
+    from ``cover`` by the offset and row stride its header gives (read
+    here by a regex or ``struct``), the framed payload is embedded a
+    block at a time, H(t) by :func:`mat_vec_mul` and each leader
+    unpacked from ``table.rows``, and the file is written by
+    :func:`bmp_bytes` or a canonical PGM header.
+    """
+    if cover[:2] == b"BM":
+        (offset,) = struct.unpack_from("<I", cover, 10)
+        width, height = struct.unpack_from("<ii", cover, 18)
+        stride = (3 * width + 3) // 4 * 4
+        rows = np.frombuffer(cover, np.uint8, height * stride, offset).reshape(height, stride)
+        pixels = rows[:, : 3 * width].copy()
+    else:
+        head = re.match(rb"P5\s+(?:#.*\n)*(\d+)\s+(\d+)\s+255\s", cover)
+        width, height = int(head[1]), int(head[2])
+        pixels = np.frombuffer(cover, np.uint8, width * height, head.end()).copy()
+    code = table.code
+    n, p, size = code.n_len, code.n_len - code.k, (code.n_len + 7) // 8
+    frame = np.unpackbits(np.frombuffer(struct.pack(">I", 8 * len(payload)) + payload, np.uint8))
+    frame = np.concatenate([frame, np.zeros(-frame.size % p, np.uint8)])
+    flat = pixels.reshape(-1)
+    for b in range(frame.size // p):
+        block = flat[b * n : (b + 1) * n]
+        syndrome = mat_vec_mul(code.parity_check, block & 1) ^ frame[b * p : (b + 1) * p]
+        index = syndrome_index(syndrome)
+        row = np.frombuffer(table.rows, np.uint8, size, index * size)
+        block ^= np.unpackbits(row, count=n, bitorder="little")
+    if cover[:2] == b"BM":
+        padded = np.zeros((height, stride), np.uint8)
+        padded[:, : 3 * width] = pixels
+        return bmp_bytes(width, height, padded)
+    return b"P5\n%d %d\n255\n" % (width, height) + pixels.tobytes()

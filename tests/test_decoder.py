@@ -400,11 +400,25 @@ def test_row_weights_are_the_leader_sums(name, k5_code):
     assert len(weights) == 2 ** (code.n_len - code.k) and max(weights) == table.rho
 
 
+@pytest.mark.parametrize("name", ["k5", "ring18"])
+def test_weights_give_one_byte_per_index(name, k5_code):
+    # the coset weights by enumeration, and 0 for the odd vertex sets that no T-join reaches
+    code = build_code(ring_graph(18)) if name == "ring18" else k5_code
+    p = code.n_len - code.k
+    want = min_weights_by_syndrome(code).astype(np.uint8).tobytes()
+    assert _weights(_coset_layers(code), p) == want
+    v = code.graph.vertex_count
+    joins = _weights(_tjoin_layers(_all_pairs(code.graph)), v)
+    assert len(joins) == 1 << v and max(joins) == max(_weights(_coset_layers(code), p))
+    assert not any(joins[mask] for mask in range(1 << v) if mask.bit_count() % 2)
+    assert all(joins[mask] for mask in range(1, 1 << v) if mask.bit_count() % 2 == 0)
+
+
 @pytest.mark.parametrize("name", ["k5", "gp83"])
 @pytest.mark.parametrize("mutation", ["raised", "lowered", "all_zero", "zero_syndrome"])
 def test_fill_rejects_wrong_weights(name, mutation, k5_code):
     code = table_code(name, k5_code)
-    dist = _weights(_coset_layers(code), code.n_len - code.k)
+    dist = np.frombuffer(_weights(_coset_layers(code), code.n_len - code.k), np.int8)
     assert _table_from_weights(code, dist).rho == dist.max()
     bad = dist.copy()
     if mutation == "raised":

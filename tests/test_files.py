@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import io
 import itertools
@@ -38,7 +39,8 @@ from graphstego.images import (
     save_image,
 )
 
-from helpers import gp83_edges, random_bmp_bytes, ring_graph
+import helpers
+from helpers import embed_file_oracle, gp83_edges, random_bmp_bytes, ring_graph
 
 
 def commented_pgm_bytes(width: int, height: int, seed: int, comment: bytes = b"made by hand"
@@ -84,7 +86,8 @@ def test_file_path_matches_the_whole_image_path(kind, chunk, cpus, tmp_path, mon
         monkeypatch.setattr(codec, "CHUNK_BLOCKS", chunk)
     monkeypatch.setattr(codec, "_usable_cpus", lambda: cpus)
     cover_path, want, got = tmp_path / "cover.img", tmp_path / "want.img", tmp_path / "got.img"
-    cover_path.write_bytes(COVERS[kind]())
+    cover_bytes = COVERS[kind]()
+    cover_path.write_bytes(cover_bytes)
     capacity = load_image(cover_path).capacity
     rng = np.random.default_rng(len(kind) + 10 * cpus)
     for table in tables:
@@ -94,7 +97,8 @@ def test_file_path_matches_the_whole_image_path(kind, chunk, cpus, tmp_path, mon
             data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
             report = _whole_image_path(cover_path, data, table, want)
             assert embed_file(cover_path, data, table, got) == report
-            assert got.read_bytes() == want.read_bytes()
+            assert got.read_bytes() == want.read_bytes() == embed_file_oracle(cover_bytes, data,
+                                                                              table)
             assert extract_file(got, code) == _whole_image_extract(got, code) == data
             with monkeypatch.context() as patch:  # the chunk loop, with this test's chunks
                 patch.setattr(codec, "PLAIN_FRAME_PIXELS", 0)
@@ -106,6 +110,17 @@ def test_file_path_matches_the_whole_image_path(kind, chunk, cpus, tmp_path, mon
         extract_file(cover_path, tables[0].code)
     with pytest.raises(codec.FrameError, match=str(exc.value)):
         _whole_image_extract(cover_path, tables[0].code)
+
+
+def test_the_file_oracle_shares_no_reader_or_writer():
+    # embed_file_oracle slices the pixels from the cover's bytes and writes the file
+    # itself, so it imports nothing from the codec or the image module it checks
+    tree = ast.parse(Path(helpers.__file__).read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert {m for m in modules if m.startswith("graphstego")} == {"graphstego.gf2",
+                                                                  "graphstego.graphs"}
 
 
 def _cli_embed(codebook, cover, payload, out):
@@ -332,9 +347,9 @@ def test_a_failed_chunk_read_leaves_no_file_and_no_thread(cpus, tmp_path, monkey
     cover, other = tmp_path / "cover.bmp", tmp_path / "other.bmp"
     cover.write_bytes(COVERS["bmp_padded"]())
     other.write_bytes(b"an older stego file")
-    failures = {  # the third call fails
-        "read": (RasterFile, "read_into", errno.EIO, "injected read error"),
-        "write": (images, "_write_at", errno.ENOSPC, "injected write error"),
+    failures = {  # the third call fails: a chunk's, after the header's or the first chunk's
+        "read": (os, "preadv", errno.EIO, "injected read error"),
+        "write": (os, "pwritev", errno.ENOSPC, "injected write error"),
     }
     for failure, (owner, name, code, message) in failures.items():
         real = getattr(owner, name)
@@ -528,10 +543,11 @@ def test_raster_file_reads_long_pgm_headers(tmp_path):
         assert (lay.width, lay.height, lay.capacity) == (4, 3, 12)
         assert lay.offset == path.stat().st_size - 12
         buf = np.empty(12, dtype=np.uint8)
-        raster.read_into(buf, lay.offset)
+        raster.read(0, 12, buf)
         assert buf.tobytes() == pixels
-        with pytest.raises(images.ImageFormatError, match="ends early"):
-            raster.read_into(np.empty(13, dtype=np.uint8), lay.offset)
+        os.truncate(path, lay.offset + 11)  # a file that shrinks once opened
+        with pytest.raises(images.ImageFormatError, match="ends early: 11 of 12 bytes"):
+            raster.read(0, 12, buf)
     path.write_bytes(b"P5\n#" + b"x" * 20000)
     with pytest.raises(images.ImageFormatError, match="truncated PGM header"):
         RasterFile(path)
@@ -541,16 +557,16 @@ def test_a_long_pgm_header_is_parsed_from_one_read(tmp_path, monkeypatch):
     path = tmp_path / "long.pgm"
     path.write_bytes(b"P5\n#" + b"x" * 20000 + b"\n4 3\n255\n" + bytes(12))
     reads = []
-    real_pread = os.pread
+    real_preadv = os.preadv
 
-    def counting_pread(fd, size, pos):
-        reads.append((size, pos))
-        return real_pread(fd, size, pos)
+    def counting_preadv(fd, buffers, pos):
+        reads.append((sum(len(b) for b in buffers), pos))
+        return real_preadv(fd, buffers, pos)
 
-    monkeypatch.setattr(os, "pread", counting_pread)
+    monkeypatch.setattr(os, "preadv", counting_preadv)
     with RasterFile(path) as raster:
         assert raster.layout.capacity == 12
-    assert reads == [(images._PGM_HEADER_MAX, 0)]
+    assert reads == [(path.stat().st_size, 0)]  # all of it: the file is below the header cap
 
 
 def test_a_streamed_image_is_read_no_further_than_its_first_read():
@@ -608,6 +624,37 @@ def test_both_extract_paths_give_the_same_payload(kind, tmp_path, monkeypatch, p
             embed_file(cover, data, table, stego)
             plain = _extract_on("plain", stego, code, monkeypatch)
             assert plain == _extract_on("chunk_loop", stego, code, monkeypatch) == data
+
+
+@pytest.mark.parametrize("cap", [1000, 7])
+@pytest.mark.parametrize("kind", ["pgm", "bmp_padded", "bmp_narrow"])
+def test_short_positional_reads_are_retried(kind, cap, tmp_path, monkeypatch, path_codes):
+    # a positional read may return fewer bytes than asked for; only one that returns
+    # none is the file's end, so reads capped at `cap` bytes give what whole ones give
+    cover, stego, want = tmp_path / "cover.img", tmp_path / "stego.img", tmp_path / "want.img"
+    data = (b"P5\n64 64\n255\n" + np.random.default_rng(61).bytes(4096) if kind == "pgm"
+            else PATH_COVERS[kind]())
+    cover.write_bytes(data)
+    table = path_codes[0][1]  # K5
+    pixels = load_image(cover).pixels
+    payload = np.random.default_rng(62).bytes((pixels.size // 10 * 4 - 32) // 8)
+    embed_file(cover, payload, table, want)
+    real_preadv, real_pread = os.preadv, os.pread
+    reads = []
+
+    def capped_preadv(fd, buffers, pos):
+        reads.append(pos)
+        return real_preadv(fd, [memoryview(buffers[0])[:cap]], pos)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "preadv", capped_preadv)
+        patch.setattr(os, "pread", lambda fd, size, pos: real_pread(fd, min(size, cap), pos))
+        assert np.array_equal(load_image(cover).pixels, pixels)
+        embed_file(cover, payload, table, stego)
+        assert stego.read_bytes() == want.read_bytes()
+        for path in EXTRACT_PATHS:
+            assert _extract_on(path, stego, table.code, monkeypatch) == payload
+    assert len(reads) > 4 * len(data) // cap  # each of the runs above read the file in pieces
 
 
 def _bad_stegos(cover: bytes, table, tmp_path) -> dict:
@@ -725,11 +772,9 @@ def test_an_odd_declared_length_is_refused_before_the_frame_is_read(path, tmp_pa
     table = path_codes[0][1]  # K5: the header takes 8 blocks of 10 pixels
     odd = _bad_stegos(PATH_COVERS["pgm_comment"](), table, tmp_path)["odd"]
     ranges = []
-    real_read, real_read_bytes = RasterFile.read, RasterFile.read_bytes
-    monkeypatch.setattr(RasterFile, "read", lambda self, lo, hi, scratch: ranges.append((lo, hi))
-                        or real_read(self, lo, hi, scratch))
-    monkeypatch.setattr(RasterFile, "read_bytes", lambda self, lo, hi: ranges.append((lo, hi))
-                        or real_read_bytes(self, lo, hi))
+    real_read = RasterFile.read
+    monkeypatch.setattr(RasterFile, "read", lambda self, lo, hi, buf: ranges.append((lo, hi))
+                        or real_read(self, lo, hi, buf))
     monkeypatch.setattr(codec, "PLAIN_FRAME_PIXELS", EXTRACT_PATHS[path])
     with pytest.raises(codec.FrameError, match="not a whole number of bytes"):
         extract_file(odd, table.code)
@@ -768,9 +813,14 @@ def test_plain_extract_memory_stays_below_2_5x_the_frame(tmp_path, path_codes):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("width, height", [(37, 23), (1, 300)], ids=["wide", "narrow"])
 def test_read_bytes_gives_what_read_gives(width, height, tmp_path):
-    # any range, mid-row ends included, from a padded BMP file and from a pipe;
-    # the padding goes a row at a time from wide rows, a column at a time from many rows
+    # any range, mid-row ends included, read from a padded BMP file into a bytearray
+    # and into a numpy buffer, and from a pipe: each gives the pixels that slicing the
+    # file's bytes by offset and stride gives.  The padding goes a row at a time from
+    # wide rows, a column at a time from many rows
     data = random_bmp_bytes(width, height, width)
+    stride = (3 * width + 3) // 4 * 4
+    want = np.frombuffer(data, np.uint8, offset=54).reshape(height, stride)[:, : 3 * width]
+    want = want.tobytes()
     path = tmp_path / "cover.bmp"
     path.write_bytes(data)
     read, write = os.pipe()
@@ -782,12 +832,18 @@ def test_read_bytes_gives_what_read_gives(width, height, tmp_path):
             rng = np.random.default_rng(51)
             for lo, hi in [(0, size), (0, 1), (2, 4), (110, 113), (size - 1, size),
                            *(sorted(rng.integers(0, size + 1, 2).tolist()) for _ in range(30))]:
-                want = regular.read(lo, hi, regular.scratch(max(hi - lo, 1))).tobytes()
-                assert bytes(regular.read_bytes(lo, hi)) == bytes(piped.read_bytes(lo, hi)) == want
+                # a numpy buffer is left as it was past the range; a bytearray with room
+                # there, as a scratch buffer has, stages the file's bytes in it
+                for raster, buf in [(regular, bytearray(hi - lo)), (piped, bytearray(hi - lo)),
+                                    (regular, np.full(hi - lo + 3, 7, np.uint8)),
+                                    (regular, regular.scratch(hi - lo))]:
+                    assert bytes(raster.read(lo, hi, buf)) == want[lo:hi]
+                    assert bytes(buf[: hi - lo]) == want[lo:hi]
+                    assert isinstance(buf, bytearray) or buf[hi - lo :].tolist() == [7, 7, 7]
             os.truncate(path, len(data) - 1)  # a file that shrinks once opened: its last row
-            stride = (3 * width + 3) // 4 * 4
+            pad = stride - 3 * width
             with pytest.raises(images.ImageFormatError,
-                               match=f"ends early: {stride - 1} of {stride} bytes"):
-                regular.read_bytes(size - 1, size)
+                               match=f"ends early: {pad} of {pad + 1} bytes"):
+                regular.read(size - 1, size, bytearray(1))
     finally:
         os.close(read)

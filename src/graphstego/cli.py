@@ -206,12 +206,19 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str, as_int: bool):
+def _fraction(field: str) -> float:
+    """ASCII decimal digits with at most one point: ``float`` also reads ``0.7_3`` and ``nan``."""
+    whole, _, frac = field.partition(".")
+    _decimal(whole + frac)
+    return float(field)
+
+
+def _parse_range(text: str, parse):
     parts = text.split("-")
     if len(parts) not in (1, 2):
         raise CodebookError(f"bad range {text!r}")
     try:
-        return [int(x) if as_int else float(x) for x in parts]
+        return [parse(x) for x in parts]
     except ValueError:
         raise CodebookError(f"bad range {text!r}") from None
 
@@ -237,11 +244,11 @@ def _cmd_table(args) -> int:
             raise CodebookError(f"rows line {lineno}: expected 7 tab-separated fields")
         n_txt, d_txt, family, k_txt, rho_txt, er_txt, ef_txt = fields
         try:
-            n_len, hidden, er_pub = int(n_txt), int(k_txt), float(er_txt)
+            n_len, hidden, er_pub = _decimal(n_txt), _decimal(k_txt), _fraction(er_txt)
         except ValueError:
             raise CodebookError(f"rows line {lineno}: bad n, K or ER") from None
-        rhos = _parse_range(rho_txt, as_int=True)
-        efs = _parse_range(ef_txt, as_int=False)
+        rhos = _parse_range(rho_txt, _decimal)
+        efs = _parse_range(ef_txt, _fraction)
         if len(rhos) != len(efs):
             raise CodebookError(f"rows line {lineno}: rho and ef ranges differ in length")
         if not all(map(math.isfinite, [er_pub, *efs])):

@@ -11,9 +11,11 @@ multiple of p.  Both directions carry the frame packed, eight bits to a
 byte: the header's 4 bytes, then the payload bytes.
 
 The stream level embeds in a copy of an array of 0/1 bits and takes
-and returns the payload one array entry per bit.  The file level runs
-the same chunk loop on a cover file and takes and returns payload
-bytes: :meth:`RasterFile.read <graphstego.images.RasterFile.read>`,
+and returns the payload one array entry per bit.  The file level takes
+and returns payload bytes.  Both run one chunk loop,
+:func:`_run_chunks`, which reads each chunk and passes it to one
+function: embed and write it, or copy its syndromes into the frame.
+On a file, :meth:`RasterFile.read <graphstego.images.RasterFile.read>`,
 the one pixel reader, fills a buffer of each thread with a chunk of
 pixels, which is embedded there and written where
 :func:`~graphstego.images.save_image` would put it, so where a file
@@ -288,11 +290,12 @@ def _embed_lsbs(io, write, packed: np.ndarray, bits: int, table: CosetTable) -> 
 
     ``io`` is an :class:`_Arrays` (``write`` None) or a ``RasterFile``,
     whose chunks ``write(lo, hi, scratch)`` stores once embedded.
-    ``packed`` holds the ``bits`` payload bits, packed MSB first.  The
-    chunks are of 0/1 bits or of pixels: each chunk's syndromes are
-    read from ``part & 1``, and XOR-ing a 0/1 leader into ``part``
-    flips exactly those LSBs.  Bits past the last block go through the
-    same loop unchanged.
+    ``packed`` holds the ``bits`` payload bits, packed MSB first.
+    :func:`_run_chunks` passes each chunk to one function, which embeds
+    its used blocks and writes it.  The chunks are of 0/1 bits or of
+    pixels: each chunk's syndromes are read from ``part & 1``, and
+    XOR-ing a 0/1 leader into ``part`` flips exactly those LSBs.  Bits
+    past the last block go through the same loop unchanged.
     """
     import numpy as np
 
@@ -304,33 +307,25 @@ def _embed_lsbs(io, write, packed: np.ndarray, bits: int, table: CosetTable) -> 
     frame = _packed_frame(packed, bits)
     tables = code.check_tables
     weights = np.frombuffer(_row_weights(table.rows, n), dtype=np.uint8)  # at most rho <= p flips
-    step = _step()
 
-    def embed(start: int, blocks: np.ndarray) -> np.ndarray:
-        """XOR each block's leader into it; returns each block's flip count."""
-        syn = _message_bytes(blocks, tables)
-        message = frame[start * p // 8 : start * p // 8 + len(syn)]
-        syn[: len(message)] ^= message  # the leader indices H(t) XOR m, packed
-        idx = syndrome_words(syn, len(blocks), p).astype(np.intp)  # cast once for both takes
-        blocks ^= np.take(table.leaders, idx, axis=0)
-        return np.take(weights, idx)
-
-    def run(claims) -> tuple[int, int]:
-        scratch = io.scratch(step * n)
+    def embed(start: int, lo: int, hi: int, part: np.ndarray, scratch) -> tuple[int, int]:
+        """Embed the chunk's used blocks and write it; returns its flips and most in a block."""
+        used = max(min(hi, needed) - lo, 0)
         total = most = 0
-        for start in claims:
-            lo, hi = start * n, min((start + step) * n, io.size)
-            part = np.asarray(io.read(lo, hi, scratch))
-            used = max(min(hi, needed) - lo, 0)
-            if used:
-                flips = embed(start, part[:used].reshape(-1, n))
-                total += int(flips.sum())
-                most = max(most, int(flips.max()))
-            if write is not None:
-                write(lo, hi, scratch)
+        if used:
+            blocks = part[:used].reshape(-1, n)
+            syn = _message_bytes(blocks, tables)
+            message = frame[start * p // 8 : start * p // 8 + len(syn)]
+            syn[: len(message)] ^= message  # the leader indices H(t) XOR m, packed
+            idx = syndrome_words(syn, len(blocks), p).astype(np.intp)  # cast once for both takes
+            blocks ^= np.take(table.leaders, idx, axis=0)
+            flips = np.take(weights, idx)
+            total, most = int(flips.sum()), int(flips.max())
+        if write is not None:
+            write(lo, hi, scratch)
         return total, most
 
-    results = _run_chunks(range(0, -(-io.size // n), step), run)  # every pixel
+    results = _run_chunks(io, n, io.size, embed)  # every pixel
     total = sum(t for t, _ in results)
     return EmbedReport(
         blocks_used=blocks_used,
@@ -448,8 +443,8 @@ def _plain_frame(io, code: GraphicalCode, blocks: int) -> bytes:
 def _extract_lsbs(io, code: GraphicalCode, total_blocks: int) -> np.ndarray:
     """Packed frame from the LSBs of ``io``'s first ``total_blocks`` blocks, a chunk at a time.
 
-    The chunks are of bits or of pixels, and each chunk's syndromes go
-    through the numpy engine.
+    The chunks are of bits or of pixels: :func:`_run_chunks` reads
+    each, and its syndromes go through the numpy engine into the frame.
     """
     import numpy as np
 
@@ -457,26 +452,13 @@ def _extract_lsbs(io, code: GraphicalCode, total_blocks: int) -> np.ndarray:
     p = n - code.k
     tables = code.check_tables
     frame = np.empty(-(-total_blocks * p // 8), dtype=np.uint8)
-    step = _step()
 
-    def run(starts) -> None:
-        scratch = io.scratch(step * n)
-        for start in starts:
-            stop = min(start + step, total_blocks)
-            part = np.asarray(io.read(start * n, stop * n, scratch))
-            syn = _message_bytes(part.reshape(-1, n), tables)
-            frame[start * p // 8 : start * p // 8 + len(syn)] = syn
+    def copy(start: int, lo: int, hi: int, part: np.ndarray, scratch) -> None:
+        syn = _message_bytes(part.reshape(-1, n), tables)
+        frame[start * p // 8 : start * p // 8 + len(syn)] = syn
 
-    _run_chunks(range(0, total_blocks, step), run)
+    _run_chunks(io, n, total_blocks * n, copy)
     return frame
-
-
-def _step() -> int:
-    """Blocks per chunk: :data:`CHUNK_BLOCKS` rounded up to a multiple of 8.
-
-    So a chunk's first block starts a whole byte of the packed frame.
-    """
-    return -(-CHUNK_BLOCKS // 8) * 8
 
 
 def _usable_cpus() -> int:
@@ -487,47 +469,51 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(starts: range, run) -> list:
-    """Share the chunks beginning at ``starts`` between the caller and its helper threads.
+def _run_chunks(io, n: int, end: int, visit) -> list:
+    """Call ``visit`` on each chunk of ``io``'s entries ``0 .. end``, on the caller and its helper.
 
-    At most MAX_THREADS threads in all, the caller included, and no
-    more than there are usable CPUs or chunks.  Each thread calls
-    ``run(claims)`` once, with an iterator that hands it one unclaimed
-    chunk start at a time, and the results of these calls are
-    returned.  An exception in any thread stops the others before
-    their next chunk; every helper is joined before this returns or
-    raises, and a helper's exception is raised here.
+    A chunk is :data:`CHUNK_BLOCKS` blocks of ``n`` entries, rounded up
+    to a multiple of 8 so that its first block starts a whole byte of
+    the packed frame; the last chunk ends at ``end``.  At most
+    MAX_THREADS threads in all, the caller included, and no more than
+    there are usable CPUs or chunks.  Each thread takes one
+    ``io.scratch`` buffer, claims one chunk start at a time, reads the
+    chunk with ``io.read`` and calls ``visit(start, lo, hi, part,
+    scratch)``: ``start`` is its first block, ``lo .. hi`` its entries
+    and ``part`` an array of them.  The visits' results are returned,
+    in no set order.  An exception in any thread stops the others
+    before their next chunk; every helper is joined before this
+    returns or raises, and the first exception is raised here.
     """
+    import numpy as np
+
+    step = -(-CHUNK_BLOCKS // 8) * 8
+    starts = range(0, -(-end // n), step)
     todo = iter(starts)
     lock = threading.Lock()
     failed, results = [], []
 
-    def claims():
-        while not failed:
-            with lock:
-                start = next(todo, None)
-            if start is None:
-                return
-            yield start
-
-    def helper():
+    def run() -> None:
         try:
-            results.append(run(claims()))
-        except BaseException as exc:  # handed to the caller below
+            scratch = io.scratch(step * n)
+            while not failed:
+                with lock:
+                    start = next(todo, None)
+                if start is None:
+                    return
+                lo, hi = start * n, min((start + step) * n, end)
+                part = np.asarray(io.read(lo, hi, scratch))
+                results.append(visit(start, lo, hi, part, scratch))
+        except BaseException as exc:  # raised by the caller once every helper is joined
             failed.append(exc)
 
     workers = min(MAX_THREADS, _usable_cpus(), len(starts))
-    helpers = [threading.Thread(target=helper) for _ in range(workers - 1)]
+    helpers = [threading.Thread(target=run) for _ in range(workers - 1)]
     for thread in helpers:
         thread.start()
-    try:
-        results.append(run(claims()))
-    except BaseException as exc:
-        failed.append(exc)
-        raise
-    finally:
-        for thread in helpers:
-            thread.join()
+    run()
+    for thread in helpers:
+        thread.join()
     if failed:
         raise failed[0]
     return results

@@ -200,9 +200,12 @@ def _tjoin_layers(dist: list[list[int]]) -> list[int]:
     so layer w is the union, over pairs b < a, of the sets of layer
     w - dist[a][b] below a that lack b, with a and b added, less every
     set already reached.  The sets below a are the first 2^a indices,
-    so this work shrinks with a.  Dropping one edge from a minimum
-    T-join leaves one for a set of the layer below, so no layer is
-    empty before the last.
+    so this work shrinks with a.  The layers go on until every one of
+    the 2^(t-1) even subsets is reached, which a connected graph
+    ensures.  A layer may be empty when the matching costs skip a
+    weight, as when no two terminals are adjacent; when every vertex is
+    a terminal, dropping one edge from a minimum T-join leaves one for
+    a set of the layer below, so no layer is empty.
     """
     t = len(dist)
     masks = _clear_masks(t)
@@ -211,7 +214,7 @@ def _tjoin_layers(dist: list[list[int]]) -> list[int]:
         for b in range(a):
             partners[a].setdefault(dist[a][b], []).append(b)
     layers, reached = [1], 1
-    while True:
+    while reached.bit_count() < 1 << t >> 1:
         w, layer = len(layers), 0
         for a in range(1, t):
             below, paired = (1 << (1 << a)) - 1, 0
@@ -222,10 +225,9 @@ def _tjoin_layers(dist: list[list[int]]) -> list[int]:
                         paired |= (sets & masks[b]) << (1 << b)
             layer |= paired << (1 << a)
         layer &= ~reached
-        if not layer:
-            return layers
         reached |= layer
         layers.append(layer)
+    return layers
 
 
 def _all_pairs(g: Graph) -> list[list[int]]:

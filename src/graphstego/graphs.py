@@ -280,9 +280,8 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
 
     Args:
         g: a connected graph with at least one cycle.
-        tree: optional spanning tree — a :class:`SpanningTree`, or a
-            sequence of edge ids whose order pins the cut-set rows.
-            Defaults to the BFS tree.
+        tree: optional spanning tree, a sequence of edge ids whose
+            order pins the cut-set rows.  Defaults to the BFS tree.
 
     Raises:
         GraphError: if the graph is acyclic, or the constructed
@@ -292,12 +291,7 @@ def build_code(g: Graph, tree=None) -> GraphicalCode:
     k = m - v + 1
     if k < 1:
         raise GraphError("graph is acyclic: its cycle code is empty")
-    if tree is None:
-        t = spanning_tree(g)
-    elif isinstance(tree, SpanningTree):
-        t = tree
-    else:
-        t = spanning_tree_from_ids(g, tree)
+    t = spanning_tree(g) if tree is None else spanning_tree_from_ids(g, tree)
     gen, chk = _fundamental_matrices(g, t)
     for rows, ids, name in ((gen, t.chords, "chord"), (chk, t.tree_edges, "tree")):
         columns = sum(1 << (eid - 1) for eid in ids)

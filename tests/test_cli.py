@@ -378,9 +378,12 @@ def test_table_csv_file_and_doctored_rows(tmp_path, capsys):
 
 def test_table_malformed_rows(tmp_path, capsys):
     rows = tmp_path / "rows.tsv"
-    # too few fields; a bad ER; n or rho of zero, which the rates divide by
+    # too few fields; a bad ER; n or rho of zero, which the rates divide by;
+    # numbers that int() and float() read but are not ASCII decimal
     for row in ("15\t3\tB\t4", "15\t3\tB\t4\t1\tabc\t4", "0\t3\tB\t4\t1\t0.27\t4",
-                "15\t3\tB\t4\t0-1\t0.27\t4-4"):
+                "15\t3\tB\t4\t0-1\t0.27\t4-4", "1_5\t3\tB\t4\t1\t0.27\t4",
+                "15\t3\tB\t1_1\t1\t0.73\t11", "15\t3\tB\t11\t1\t0.7_3\t11",
+                "\u0661\u0665\t3\tB\t4\t1\t0.27\t4"):
         rows.write_text(row + "\n")
         assert main(["table", "--rows", str(rows)]) == 3
     capsys.readouterr()

@@ -180,13 +180,25 @@ def test_minimum_t_join_basics(k5_code):
         minimum_t_join(g, {0, 1})
 
 
-def test_minimum_t_join_against_enumeration():
-    rng = np.random.default_rng(131)
+def _small_graphs(rng):
+    """25 random connected graphs of at most 12 edges, then rings and paths
+    with one chord on 4..10 vertices, where adjacent terminals are rare."""
     cases = 0
     while cases < 25:
         g = random_connected_graph(rng)
-        if g.edge_count > 12:
-            continue
+        if g.edge_count <= 12:
+            cases += 1
+            yield g
+    for v in range(4, 11):
+        a = int(rng.integers(1, v - 1))
+        chord = (a, int(rng.integers(a + 2, v + 1)))
+        yield ring_graph(v)
+        yield build_graph(v, [(i, i + 1) for i in range(1, v)] + [chord])
+
+
+def test_minimum_t_join_against_enumeration():
+    rng = np.random.default_rng(131)
+    for g in _small_graphs(rng):
         verts = list(range(1, g.vertex_count + 1))
         size = 2 * int(rng.integers(1, len(verts) // 2 + 1))
         terminals = frozenset(
@@ -202,7 +214,19 @@ def test_minimum_t_join_against_enumeration():
         among = _tjoin_layers([[dist[a][b] for b in cols] for a in cols])
         assert among[size] >> ((1 << len(cols)) - 1) & 1
         assert _tjoin_layers(dist)[size] >> sum(1 << c for c in cols) & 1
-        cases += 1
+
+
+def test_minimum_t_join_with_no_adjacent_terminals():
+    # the matching costs skip weight 1, so the DP must go on past an empty layer
+    assert _tjoin_layers([[0, 2], [2, 0]]) == [1, 0, 0b1000]
+    square = ring_graph(4)
+    join = minimum_t_join(square, [1, 3])
+    assert boundary_of(square, join) == {1, 3}
+    assert int(join.sum()) == brute_min_tjoin_size(square, frozenset({1, 3})) == 2
+    ring = ring_graph(20)
+    join = minimum_t_join(ring, [1, 11])
+    assert boundary_of(ring, join) == {1, 11}
+    assert join.tolist() in ([1] * 10 + [0] * 10, [0] * 10 + [1] * 10)  # either 10-edge arc
 
 
 def test_tjoin_table_matches_bruteforce(k5_table, k5_table_tjoin, k5_code):

@@ -432,21 +432,20 @@ def test_chunks_run_on_at_most_two_threads(tmp_path, monkeypatch, tables):
 
     real_run_chunks = codec._run_chunks
 
-    def gated_run_chunks(starts, run):
+    def gated_run_chunks(io, n, end, visit):
         # each thread waits after its first chunk until the other has done one,
         # so both take part however busy the host is
         gate = threading.Barrier(2, timeout=60) if codec._usable_cpus() > 1 else None
+        waited = set()
 
-        def gated_run(claims):
-            def gated_claims():
-                yield next(claims)
-                if gate is not None:
-                    gate.wait()
-                yield from claims
+        def gated_visit(*chunk):
+            result = visit(*chunk)
+            if gate is not None and threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                gate.wait()
+            return result
 
-            return run(gated_claims())
-
-        return real_run_chunks(starts, gated_run)
+        return real_run_chunks(io, n, end, gated_visit)
 
     monkeypatch.setattr(threading.Thread, "start", spy_start)
     monkeypatch.setattr(RasterFile, "read", spy_read)
@@ -499,7 +498,7 @@ def _two_thread_bound(table, side: int, payload: bytes) -> int:
     the gathered leaders and the leader indices (8 bytes a block, no
     more than n).  The packed frame is held once.
     """
-    n, step = table.code.n_len, codec._step()
+    n, step = table.code.n_len, -(-codec.CHUNK_BLOCKS // 8) * 8
     assert n >= 8
     scratch = (-(-step * n // side) + 1) * side
     return 2 * (scratch + 3 * step * n) + codec.HEADER_BYTES + len(payload)

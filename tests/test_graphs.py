@@ -117,7 +117,7 @@ def test_triangle_fundamental_matrices():
     # BFS from vertex 1 reaches both neighbors directly: tree {e1, e3}
     assert t.tree_edges == (1, 3)
     assert t.chords == (2,)
-    code = build_code(g, t)
+    code = build_code(g, t.tree_edges)
     assert code.generator.tolist() == [[1, 1, 1]]
     assert code.parity_check.tolist() == [[1, 1, 0], [0, 1, 1]]
 

@@ -6,11 +6,11 @@ leaders, and use the table to hide p = vertices - 1 message bits per
 n-bit block of an image's LSB plane with at most rho (covering radius)
 flips per block.
 
-No module of the package imports numpy when it loads: the functions
-that handle pixels or build tables import it when they first run, and
-a table cache loads without it.  The names
-below load with the module that defines them, on first use (PEP 562),
-so ``import graphstego`` alone imports no other module.
+No module of the package imports numpy when it loads: each reads it
+through one handle, ``gf2.np``, which imports numpy on its first
+attribute read, and a table cache loads without it.  The names below
+load with the module that defines them, on first use (PEP 562), so
+``import graphstego`` alone imports no other module.
 """
 
 from importlib import import_module

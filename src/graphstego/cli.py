@@ -7,12 +7,12 @@ figures).  Exit codes: 0 success, 2 usage, 3 format/parse error,
 4 capacity exceeded, 5 invariant violation, 6 code too large for a
 coset table (more than MAX_SYNDROME_BITS syndrome bits).
 
-No module imports numpy when it loads: the pixel and table-building
-functions import it when they first run, so ``embed`` loads it,
-``codebook``, ``analyze`` and ``table`` never do, and ``extract`` does
-only for a frame of more than ``PLAIN_FRAME_PIXELS`` (2^22) pixels, which
-it decodes through the numpy chunk loop; a smaller one is read in plain
-Python.  The process
+No module imports numpy when it loads: each reads it through the
+handle ``gf2.np``, which imports it on its first attribute read, so
+``embed`` loads it, ``codebook``, ``analyze`` and ``table`` never do,
+and ``extract`` does only for a frame of more than
+``PLAIN_FRAME_PIXELS`` (2^22) pixels, which it decodes through the
+numpy chunk loop; a smaller one is read in plain Python.  The process
 entry, :func:`run`, freezes the heap once the command is done, so the
 collection at interpreter exit skips every object still alive, numpy's
 import-time ones included; :func:`main` leaves the GC alone for
@@ -199,7 +199,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    code = code_from_codebook(Path(args.codebook).read_text("utf-8"))
+    code = _sized_code(args.codebook)  # no table can write a frame of a larger code
     data = extract_file(args.stego, code)
     Path(args.out).write_bytes(data)
     print(f"extracted {len(data)} bytes to {args.out}")

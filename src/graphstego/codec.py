@@ -24,9 +24,9 @@ keeps its pixels is known to the ``images`` module alone.
 Every header is decoded in plain Python.  :func:`extract_file` reads a
 frame of at most :data:`PLAIN_FRAME_PIXELS` pixels into a bytearray,
 through the same reader, and decodes it in plain Python too, so it
-loads no numpy; every other function here that handles bits or
-pixels, and the chunk loop of a larger frame, imports numpy when it
-runs.
+never reads numpy's handle, :data:`graphstego.gf2.np`, which imports
+numpy on its first attribute read; every other function here that
+handles bits or pixels, and the chunk loop of a larger frame, does.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ from .images import RasterFile
 
 if TYPE_CHECKING:
     import numpy as np
+else:
+    from .gf2 import np
 
 HEADER_BITS = 32
 HEADER_BYTES = HEADER_BITS // 8
@@ -122,8 +124,6 @@ def embed_block(t, m, table: CosetTable) -> tuple[np.ndarray, int]:
 
 def extract_block(v, code: GraphicalCode) -> np.ndarray:
     """Recover the p message bits of one block: m = H(v)."""
-    import numpy as np
-
     v = as_bits(v)
     if v.size != code.n_len:
         raise ValueError(f"block must have {code.n_len} bits, got {v.size}")
@@ -132,15 +132,11 @@ def extract_block(v, code: GraphicalCode) -> np.ndarray:
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
     """Bytes -> bit vector, MSB first within each byte."""
-    import numpy as np
-
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
 def bits_to_bytes(bits) -> bytes:
     """Inverse of :func:`bytes_to_bits`; length must be a multiple of 8."""
-    import numpy as np
-
     bits = _bits_view(bits)
     if bits.size % 8:
         raise ValueError(f"bit length {bits.size} is not a multiple of 8")
@@ -152,8 +148,6 @@ def frame_payload(data_bits, p: int) -> np.ndarray:
 
     The unpacked view of the frame that embedding carries packed.
     """
-    import numpy as np
-
     if p < 1:
         raise ValueError(f"block message size must be positive, got {p}")
     data_bits = _bits_view(data_bits)
@@ -169,8 +163,6 @@ def _packed_frame(packed: np.ndarray, bits: int) -> np.ndarray:
     with zeros, which are the frame's padding; bits read past the end
     are zero as well.
     """
-    import numpy as np
-
     if bits >= 1 << HEADER_BITS:
         raise ValueError("payload too long for a 32-bit length header")
     header = np.frombuffer(struct.pack(">I", bits), dtype=np.uint8)
@@ -190,8 +182,6 @@ def embed_stream(cover_bits, data_bits, table: CosetTable) -> tuple[np.ndarray, 
         CapacityError: if the framed payload needs more blocks than the
             cover holds.
     """
-    import numpy as np
-
     stego = as_bits(cover_bits)
     data_bits = _bits_view(data_bits)
     report = _embed_lsbs(_Arrays(stego), None, np.packbits(data_bits), data_bits.size, table)
@@ -263,8 +253,6 @@ def _check_seekable(out_path) -> os.stat_result | None:
 
 
 def _payload_bytes(payload) -> np.ndarray:
-    import numpy as np
-
     if isinstance(payload, np.ndarray):
         raise TypeError("payload must be bytes-like, not an ndarray")
     return np.frombuffer(payload, dtype=np.uint8)
@@ -297,8 +285,6 @@ def _embed_lsbs(io, write, packed: np.ndarray, bits: int, table: CosetTable) -> 
     XOR-ing a 0/1 leader into ``part`` flips exactly those LSBs.  Bits
     past the last block go through the same loop unchanged.
     """
-    import numpy as np
-
     code = table.code
     n = code.n_len
     p = n - code.k
@@ -347,8 +333,6 @@ def extract_stream(stego_bits, code: GraphicalCode) -> np.ndarray:
         FrameError: if the stream is too short for the header or for
             the length the header declares.
     """
-    import numpy as np
-
     stego = _Arrays(_bits_view(stego_bits))
     declared, blocks = _frame_length(stego, code)
     frame = _extract_lsbs(stego, code, blocks)
@@ -446,8 +430,6 @@ def _extract_lsbs(io, code: GraphicalCode, total_blocks: int) -> np.ndarray:
     The chunks are of bits or of pixels: :func:`_run_chunks` reads
     each, and its syndromes go through the numpy engine into the frame.
     """
-    import numpy as np
-
     n = code.n_len
     p = n - code.k
     tables = code.check_tables
@@ -485,8 +467,6 @@ def _run_chunks(io, n: int, end: int, visit) -> list:
     before their next chunk; every helper is joined before this
     returns or raises, and the first exception is raised here.
     """
-    import numpy as np
-
     step = -(-CHUNK_BLOCKS // 8) * 8
     starts = range(0, -(-end // n), step)
     todo = iter(starts)
@@ -541,6 +521,4 @@ class _Arrays:
 
 def _message_bytes(blocks: np.ndarray, tables: SyndromeTables) -> np.ndarray:
     """The message bits H(v) of each block, packed MSB first with no gaps."""
-    import numpy as np
-
     return stream_syndromes(np.packbits(blocks & 1), len(blocks), tables)

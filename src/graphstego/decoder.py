@@ -28,8 +28,9 @@ the weights first, so a wrong weight cannot yield a wrong leader.
 A table keeps its leaders packed, one row of ceil(n/8) bytes per
 syndrome, in the layout of its cache file.  The builders, the fill,
 :func:`minimum_t_join` and the 0/1 leader matrix that
-:attr:`CosetTable.leaders` unpacks import numpy when they run; the
-searches, the covering radii, the size limit and the cache
+:attr:`CosetTable.leaders` unpacks read numpy through the handle
+:data:`graphstego.gf2.np`, which imports it on its first attribute
+read; the searches, the covering radii, the size limit and the cache
 (:func:`save_table`, :func:`load_table`) never do.
 """
 
@@ -41,11 +42,13 @@ import struct
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .gf2 import _Record, lane_syndromes
-from .graphs import Graph, GraphicalCode, _bfs
+from .gf2 import _Record, as_bits, lane_syndromes, syndrome_index
+from .graphs import Graph, GraphicalCode, _bfs, _bit_matrix
 
 if TYPE_CHECKING:
     import numpy as np
+else:
+    from .gf2 import np
 
 #: Most syndrome bits p = n - k that the builders and
 #: covering_radius_tjoin accept; each costs about n * 2^p.
@@ -88,14 +91,10 @@ class CosetTable(_Record):
     @cached_property
     def leaders(self) -> np.ndarray:
         """The leaders as a read-only (2^p, n) uint8 0/1 matrix, built on first use."""
-        from .graphs import _bit_matrix
-
         return _bit_matrix(self.rows, self.code.n_len)
 
     def leader(self, syndrome) -> np.ndarray:
         """Leader for a syndrome given as bits or as a table index."""
-        from .gf2 import as_bits, syndrome_index
-
         p = self.code.n_len - self.code.k
         try:  # a Python or numpy integer is an index; a list, string or array is bits
             idx = operator.index(syndrome)
@@ -262,8 +261,6 @@ def _table_from_weights(code: GraphicalCode, dist) -> CosetTable:
     below.  That proves ``dist`` holds the minimum coset weights, so
     every leader lies in its coset and has minimum weight.
     """
-    import numpy as np
-
     n = code.n_len
     dist = np.frombuffer(dist, dtype=np.int8)  # as :func:`_weights` gives them
     columns = np.array(_column_words(code.check_rows, n), dtype=np.uint32)
@@ -327,8 +324,6 @@ def syndrome_to_terminals(code: GraphicalCode, syndrome) -> frozenset[int]:
     Syndrome bit i selects the i-th tree edge in the code's row order;
     the returned set is always even-sized.
     """
-    from .gf2 import as_bits
-
     s = as_bits(syndrome)
     p = code.n_len - code.k
     if s.size != p:
@@ -356,8 +351,6 @@ def minimum_t_join(g: Graph, terminals) -> np.ndarray:
     Raises:
         ValueError: if ``terminals`` is odd-sized or out of range.
     """
-    import numpy as np
-
     t_set = sorted({int(t) for t in terminals})
     if len(t_set) % 2:
         raise ValueError(f"terminal set must be even-sized, got {len(t_set)}")
@@ -394,8 +387,6 @@ def build_coset_table_tjoin(code: GraphicalCode) -> CosetTable:
     Raises:
         TableSizeError: if p exceeds :data:`MAX_SYNDROME_BITS`.
     """
-    import numpy as np
-
     g = code.graph
     _check_size(code.n_len - code.k)
     terminal_mask = np.zeros(1, dtype=np.int32)  # v = p + 1 <= 21 bits

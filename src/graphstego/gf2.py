@@ -8,14 +8,15 @@ slot 12.  A parity check enters only as the trusted (p, n) bit matrix
 that :func:`syndrome_tables` turns into byte lookup tables; there is no
 other bit-matrix arithmetic here.
 
-All operations are pure and never mutate their arguments.  Each
-function imports numpy when it runs, so loading this module (or the
-codec and image modules that build on it) does not load numpy;
-:func:`lane_syndromes`, the plain-Python syndrome reader of the table
-cache and of small extracts, never does.
+All operations are pure and never mutate their arguments.
 
-:class:`_Record` is the base of the package's frozen records, here
-because every module that defines one imports this one.
+:class:`_Record` is the base of the package's frozen records, and
+:data:`np` the package's one handle on numpy, here because every
+module that defines a record or reads an array imports this one.  The
+handle imports numpy on its first attribute read, so loading a module
+of the package loads no numpy; :func:`lane_syndromes`, the
+plain-Python syndrome reader of the table cache and of small extracts,
+never reads it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,26 @@ from collections.abc import Iterable
 from functools import cache
 from typing import TYPE_CHECKING
 
+
+class _Numpy:
+    """numpy, imported on the first attribute read.
+
+    Each attribute read is stored on the handle, so every later read of
+    it is a plain instance attribute.
+    """
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        self.__dict__[name] = value
+        return value
+
+
 if TYPE_CHECKING:
     import numpy as np
+else:
+    np = _Numpy()
 
 
 class _Record:
@@ -79,8 +98,6 @@ class _ValueRecord(_Record):
 
 def _require_binary(arr: np.ndarray) -> None:
     """Raise ValueError unless every entry of ``arr`` is 0 or 1."""
-    import numpy as np
-
     if not arr.size:
         return
     if arr.dtype == np.uint8:
@@ -104,8 +121,6 @@ def as_bits(values: Iterable[int] | str) -> np.ndarray:
     Raises:
         ValueError: if any element is not 0 or 1, or the input is not 1-D.
     """
-    import numpy as np
-
     if isinstance(values, str):
         try:
             values = [int(c) for c in values]
@@ -120,8 +135,6 @@ def as_bits(values: Iterable[int] | str) -> np.ndarray:
 
 def _bits_view(values) -> np.ndarray:
     """:func:`as_bits` for input that is only read: a 1-D uint8 array is checked, not copied."""
-    import numpy as np
-
     if isinstance(values, np.ndarray) and values.dtype == np.uint8 and values.ndim == 1:
         _require_binary(values)
         return values
@@ -170,8 +183,6 @@ def syndrome_tables(check: np.ndarray) -> SyndromeTables:
     A group is the fewest rows whose input and output both fill whole
     bytes: lcm(8/gcd(n, 8), 8/gcd(width, 8)) <= 8 rows.
     """
-    import numpy as np
-
     width, n = check.shape
     rows = max(8 // math.gcd(n, 8), 8 // math.gcd(width, 8))  # both are powers of two
     out_bytes = rows * width // 8
@@ -215,8 +226,6 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
         The ``ceil(count * width / 8)`` bytes of the syndromes' packed
         stream, uint8, the unused bits of the last byte zero.
     """
-    import numpy as np
-
     P, B = tables.rows, tables.in_bytes
     groups = -(-count // P)
     full = min(count // P, len(packed) // B)
@@ -255,8 +264,6 @@ def syndrome_words(packed: np.ndarray, count: int, width: int) -> np.ndarray:
 @cache
 def _identity_tables(width: int) -> SyndromeTables:
     """Tables of the identity check on ``width`` bits, padded on top to a whole word."""
-    import numpy as np
-
     bits = 8 * np.min_scalar_type((1 << width) - 1).itemsize
     return syndrome_tables(np.eye(bits, width, width - bits, dtype=np.uint8))
 
@@ -296,8 +303,6 @@ def lane_syndromes(lanes, width: int) -> list[int]:
 
 def _lookup(data: np.ndarray, tables: SyndromeTables, out: np.ndarray) -> None:
     """Fill ``out[g, s]`` for the (G, in_bytes) groups ``data``: one table per input byte."""
-    import numpy as np
-
     for s, pairs in enumerate(tables.lookups):
         if not pairs:
             out[:, s] = 0

@@ -37,12 +37,12 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import TYPE_CHECKING
 
-from .gf2 import _Record, _ValueRecord
+from .gf2 import SyndromeTables, _Record, _ValueRecord, syndrome_tables
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .gf2 import SyndromeTables
+else:
+    from .gf2 import np
 
 
 class GraphError(ValueError):
@@ -102,8 +102,6 @@ class GraphicalCode(_Record):
     @cached_property
     def check_tables(self) -> SyndromeTables:
         """The parity check's packed syndrome tables, built on first use and kept."""
-        from .gf2 import syndrome_tables
-
         return syndrome_tables(self.parity_check)
 
 
@@ -114,8 +112,6 @@ def _packed_rows(rows: tuple[int, ...], n: int) -> bytes:
 
 def _bit_matrix(packed: bytes, n: int) -> np.ndarray:
     """Rows of ceil(n/8) bytes (bit 0 of byte 0 = column 0) as a read-only uint8 matrix of n columns."""
-    import numpy as np
-
     raw = np.frombuffer(packed, dtype=np.uint8).reshape(-1, (n + 7) // 8)
     matrix = np.unpackbits(raw, axis=1, count=n, bitorder="little")
     matrix.setflags(write=False)

@@ -29,6 +29,8 @@ from .gf2 import _Record, as_bits
 
 if TYPE_CHECKING:
     import numpy as np
+else:
+    from .gf2 import np
 
 
 #: Pixels per partial sum in PSNR: 2**15 squared 8-bit differences fit int32.
@@ -288,8 +290,6 @@ def load_image(path) -> CoverImage:
     Raises:
         ImageFormatError: for any other format or a malformed file.
     """
-    import numpy as np
-
     with RasterFile(path) as raster:
         pixels = np.empty(raster.size, dtype=np.uint8)
         raster.read(0, raster.size, pixels)
@@ -392,16 +392,24 @@ class RasterFile:
 
 
 def save_image(img: CoverImage, path) -> None:
-    """Write the image in its own format, with a canonical header."""
-    import numpy as np
+    """Write the image in its own format, with a canonical header.
 
+    Raises:
+        ImageFormatError: before the file is opened, for an unknown
+            format tag, a channel or pixel count that does not match the
+            record, or pixels that are not integers in 0..255.
+    """
     if img.format_tag not in ("pgm", "bmp"):
         raise ImageFormatError(f"unknown format tag {img.format_tag!r}")
     lay = RasterLayout(img.format_tag, img.width, img.height, 0)
-    pixels = np.ascontiguousarray(img.pixels, dtype=np.uint8).reshape(-1)
+    pixels = np.asarray(img.pixels).reshape(-1)
     if (img.channels != lay.channels or pixels.size != lay.capacity
             or min(img.width, img.height) < 1):
         raise ImageFormatError(f"inconsistent {img.format_tag.upper()} image record")
+    if pixels.dtype != np.uint8 and (pixels.dtype.kind not in "iu"
+                                     or pixels.min() < 0 or pixels.max() > 255):
+        raise ImageFormatError(f"pixels must be integers in 0..255, got {pixels.dtype} values")
+    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     with open(path, "wb") as fh:
         lay.write(fh.fileno(), 0, lay.capacity, pixels)
 
@@ -435,8 +443,6 @@ def lsb_inject(img: CoverImage, bits) -> CoverImage:
 
 def peak_signal_noise(original: CoverImage, modified: CoverImage) -> float | None:
     """PSNR in dB between two same-shaped images; None when identical."""
-    import numpy as np
-
     if (original.width, original.height, original.channels) != (
         modified.width,
         modified.height,

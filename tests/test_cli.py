@@ -197,6 +197,10 @@ def test_oversize_codebooks_exit_6_before_any_build(tmp_path, capsys, monkeypatc
     ]) == 6
     assert "table limit" in capsys.readouterr().err
     assert not out.exists()
+    # no frame can carry more syndrome bits than a table holds
+    assert main(["extract", "--codebook", str(k150), "--stego", str(cover), "--out", str(out)]) == 6
+    assert "table limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_the_code_layer_loads_no_numpy(tmp_path, k5_codebook_file, k5_table):
@@ -206,14 +210,16 @@ def test_the_code_layer_loads_no_numpy(tmp_path, k5_codebook_file, k5_table):
     # Python too; one above it runs the numpy chunk loop, and loads numpy.
     # The records are plain classes, so neither dataclasses nor the inspect it
     # imports loads either.  Only table writes CSV, and no command checks for
-    # numbers.Integral, so csv and numbers load only when table runs
+    # numbers.Integral, so csv and numbers load only when table runs.  Every
+    # module reads numpy through one handle, gf2.np, which imports it on the
+    # first attribute read and keeps each value it reads
     script = """
 import sys
 heavy = {"numpy", "dataclasses", "inspect"}
 light = heavy | {"numbers", "csv"}
 import graphstego
 assert not light & set(sys.modules), "import graphstego"
-from graphstego import cli, codec
+from graphstego import cli, codec, decoder, gf2, graphs, images
 assert not light & set(sys.modules), "import graphstego.cli"
 codebook, out, stego, payload = sys.argv[1:]
 extract = ["extract", "--codebook", codebook, "--stego", stego, "--out", payload]
@@ -223,9 +229,15 @@ for argv in (["analyze", "--codebook", codebook], ["codebook", "--spec", "K6", "
     loaded = (heavy if argv == ["table"] else light) & set(sys.modules)
     assert not loaded, (argv, loaded)
 assert "csv" in sys.modules, "the check above sees csv when it loads"
+assert codec.np is decoder.np is graphs.np is images.np is gf2.np
+assert vars(gf2.np) == {}
+take = gf2.np.take
+assert {"numpy", "inspect"} <= set(sys.modules), "the check above sees them when they load"
+import numpy
+assert take is numpy.take and vars(gf2.np) == {"take": numpy.take}
+assert not hasattr(gf2.np, "no_such_numpy_name")
 codec.PLAIN_FRAME_PIXELS = 0  # every frame above it
 assert cli.main(extract) == 0
-assert {"numpy", "inspect"} <= set(sys.modules), "the check above sees them when they load"
 """
     stego, payload = tmp_path / "stego.pgm", tmp_path / "out.bin"
     secret = b"small frame" * 10

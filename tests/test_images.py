@@ -251,6 +251,38 @@ def test_pgm_resave_canonicalises_the_header(tmp_path):
     assert np.array_equal(load_image(out).pixels, img.pixels)
 
 
+def _two_pixel_record(format_tag="pgm", channels=1, pixels=(0, 255)) -> CoverImage:
+    return CoverImage(width=2, height=1, channels=channels, depth=8, pixels=np.asarray(pixels),
+                      format_tag=format_tag)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        _two_pixel_record(format_tag="gif"),
+        _two_pixel_record(channels=3),
+        _two_pixel_record(pixels=[1, 2, 3]),
+        # a uint8 cast would write these as 44 and 255, and as 1 and 2
+        _two_pixel_record(pixels=[300, -1]),
+        _two_pixel_record(pixels=[1.7, 2.2]),
+        _two_pixel_record(pixels=np.array([1, 256], dtype=np.uint16)),
+        _two_pixel_record(pixels=[True, False]),
+    ],
+    ids=["format-tag", "channels", "pixel-count", "int-range", "float", "uint16-range", "bool"],
+)
+def test_save_image_refuses_a_record_it_cannot_write(tmp_path, record):
+    with pytest.raises(ImageFormatError):
+        save_image(record, tmp_path / "out.pgm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_image_writes_in_range_integer_pixels_as_bytes(tmp_path):
+    want, got = tmp_path / "uint8.pgm", tmp_path / "int64.pgm"
+    save_image(_two_pixel_record(pixels=np.array([0, 255], dtype=np.uint8)), want)
+    save_image(_two_pixel_record(pixels=np.array([0, 255], dtype=np.int64)), got)
+    assert got.read_bytes() == want.read_bytes() == b"P5\n2 1\n255\n\x00\xff"
+
+
 def _assert_pixels_own_one_read_only_buffer(img, name):
     """The pixels are one read-only buffer of their own: no header, padding or trailer bytes."""
     owner = img.pixels

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphstego import gf2, graphs
+from graphstego import decoder, gf2, graphs
 from graphstego.codec import EmbedReport, embed_stream
 from graphstego.decoder import CosetTable, build_coset_table_bruteforce
 from graphstego.graphs import (
@@ -117,8 +117,10 @@ def test_cached_properties_are_built_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(gf2, "syndrome_tables", counted("tables", gf2.syndrome_tables))
-    monkeypatch.setattr(graphs, "_bit_matrix", counted("matrix", graphs._bit_matrix))
+    monkeypatch.setattr(graphs, "syndrome_tables", counted("tables", gf2.syndrome_tables))
+    matrix = counted("matrix", graphs._bit_matrix)
+    monkeypatch.setattr(graphs, "_bit_matrix", matrix)  # parity_check's
+    monkeypatch.setattr(decoder, "_bit_matrix", matrix)  # leaders'
     assert code.check_tables is code.check_tables  # builds parity_check and its tables once
     assert calls == ["matrix", "tables"]
     calls.clear()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphstego import codec, gf2
+from graphstego import codec, gf2, graphs
 from graphstego.codebook import bundled_codebook_text, code_from_codebook
 from graphstego.codec import (
     embed_block,
@@ -183,7 +183,8 @@ def test_tables_are_built_once_per_image_call(tmp_path, monkeypatch):
         calls.append(check.copy())
         return syndrome_tables(check)
 
-    monkeypatch.setattr(gf2, "syndrome_tables", spy)
+    monkeypatch.setattr(gf2, "syndrome_tables", spy)  # the identity tables
+    monkeypatch.setattr(graphs, "syndrome_tables", spy)  # the code's tables
     monkeypatch.setattr(codec, "CHUNK_BLOCKS", 8)  # 29 chunks each way
     gf2._identity_tables.cache_clear()
     code = code_from_codebook(bundled_codebook_text("k5"))

@@ -38,10 +38,10 @@ from .codebook import (
     format_codebook,
 )
 from .codec import (
+    HEADER_BITS,
     CapacityError,
     FrameError,
     _check_seekable,
-    check_capacity,
     embed_file,
     extract_file,
 )
@@ -62,6 +62,8 @@ EXIT_CAPACITY = 4
 EXIT_INVARIANT = 5
 EXIT_TABLE_SIZE = 6
 
+MAX_TEXT_BYTES = 1 << 20  # the largest codebook, edge list or rows file read
+
 
 class _UsageError(ValueError):
     pass
@@ -78,6 +80,28 @@ _EXIT_CODES = (
 )
 
 
+def _read_capped(path: str | Path, limit: int, refusal: ValueError) -> bytes:
+    """The bytes of ``path``, read to at most ``limit`` + 1: ``refusal`` is raised if it holds more.
+
+    It is read 64 KiB at a time, so no buffer of the limit's size is
+    allocated ahead of the bytes that fill it.
+    """
+    chunks, left = [], limit + 1
+    with open(path, "rb") as fh:
+        while left and (chunk := fh.read(min(left, 1 << 16))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    if not left:
+        raise refusal
+    return b"".join(chunks)
+
+
+def _read_text(path: str | Path) -> str:
+    """A text input, UTF-8; CodebookError if it is over :data:`MAX_TEXT_BYTES`."""
+    refusal = CodebookError(f"{path} is over the {MAX_TEXT_BYTES}-byte limit on text inputs")
+    return _read_capped(path, MAX_TEXT_BYTES, refusal).decode("utf-8")
+
+
 def _parse_graph_spec(spec: str):
     """``K<n>`` or ``file:<path>`` (edge-list text) -> (graph, label)."""
     m = re.fullmatch(r"[Kk](\d+)", spec)
@@ -89,10 +113,7 @@ def _parse_graph_spec(spec: str):
         return complete_graph(q), f"K{q}"
     if spec.startswith("file:"):
         path = Path(spec[5:])
-        try:
-            text = path.read_text("utf-8")
-        except OSError as exc:
-            raise CodebookError(f"cannot read edge list {path}: {exc}") from None
+        text = _read_text(path)
         pairs = []
         top = 0
         for lineno, ln in enumerate(text.splitlines(), start=1):
@@ -150,7 +171,7 @@ def _metric_lines(code, rho: int, porcelain: bool) -> list[str]:
 
 def _sized_code(path: str):
     """The codebook's code; TableSizeError before any build if its p = v - 1 is too large."""
-    graph, tree_ids = codebook.parse_codebook(Path(path).read_text("utf-8"))
+    graph, tree_ids = codebook.parse_codebook(_read_text(path))
     _check_size(graph.vertex_count - 1)
     return codebook.build_code(graph, tree_ids)
 
@@ -173,10 +194,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_embed(args) -> int:
     code = _sized_code(args.codebook)
     _check_seekable(args.out)  # refuse a pipe, device or directory before any work
-    payload = Path(args.payload).read_bytes()
     with RasterFile(args.cover) as cover:
         pixels = cover.layout.capacity
-        check_capacity(code, 8 * len(payload), pixels)  # before any table work
+        # the most payload bytes whose frame fits; read before any table work
+        room = max((pixels // code.n_len * (code.n_len - code.k) - HEADER_BITS) // 8, 0)
+        refusal = CapacityError(f"payload exceeds the {room} bytes this cover can carry")
+        payload = _read_capped(args.payload, room, refusal)
         report = embed_file(cover, payload, build_coset_table_bruteforce(code), args.out)
     psnr = _psnr_db(report.total_flips, pixels)
     psnr_txt = "inf" if psnr is None else f"{psnr:.2f}"
@@ -225,7 +248,7 @@ def _parse_range(text: str, parse):
 
 def _cmd_table(args) -> int:
     if args.rows:
-        text = Path(args.rows).read_text("utf-8")
+        text = _read_text(args.rows)
     else:
         text = _data_text("reference_protocols.tsv")
     out_rows = [
@@ -270,6 +293,8 @@ def _cmd_table(args) -> int:
                 "ok" if ok else "MISMATCH",
             ]
         )
+    if len(out_rows) == 1:
+        raise CodebookError("rows file lists no rows")
     import csv  # only this command writes CSV
 
     buf = io.StringIO()

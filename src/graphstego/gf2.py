@@ -218,9 +218,8 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
     ``packed`` holds the rows MSB first with no per-row padding, so row
     i starts at bit i*n; bits past its end read as zero.  The stream is
     read as whole groups of rows (:func:`syndrome_tables`), each byte
-    looked up as it is: no shifts.  Only a last partial group, or one
-    that runs past the end of ``packed``, is copied into a zero-filled
-    group first.
+    looked up as it is: no shifts.  ``packed`` is read in place unless
+    it ends inside the last group, whose missing bytes are appended once.
 
     Returns:
         The ``ceil(count * width / 8)`` bytes of the syndromes' packed
@@ -228,15 +227,15 @@ def stream_syndromes(packed: np.ndarray, count: int, tables: SyndromeTables) -> 
     """
     P, B = tables.rows, tables.in_bytes
     groups = -(-count // P)
-    full = min(count // P, len(packed) // B)
+    data = packed[: groups * B]
+    if len(data) < groups * B:  # zeros, for the bits past the end of ``packed``
+        data = np.concatenate([data, np.zeros(groups * B - len(data), dtype=np.uint8)])
     out = np.empty((groups, len(tables.lookups)), dtype=tables.dtype)
-    if full:
-        _lookup(packed[: full * B].reshape(full, B), tables, out[:full])
-    if groups > full:
-        rest = np.zeros((groups - full) * B, dtype=np.uint8)
-        src = packed[full * B : groups * B]
-        rest[: len(src)] = src
-        _lookup(rest.reshape(-1, B), tables, out[full:])
+    for s, pairs in enumerate(tables.lookups):
+        acc = np.zeros(groups, dtype=tables.dtype)
+        for b, table in pairs:
+            acc ^= np.take(table, data[b::B], axis=0)
+        out[:, s] = acc
     bits = count * tables.width
     out = out.view(np.uint8)[:, : P * tables.width // 8].reshape(-1)[: -(-bits // 8)]
     if bits % 8:
@@ -300,15 +299,3 @@ def lane_syndromes(lanes, width: int) -> list[int]:
                 out[q] ^= read[table]
     return out
 
-
-def _lookup(data: np.ndarray, tables: SyndromeTables, out: np.ndarray) -> None:
-    """Fill ``out[g, s]`` for the (G, in_bytes) groups ``data``: one table per input byte."""
-    for s, pairs in enumerate(tables.lookups):
-        if not pairs:
-            out[:, s] = 0
-            continue
-        (b, table), *rest = pairs
-        acc = np.take(table, data[:, b], axis=0)
-        for b, table in rest:
-            acc ^= np.take(table, data[:, b], axis=0)
-        out[:, s] = acc

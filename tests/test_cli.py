@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -85,6 +86,10 @@ def test_codebook_usage_errors(tmp_path, capsys):
     for bad in ("1 +2", "1 2_0", "\u0661 2"):  # an edge list's numbers are ASCII decimal too
         edges.write_text(f"{bad}\n2 3\n3 1\n", "utf-8")
         assert main(["codebook", "--spec", f"file:{edges}", "--out", str(tmp_path / "x")]) == 3
+    edges.write_text("# only a comment\n")
+    assert main(["codebook", "--spec", f"file:{edges}", "--out", str(tmp_path / "x")]) == 3
+    assert "edge list is empty" in capsys.readouterr().err
+    assert main(["codebook", "--spec", "K5", "--out", str(tmp_path / "x"), "--tree", "1,a"]) == 2
     assert not (tmp_path / "x").exists()
     capsys.readouterr()
 
@@ -111,6 +116,14 @@ def test_analyze_triangle(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == (
         "n=3 k=1 d=3 girth=3 p=2 rho=1 ER=0.67 EF=2.00"
     )
+
+
+def test_analyze_exits_5_when_the_covering_radius_oracles_disagree(k5_codebook_file, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(cli, "covering_radius_tjoin", lambda graph: 3)  # K5's rho is 2
+    assert main(["analyze", "--codebook", str(k5_codebook_file)]) == 5
+    captured = capsys.readouterr()
+    assert "oracles disagree (2 vs 3)" in captured.err and not captured.out
 
 
 def write_ring(path, length):
@@ -323,6 +336,56 @@ def test_embed_checks_capacity_before_building_the_table(tmp_path, k5_codebook_f
     assert not out.exists()
 
 
+def fed_pipe(run, size: int, fill: bytes):
+    """``run(path)`` on a pipe that a thread fills with ``size`` bytes of ``fill``.
+
+    Returns what ``run`` returned and the bytes the writer had left when
+    the read end closed.
+    """
+    read, write = os.pipe()
+    left = [size]
+
+    def feed():
+        chunk = memoryview(fill * (1 << 20))
+        try:
+            while left[0]:
+                left[0] -= os.write(write, chunk[: min(left[0], len(chunk))])
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(write)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        result = run(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    return result, left[0]
+
+
+def test_a_piped_payload_is_read_only_up_to_the_cover_s_room(tmp_path, k5_codebook_file, capsys):
+    # 64 MiB against a 64x64 cover's 200 bytes: the read stops one byte past them
+    cover, out = write_pgm(tmp_path / "cover.pgm"), tmp_path / "x.pgm"
+    rc, left = fed_pipe(lambda payload: main([
+        "embed", "--codebook", str(k5_codebook_file), "--cover", str(cover),
+        "--payload", payload, "--out", str(out),
+    ]), 64 << 20, b"\0")
+    assert rc == 4
+    assert "payload exceeds the 200 bytes this cover can carry" in capsys.readouterr().err
+    assert not out.exists()
+    assert left > 60 << 20
+
+
+def test_a_piped_codebook_is_read_only_up_to_the_text_limit(capsys):
+    rc, left = fed_pipe(lambda codebook: main(["analyze", "--codebook", codebook]), 64 << 20, b" ")
+    assert rc == 3
+    assert f"over the {cli.MAX_TEXT_BYTES}-byte limit" in capsys.readouterr().err
+    assert left > 60 << 20
+
+
 def test_extract_wrong_codebook_reports_frame_error(tmp_path, k5_codebook_file, capsys):
     cover = write_pgm(tmp_path / "cover.pgm")
     payload = tmp_path / "secret.bin"
@@ -395,17 +458,25 @@ def test_table_malformed_rows(tmp_path, capsys):
     for row in ("15\t3\tB\t4", "15\t3\tB\t4\t1\tabc\t4", "0\t3\tB\t4\t1\t0.27\t4",
                 "15\t3\tB\t4\t0-1\t0.27\t4-4", "1_5\t3\tB\t4\t1\t0.27\t4",
                 "15\t3\tB\t1_1\t1\t0.73\t11", "15\t3\tB\t11\t1\t0.7_3\t11",
-                "\u0661\u0665\t3\tB\t4\t1\t0.27\t4"):
+                "\u0661\u0665\t3\tB\t4\t1\t0.27\t4",
+                # a range of three; two rhos against one EF
+                "15\t3\tB\t4\t1-2-3\t0.27\t4-2-1", "15\t3\tB\t4\t1-2\t0.27\t4"):
         rows.write_text(row + "\n")
         assert main(["table", "--rows", str(rows)]) == 3
     capsys.readouterr()
+    for text in ("", "# only a comment\n"):  # no rows at all
+        rows.write_text(text)
+        assert main(["table", "--rows", str(rows)]) == 3
+        captured = capsys.readouterr()
+        assert "lists no rows" in captured.err and not captured.out
 
 
 def test_table_rejects_non_finite_figures(tmp_path, capsys):
     # float() parses nan and inf, which no comparison can match
     rows = tmp_path / "rows.tsv"
     for row in ("15\t3\tB\t4\t1\tnan\tinf", "15\t3\tB\t4\t1\t-inf\t4",
-                "15\t3\tB\t4\t1-2\t0.27\t4-inf"):
+                "15\t3\tB\t4\t1-2\t0.27\t4-inf",
+                "15\t3\tB\t4\t1\t0.27\t" + "9" * 400):  # ASCII decimal, but float() reads inf
         rows.write_text(row + "\n")
         assert main(["table", "--rows", str(rows)]) == 3
         captured = capsys.readouterr()

@@ -100,6 +100,16 @@ def test_frame_pads_to_block_multiple():
         frame_payload(as_bits("1"), p=0)
 
 
+def test_packed_frame_refuses_a_length_its_header_cannot_hold():
+    with pytest.raises(ValueError, match="32-bit length header"):
+        codec._packed_frame(np.zeros(0, dtype=np.uint8), 1 << 32)
+
+
+def test_usable_cpus_without_an_affinity_call_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert codec._usable_cpus() == (os.cpu_count() or 1)
+
+
 def test_frame_roundtrip_random_sizes():
     # K3..K9 carry p = 2..8 bits per block
     tables = [build_coset_table_bruteforce(build_code(complete_graph(q))) for q in range(3, 10)]

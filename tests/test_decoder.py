@@ -297,6 +297,9 @@ def test_table_cache_rejects_garbage(tmp_path, k5_code, k5_table):
     short.write_bytes(short.read_bytes()[:-3])
     with pytest.raises(TableCacheError):
         load_table(short, k5_code)
+    short.write_bytes(b"GCTABLE1\x00\x00")  # the magic, then 2 of the 4 count bytes
+    with pytest.raises(TableCacheError, match="truncated table cache header"):
+        load_table(short, k5_code)
     with pytest.raises(TableSizeError):  # p = 21: no table was ever written for it
         load_table(short, build_code(ring(22)))
 
@@ -341,7 +344,9 @@ def test_table_cache_rejects_wrong_code(tmp_path, k5_code):
     tiny_path = tmp_path / "tiny.table"
     save_table(tiny, tiny_path)
     with pytest.raises(TableCacheError):
-        load_table(tiny_path, k5_code)  # wrong syndrome count
+        load_table(tiny_path, k5_code)  # same syndrome count, rows a byte narrower
+    with pytest.raises(TableCacheError, match="cache holds 16 syndromes, code needs 32"):
+        load_table(path, build_code(complete_graph(6)))
 
 
 def test_bruteforce_picks_the_lexicographically_least_leader():

@@ -123,6 +123,8 @@ def test_bmp_rejections(tmp_path):
     eight_bit[28] = 8  # biBitCount
     topdown = bytearray(good)
     topdown[22:26] = struct.pack("<i", -2)  # negative height
+    zero_width = bytearray(good)
+    zero_width[18:22] = struct.pack("<i", 0)
     truncated = bytes(good[:-4])
     weird_header = bytearray(good)
     weird_header[14] = 12  # BITMAPCOREHEADER size
@@ -135,6 +137,7 @@ def test_bmp_rejections(tmp_path):
         "compressed.bmp": bytes(compressed),
         "eight.bmp": bytes(eight_bit),
         "topdown.bmp": bytes(topdown),
+        "zero_width.bmp": bytes(zero_width),
         "trunc.bmp": truncated,
         "core.bmp": bytes(weird_header),
         **inside_headers,
